@@ -1,43 +1,39 @@
-"""Compensated (Neumaier) summation helpers.
+"""Compensated (Neumaier) summation.
 
 Prefix sums of the error series are differenced later, so the running
 sums must stay accurate to a few ulps regardless of length.  Plain
 np.cumsum loses that; Kahan drops low-order bits when the increment
-exceeds the running sum, Neumaier's variant does not.
+exceeds the running sum, Neumaier's variant (ZAMM 54, 1974) does not.
+np.add.accumulate adds strictly left to right, so the vectorised pass
+below does the scalar loop's operations in its order, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def neumaier_sum(values) -> float:
-    """Sum of an iterable of floats with Neumaier compensation."""
-    s = 0.0
-    c = 0.0
-    for x in values:
-        x = float(x)
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s + c
+_BLOCK = 1 << 14  # elements per vectorised block; bounds the temporaries
 
 
 def neumaier_prefix_sum(values: np.ndarray) -> np.ndarray:
     """Running compensated sums: out[i] = sum(values[: i + 1])."""
     values = np.asarray(values, dtype=float)
     out = np.empty_like(values)
-    s = 0.0
-    c = 0.0
-    for i, x in enumerate(values):
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-        out[i] = s + c
+    s = c = 0.0  # running sum and compensation, carried across blocks
+    for lo in range(0, len(values), _BLOCK):
+        x = values[lo : lo + _BLOCK]
+        t = np.add.accumulate(np.concatenate(([s], x)))
+        prev, t = t[:-1], t[1:]
+        err = np.where(np.abs(prev) >= np.abs(x), (prev - t) + x, (x - t) + prev)
+        comp = np.add.accumulate(np.concatenate(([c], err)))[1:]
+        np.add(t, comp, out=out[lo : lo + len(x)])
+        s, c = t[-1], comp[-1]
     return out
+
+
+def neumaier_sum(values) -> float:
+    """Sum of an iterable of floats with Neumaier compensation."""
+    if not isinstance(values, np.ndarray):
+        values = np.fromiter(values, dtype=float)
+    prefix = neumaier_prefix_sum(values)
+    return float(prefix[-1]) if len(prefix) else 0.0

@@ -54,6 +54,13 @@ def _binom_column_exact(n_max: int, k: int) -> np.ndarray:
     return np.array([float(comb(n + k - 1, k)) for n in range(1, n_max + 1)])
 
 
+def _iterated_prefix(values: np.ndarray, folds: int) -> np.ndarray:
+    """folds compensated prefix-sum passes over values."""
+    for _ in range(folds):
+        values = neumaier_prefix_sum(values)
+    return values
+
+
 def iterated_average(series: ErrorSeries, k: int, n_max: int | None = None) -> IteratedAverage:
     """k-fold averaged error via k compensated prefix-sum passes.
 
@@ -66,9 +73,7 @@ def iterated_average(series: ErrorSeries, k: int, n_max: int | None = None) -> I
     if not 1 <= n_max <= series.n_max:
         raise ValueError(f"n_max = {n_max} outside series range [1, {series.n_max}]")
 
-    s = series.r[1 : n_max + 1]
-    for _ in range(k):
-        s = neumaier_prefix_sum(s)
+    s = _iterated_prefix(series.r[1 : n_max + 1], k)
     values = np.zeros(n_max + 1)
     values[1:] = s / _binom_column_exact(n_max, k)
     values.flags.writeable = False
@@ -154,13 +159,6 @@ def weighted_psi_tilde(table: LambdaTable, i: int, x: int) -> float:
     return neumaier_sum(w * table.lam[1 : x + 1])
 
 
-def _iterated_lambda_prefix(values: np.ndarray, folds: int) -> np.ndarray:
-    s = values
-    for _ in range(folds):
-        s = neumaier_prefix_sum(s)
-    return s
-
-
 def weighted_psi_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:
     """psi_i(n) for all n <= n_max in O(i * n), via prefix sums of Lambda.
 
@@ -168,7 +166,7 @@ def weighted_psi_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:
     the whole series costs i+1 compensated passes.  Index 0 unused.
     """
     _check_psi_args(table, i, n_max)
-    s = _iterated_lambda_prefix(table.lam[1 : n_max + 1], i + 1)
+    s = _iterated_prefix(table.lam[1 : n_max + 1], i + 1)
     out = np.zeros(n_max + 1)
     out[1:] = s / _binom_column_exact(n_max, i)
     return out
@@ -179,7 +177,7 @@ def weighted_psi_hat_series(table: LambdaTable, i: int, n_max: int) -> np.ndarra
     if i < 1:
         raise ValueError("psi-hat needs i >= 1")
     g = (np.arange(1, n_max + 1, dtype=float) - 1.0) * table.lam[1 : n_max + 1]
-    s = _iterated_lambda_prefix(g, i)
+    s = _iterated_prefix(g, i)
     out = np.full(n_max + 1, np.nan)  # n = 1 undefined: C(i, i+1) = 0
     if n_max >= 2:
         denom = np.array([float(comb(n + i - 1, i + 1)) for n in range(2, n_max + 1)])
@@ -193,7 +191,7 @@ def weighted_psi_tilde_series(table: LambdaTable, i: int, n_max: int) -> np.ndar
         raise ValueError("psi-tilde needs i >= 2")
     j = np.arange(1, n_max + 1, dtype=float)
     g = j * (j - 1.0) / 2.0 * table.lam[1 : n_max + 1]
-    s = _iterated_lambda_prefix(g, i - 1)
+    s = _iterated_prefix(g, i - 1)
     # (i-1)-fold prefix of g gives sum_j C(n-j+i-2, i-2) g(j), exactly the
     # weighted numerator.
     out = np.zeros(n_max + 1)

@@ -79,8 +79,8 @@ def _out_stream(args):
 
 def cmd_sieve(args) -> int:
     table = _load_or_build_table(args.n_max, args.cache)
-    n = min(args.n_max, table.n_max)
-    print(f"n_max={table.n_max}")
+    n = args.n_max
+    print(f"n_max={n}")
     print(f"psi({n})={_fmt6(sieve.psi(table, n))}")
     print(f"theta({n})={_fmt6(sieve.theta(table, n))}")
     print(f"pi({n})={sieve.prime_pi(table, n)}")
@@ -89,7 +89,7 @@ def cmd_sieve(args) -> int:
 
 def cmd_errors(args) -> int:
     table = _load_or_build_table(args.n_max, args.cache)
-    series = sieve.error_series(table)
+    series = sieve.error_series(table, args.n_max)
     out = _out_stream(args)
     try:
         for order in args.order:
@@ -209,10 +209,10 @@ def _check_sieve(table) -> list[str]:
 
     failures = []
     lcm = 1
-    mpmath.mp.prec = 300
     for n in range(1, 501):
         lcm = math.lcm(lcm, n)
-        ref = float(mpmath.log(lcm))
+        with mpmath.workprec(300):
+            ref = float(mpmath.log(lcm))
         if abs(sieve.psi(table, n) - ref) > 1e-9:
             failures.append(f"psi({n}) deviates from log lcm oracle")
             break

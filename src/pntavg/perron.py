@@ -51,11 +51,12 @@ class PerronResult:
         return abs(self.numeric - self.main_term)
 
 
-def _kernel_upper_half(a: float, b: float, T: float, k: int, n_panels: int) -> float:
-    """(1/pi) int_0^T Re[k! a^s / prod(s+j)] dt at s = b + it."""
+def _kernel_panels(a: float, b: float, t0: float, T: float, k: int, n_panels: int):
+    """k! a^s / prod(s+j) at s = b + it on the Gauss-Legendre nodes of n_panels
+    equal panels over [t0, T], with each panel's half-width."""
     la = math.log(a)
     fact = float(math.factorial(k))
-    edges = np.linspace(0.0, T, n_panels + 1)
+    edges = np.linspace(t0, T, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * _gl_x[None, :]).ravel()
@@ -63,24 +64,19 @@ def _kernel_upper_half(a: float, b: float, T: float, k: int, n_panels: int) -> f
     den = s.copy()
     for j in range(1, k + 1):
         den = den * (s + j)
-    vals = fact * (a**b) * np.exp(1j * t * la) / den
+    return fact * (a**b) * np.exp(1j * t * la) / den, half
+
+
+def _kernel_upper_half(a: float, b: float, T: float, k: int, n_panels: int) -> float:
+    """(1/pi) int_0^T Re[k! a^s / prod(s+j)] dt at s = b + it."""
+    vals, half = _kernel_panels(a, b, 0.0, T, k, n_panels)
     panels = (vals.real.reshape(-1, _GL_NODES) @ _gl_w) * half
     return neumaier_sum(panels) / math.pi
 
 
 def _kernel_full(a: float, b: float, T: float, k: int, n_panels: int) -> complex:
     """Reference evaluation over the full segment [-T, T], no symmetry used."""
-    la = math.log(a)
-    fact = float(math.factorial(k))
-    edges = np.linspace(-T, T, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * _gl_x[None, :]).ravel()
-    s = b + 1j * t
-    den = s.copy()
-    for j in range(1, k + 1):
-        den = den * (s + j)
-    vals = fact * (a**b) * np.exp(1j * t * la) / den
+    vals, half = _kernel_panels(a, b, -T, T, k, n_panels)
     re = (vals.real.reshape(-1, _GL_NODES) @ _gl_w) * half
     im = (vals.imag.reshape(-1, _GL_NODES) @ _gl_w) * half
     return complex(neumaier_sum(re) / (2 * math.pi), neumaier_sum(im) / (2 * math.pi))
@@ -217,10 +213,8 @@ def dirichlet_perron_check(
     xbar = x + 1
 
     # lhs: a(m) m^{-s0} counted once per n in [m, x], i.e. (xbar - m) times
-    lhs = complex(
-        neumaier_sum((c * (m ** (-s0)) * (xbar - m)).real for m, c in sorted(coeffs.items()) if m <= x),
-        neumaier_sum((c * (m ** (-s0)) * (xbar - m)).imag for m, c in sorted(coeffs.items()) if m <= x),
-    )
+    terms = [c * (m ** (-s0)) * (xbar - m) for m, c in sorted(coeffs.items()) if m <= x]
+    lhs = complex(neumaier_sum(t.real for t in terms), neumaier_sum(t.imag for t in terms))
 
     re_parts = []
     im_parts = []

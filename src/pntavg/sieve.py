@@ -13,9 +13,10 @@ repeatedly dividing by spf(n) reaches 1, and n is prime iff spf(n) = n.
 from __future__ import annotations
 
 import math
+import os
 import struct
-import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -145,75 +146,45 @@ def error_series(table: LambdaTable, n_max: int | None = None) -> ErrorSeries:
 # -- binary cache -----------------------------------------------------------
 #
 # Format: magic "PNTSIEVE1", little-endian u64 n_max, then n_max float64
-# Lambda values for n = 1..n_max.  Integrity is re-derived on load: every
-# nonzero entry must round-trip as log p for a prime power p^m <= n_max.
+# Lambda values for n = 1..n_max.  A cache is accepted only if its payload
+# equals a fresh sieve bit for bit, so it can never change what is computed.
+
+_HEADER = len(CACHE_MAGIC) + 8
 
 
 def write_cache(table: LambdaTable, path) -> None:
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<Q", table.n_max))
-        f.write(table.lam[1:].astype("<f8").tobytes())
-
-
-def _validate_lambda(lam: np.ndarray, n_max: int) -> None:
-    """Reject cache payloads whose entries are not consistent Lambda values."""
-    if lam[1] != 0.0:
-        raise CacheError("cache integrity check failed: Lambda(1) != 0")
-    small_primes = [p for p in range(2, int(math.isqrt(n_max)) + 2) if all(p % q for q in range(2, int(math.isqrt(p)) + 1))]
-    max_log = math.log(n_max) + 1e-9 if n_max > 1 else 1.0
-    for n in np.nonzero(lam[1:])[0] + 1:
-        v = lam[n]
-        if not (0.0 < v <= max_log) or not math.isfinite(v):
-            raise CacheError(f"cache integrity check failed at n = {n}")
-        p = round(math.exp(v))
-        if p < 2 or abs(v - math.log(p)) > 1e-9 * max(1.0, abs(v)):
-            raise CacheError(f"cache integrity check failed at n = {n}")
-        if any(p % q == 0 for q in small_primes if q < p) or n % p != 0:
-            raise CacheError(f"cache integrity check failed at n = {n}")
-        m = int(n)
-        while m % p == 0:
-            m //= p
-        if m != 1:
-            raise CacheError(f"cache integrity check failed at n = {n}")
+    """Write the cache atomically: a temporary file in the same directory,
+    then os.replace, so a failed write leaves any previous cache intact."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CACHE_MAGIC)
+            f.write(struct.pack("<Q", table.n_max))
+            f.write(table.lam[1:].astype("<f8", copy=False))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_cache(path) -> LambdaTable:
-    """Load a cache file, validate it, and rebuild the derived prefixes.
+    """Load a cache file and return the table it holds.
 
-    Primality is recovered from Lambda alone: n is prime iff Lambda(n) > 0
-    and round(exp(Lambda(n))) == n.
+    The header and the file size are checked before anything is allocated,
+    so a forged n_max cannot trigger a large sieve.  The table is then
+    sieved afresh and the payload must equal its Lambda values bitwise;
+    any difference raises CacheError.
     """
     with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < len(CACHE_MAGIC) + 8 or data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise CacheError("bad cache header")
-    (n_max,) = struct.unpack_from("<Q", data, len(CACHE_MAGIC))
-    payload = data[len(CACHE_MAGIC) + 8 :]
-    if n_max < 1 or len(payload) != 8 * n_max:
-        raise CacheError(f"cache length mismatch for n_max = {n_max}")
-    lam = np.zeros(n_max + 1)
-    lam[1:] = np.frombuffer(payload, dtype="<f8")
-    _validate_lambda(lam, n_max)
-
-    is_prime = np.zeros(n_max + 1, dtype=bool)
-    theta_terms = np.zeros(n_max + 1)
-    for n in np.nonzero(lam[1:])[0] + 1:
-        p = round(math.exp(lam[n]))
-        if p == n:
-            is_prime[n] = True
-            theta_terms[n] = lam[n]
-    psi_prefix = np.zeros(n_max + 1)
-    psi_prefix[1:] = neumaier_prefix_sum(lam[1:])
-    theta_prefix = np.zeros(n_max + 1)
-    theta_prefix[1:] = neumaier_prefix_sum(theta_terms[1:])
-    pi_prefix = np.cumsum(is_prime).astype(np.int64)
-    for arr in (lam, psi_prefix, theta_prefix, pi_prefix, is_prime):
-        arr.flags.writeable = False
-    return LambdaTable(int(n_max), lam, psi_prefix, theta_prefix, pi_prefix, is_prime)
-
-
-def cache_checksum(path) -> int:
-    """CRC32 of the cache file, for logging/diagnostics."""
-    with open(path, "rb") as f:
-        return zlib.crc32(f.read())
+        head = f.read(_HEADER)
+        if len(head) < _HEADER or head[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+            raise CacheError("bad cache header")
+        (n_max,) = struct.unpack_from("<Q", head, len(CACHE_MAGIC))
+        if n_max < 1 or os.fstat(f.fileno()).st_size != _HEADER + 8 * n_max:
+            raise CacheError(f"cache length mismatch for n_max = {n_max}")
+        table = build_lambda_table(n_max)
+        payload = np.fromfile(f, dtype="<u8", count=n_max)
+    if not np.array_equal(payload, table.lam[1:].astype("<f8", copy=False).view("<u8")):
+        raise CacheError("cache integrity check failed: Lambda differs from a fresh sieve")
+    return table

@@ -99,3 +99,21 @@ def binom_weight_average(r, k: int, n: int) -> float:
         total += w
     assert total == 1
     return acc
+
+
+def neumaier_prefix_loop(values) -> list[float]:
+    """Scalar Neumaier loop: out[i] = s + c after values[i], one element at
+    a time; the reference for the vectorised accum.neumaier_prefix_sum."""
+    out = []
+    s = 0.0
+    c = 0.0
+    for x in values:
+        x = float(x)
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+        out.append(s + c)
+    return out

@@ -1,5 +1,8 @@
-import sys
+import hashlib
+import json
+import pathlib
 
+import mpmath
 import pytest
 
 from pntavg import cli
@@ -171,3 +174,47 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["tables", "--bogus-flag"])
     assert exc.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve"],
+        ["errors", "--order", "0", "--order", "2"],
+        ["tables", "--allow-partial"],
+    ],
+)
+def test_larger_cache_does_not_change_output(tmp_path, capsys, argv):
+    cache = tmp_path / "s.bin"
+    assert run(["sieve", "--n-max", "5000", "--cache", str(cache)], capsys)[0] == 0
+    plain = run(argv + ["--n-max", "300"], capsys)
+    cached = run(argv + ["--n-max", "300", "--cache", str(cache)], capsys)
+    assert plain[0] == 0
+    assert cached == plain
+
+
+def test_check_leaves_mpmath_precision(capsys):
+    mpmath.mp.prec = 53
+    code, _, _ = run(["check", "--n-max", "600"], capsys)
+    assert code == 0
+    assert mpmath.mp.prec == 53
+
+
+EXPECTED = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+ORDERS = " ".join(f"--order {k}" for k in range(1, 7))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "tables --n-max 3000 --allow-partial",
+        f"errors --n-max 3000 {ORDERS}",
+        "sieve --n-max 3000",
+        "sieve --n-max 20000",
+    ],
+)
+def test_stdout_matches_recorded_digest(command, capsys):
+    digests = json.loads(EXPECTED.read_text(encoding="ascii"))["digests"]
+    code, out, _ = run(command.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digests[command]

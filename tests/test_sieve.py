@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -153,3 +156,46 @@ def test_cache_truncated(tmp_path, table_small):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(sieve.CacheError):
         sieve.read_cache(path)
+
+
+def test_cache_zeroed_prime_rejected(tmp_path, table_small):
+    # Every entry of a zeroed Lambda(7) payload is still a valid log p or 0,
+    # so only a comparison with a fresh sieve catches it (psi(10) would
+    # read 5.886 instead of log 2520 = 7.832).
+    path = tmp_path / "sieve.bin"
+    sieve.write_cache(table_small, path)
+    data = bytearray(path.read_bytes())
+    offset = len(sieve.CACHE_MAGIC) + 8 + 8 * (7 - 1)
+    data[offset : offset + 8] = struct.pack("<d", 0.0)
+    path.write_bytes(bytes(data))
+    with pytest.raises(sieve.CacheError, match="integrity"):
+        sieve.read_cache(path)
+
+
+def test_cache_forged_header_rejected_before_sieving(tmp_path, monkeypatch):
+    path = tmp_path / "sieve.bin"
+    path.write_bytes(sieve.CACHE_MAGIC + struct.pack("<Q", 2**40) + bytes(64))
+
+    def no_sieve(n_max):
+        raise AssertionError(f"sieved to {n_max} for a forged header")
+
+    monkeypatch.setattr(sieve, "build_lambda_table", no_sieve)
+    with pytest.raises(sieve.CacheError, match="length"):
+        sieve.read_cache(path)
+
+
+class _FailingArray:
+    def __getitem__(self, key):
+        raise OSError("disk full")
+
+
+def test_failed_cache_write_keeps_previous(tmp_path, table_small):
+    path = tmp_path / "sieve.bin"
+    sieve.write_cache(table_small, path)
+    before = path.read_bytes()
+    # the header is written, then reading the payload fails part-way
+    broken = dataclasses.replace(table_small, lam=_FailingArray())
+    with pytest.raises(OSError, match="disk full"):
+        sieve.write_cache(broken, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["sieve.bin"]
