@@ -16,6 +16,7 @@ All numeric CSV output is deterministic for fixed flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -31,13 +32,6 @@ DEFAULT_N_MAX = 100_000
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _fmt6(v: float) -> str:
-    """Fixed 6 decimals, round-half-even, locale independent."""
-    return np.format_float_positional(
-        v, precision=6, unique=False, fractional=True, trim="k"
-    )
 
 
 def cache_dir() -> Path:
@@ -69,9 +63,11 @@ def _load_or_build_table(n_max: int, cache: str | None) -> sieve.LambdaTable:
 
 
 def _out_stream(args):
+    """Context manager yielding --output opened for writing, or stdout,
+    which it leaves open."""
     if args.output:
         return open(args.output, "w", encoding="ascii")
-    return sys.stdout
+    return contextlib.nullcontext(sys.stdout)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -81,8 +77,8 @@ def cmd_sieve(args) -> int:
     table = _load_or_build_table(args.n_max, args.cache)
     n = args.n_max
     print(f"n_max={n}")
-    print(f"psi({n})={_fmt6(sieve.psi(table, n))}")
-    print(f"theta({n})={_fmt6(sieve.theta(table, n))}")
+    print(f"psi({n})={sieve.psi(table, n):.6f}")
+    print(f"theta({n})={sieve.theta(table, n):.6f}")
     print(f"pi({n})={sieve.prime_pi(table, n)}")
     return EXIT_OK
 
@@ -90,21 +86,18 @@ def cmd_sieve(args) -> int:
 def cmd_errors(args) -> int:
     table = _load_or_build_table(args.n_max, args.cache)
     series = sieve.error_series(table, args.n_max)
-    out = _out_stream(args)
-    try:
-        for order in args.order:
-            if len(args.order) > 1:
+    orders = args.order or [1]
+    with _out_stream(args) as out:
+        for order in orders:
+            if len(orders) > 1:
                 out.write(f"# order={order}\n")
             if order == 0:
                 values = series.r
             else:
                 values = averaging.iterated_average(series, order).values
             out.write("n,value\n")
-            for n in range(1, series.n_max + 1):
-                out.write(f"{n},{_fmt6(values[n])}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            rows = enumerate(values[1:].tolist(), 1)
+            out.writelines(f"{n},{v:.6f}\n" for n, v in rows)
     return EXIT_OK
 
 
@@ -146,25 +139,19 @@ def cmd_tables(args) -> int:
         )
     table = _load_or_build_table(args.n_max, args.cache)
     rows = _table_rows(table, args.n_max)
-    out = _out_stream(args)
-    try:
+    with _out_stream(args) as out:
         if args.pretty:
             out.write(f"{'statistic':<10} {'range':<14} {'min':>14} {'max':>14}\n")
             for name, s in rows:
                 rng = f"{s.lo}..{s.hi}"
-                out.write(
-                    f"{name:<10} {rng:<14} {_fmt6(s.min):>14} {_fmt6(s.max):>14}\n"
-                )
+                out.write(f"{name:<10} {rng:<14} {s.min:>14.6f} {s.max:>14.6f}\n")
         else:
             out.write("statistic,lo,hi,min,argmin,max,argmax\n")
             for name, s in rows:
                 out.write(
-                    f"{name},{s.lo},{s.hi},{_fmt6(s.min)},{s.argmin},"
-                    f"{_fmt6(s.max)},{s.argmax}\n"
+                    f"{name},{s.lo},{s.hi},{s.min:.6f},{s.argmin},"
+                    f"{s.max:.6f},{s.argmax}\n"
                 )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -174,13 +161,9 @@ def cmd_zerosum(args) -> int:
         return EXIT_USAGE
     zset = zeros.load_zeros(args.zeros)
     res = zeros.zero_sum(zset, args.x, args.T, args.k)
-    out = _out_stream(args)
-    try:
+    with _out_stream(args) as out:
         out.write("x,T,k,value,count_used\n")
         out.write(f"{res.x:g},{res.T:g},{res.k},{res.value!r},{res.count_used}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -188,28 +171,24 @@ def cmd_perron(args) -> int:
     res = perron.perron_integral(args.a, args.b, args.T, args.k)
     gap = res.gap
     ratio = gap / res.bound if res.bound > 0 else math.inf
-    out = _out_stream(args)
-    try:
+    with _out_stream(args) as out:
         out.write("a,b,T,k,numeric,main_term,bound,gap,ratio\n")
         out.write(
             f"{res.a:g},{res.b:g},{res.T:g},{res.k},{res.numeric.real!r},"
             f"{res.main_term!r},{res.bound!r},{gap!r},{ratio!r}\n"
         )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK if gap <= res.bound + res.quadrature_error_estimate else EXIT_FAILURE
 
 
 # -- check suites -----------------------------------------------------------
 
 
-def _check_sieve(table) -> list[str]:
+def _check_sieve(table, n_max: int) -> list[str]:
     import mpmath
 
     failures = []
     lcm = 1
-    for n in range(1, 501):
+    for n in range(1, min(500, n_max) + 1):
         lcm = math.lcm(lcm, n)
         with mpmath.workprec(300):
             ref = float(mpmath.log(lcm))
@@ -219,24 +198,24 @@ def _check_sieve(table) -> list[str]:
     return failures
 
 
-def _check_averaging(table) -> list[str]:
+def _check_averaging(table, n_max: int) -> list[str]:
     failures = []
-    n_check = min(2000, table.n_max)
+    n_check = min(2000, n_max)
     series = sieve.error_series(table, n_check)
     for k in (1, 2, 3):
         avg = averaging.iterated_average(series, k)
         for n in (1, 2, 10, 100, min(300, n_check)):
+            if n > n_check:
+                continue
             direct = averaging.average_via_weights(series, k, n)
             if abs(direct - avg.values[n]) > 1e-9:
                 failures.append(f"weight-form rbar{k}({n}) mismatch")
-    # identity: hat_r vs weighted form
-    for i in (1, 2, 3):
-        avg = averaging.iterated_average(series, i)
-        psi_hat = averaging.weighted_psi_hat_series(table, i, n_check)
+        # identity: hat_r vs weighted form
+        psi_hat = averaging.weighted_psi_hat_series(table, k, n_check)
         hat = averaging.hat_r_series(avg)
-        gap = np.nanmax(np.abs(hat[2:] - (psi_hat[2:] - 1.0)))
+        gap = np.nanmax(np.abs(hat[2:] - (psi_hat[2:] - 1.0)), initial=0.0)
         if gap > 1e-8:
-            failures.append(f"hat identity order {i} gap {gap:.2e}")
+            failures.append(f"hat identity order {k} gap {gap:.2e}")
     return failures
 
 
@@ -264,10 +243,11 @@ def _check_zeros(path) -> list[str]:
 
 
 def cmd_check(args) -> int:
-    table = _load_or_build_table(min(args.n_max, 10_000), args.cache)
+    n_check = min(args.n_max, 10_000)
+    table = _load_or_build_table(n_check, args.cache)
     suites = [
-        ("sieve-psi-oracle", lambda: _check_sieve(table)),
-        ("averaging-identities", lambda: _check_averaging(table)),
+        ("sieve-psi-oracle", lambda: _check_sieve(table, n_check)),
+        ("averaging-identities", lambda: _check_averaging(table, n_check)),
         ("perron-envelope", _check_perron),
     ]
     if args.zeros:
@@ -345,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "order", None) is None and args.command == "errors":
-        args.order = [1]
     try:
         return args.fn(args)
     except (ValueError, CacheError, zeros.ZeroFormatError) as exc:
@@ -355,6 +333,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except MemoryError:
+        print("error: out of memory; try a smaller --n-max", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -5,9 +5,11 @@ together with compensated prefix sums, so that psi(x), theta(x), pi(x)
 and the error series r(n) = psi(n) - n are O(1) lookups after an O(n)
 construction.
 
-Lambda(n) = log p when n = p^m for a prime p, else 0.  Classification
-uses a smallest-prime-factor linear sieve: n is a prime power iff
-repeatedly dividing by spf(n) reaches 1, and n is prime iff spf(n) = n.
+Lambda(n) = log p when n = p^m for a prime p, else 0.  Primality comes
+from a vectorised sieve of Eratosthenes: each prime p <= sqrt(n_max)
+strikes out p^2, p^2 + p, ... with one slice assignment.  Each prime
+takes log p, and each higher power p^k <= n_max of a prime p <= sqrt(n_max)
+takes the same value.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class LambdaTable:
         psi_prefix[n]  psi(n) = sum_{m <= n} Lambda(m)
         theta_prefix[n] theta(n) = sum_{p <= n} log p
         pi_prefix[n]   number of primes <= n
-        is_prime[n]    primality flag from the sieve (spf(n) == n)
+        is_prime[n]    primality flag from the sieve
     """
 
     n_max: int
@@ -58,21 +60,6 @@ class ErrorSeries:
     r: np.ndarray
 
 
-def _smallest_prime_factor(n_max: int) -> tuple[np.ndarray, list[int]]:
-    """Linear sieve: spf[n] = smallest prime factor of n, spf[0] = spf[1] = 0."""
-    spf = np.zeros(n_max + 1, dtype=np.int64)
-    primes: list[int] = []
-    for n in range(2, n_max + 1):
-        if spf[n] == 0:
-            spf[n] = n
-            primes.append(n)
-        for p in primes:
-            if p > spf[n] or n * p > n_max:
-                break
-            spf[n * p] = p
-    return spf, primes
-
-
 def build_lambda_table(n_max: int) -> LambdaTable:
     """Sieve Lambda(n) for n <= n_max and accumulate psi, theta, pi prefixes.
 
@@ -82,20 +69,23 @@ def build_lambda_table(n_max: int) -> LambdaTable:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 
-    spf, _ = _smallest_prime_factor(n_max)
+    root = math.isqrt(n_max)
+    is_prime = np.ones(n_max + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, root + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+
+    primes = np.flatnonzero(is_prime)
     lam = np.zeros(n_max + 1)
-    is_prime = np.zeros(n_max + 1, dtype=bool)
-    theta_terms = np.zeros(n_max + 1)
-    for n in range(2, n_max + 1):
-        p = int(spf[n])
-        m = n
-        while m % p == 0:
-            m //= p
-        if m == 1:  # n = p^k
-            lam[n] = math.log(p)
-            if p == n:
-                is_prime[n] = True
-                theta_terms[n] = lam[n]
+    # math.log, not np.log: np.log is 1 ulp off on some primes below 1e6.
+    lam[primes] = [math.log(p) for p in primes.tolist()]
+    for p in primes[primes <= root].tolist():
+        q = p * p
+        while q <= n_max:
+            lam[q] = lam[p]
+            q *= p
+    theta_terms = np.where(is_prime, lam, 0.0)
 
     psi_prefix = np.zeros(n_max + 1)
     psi_prefix[1:] = neumaier_prefix_sum(lam[1:])

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here deliberately avoids the production code paths: psi comes
-from big-integer lcm, primality from trial division, iterated averages
-from literal nested sums over the raw error values, the explicit-formula
-constants from mpmath's zeta.
+from big-integer lcm, primality from trial division or a linear
+smallest-prime-factor sieve, iterated averages from literal nested sums
+over the raw error values, the explicit-formula constants from mpmath's
+zeta, 6-decimal formatting from numpy's Dragon4.
 """
 
 import math
@@ -117,3 +118,57 @@ def neumaier_prefix_loop(values) -> list[float]:
         s = t
         out.append(s + c)
     return out
+
+
+def lambda_spf_loop(n_max: int) -> dict[str, np.ndarray]:
+    """The LambdaTable arrays from a linear smallest-prime-factor sieve and
+    a per-n classification loop, with scalar Neumaier prefix sums.
+
+    n is a prime power iff repeatedly dividing by spf(n) reaches 1, and n
+    is prime iff spf(n) = n.  Returns lam, psi_prefix, theta_prefix,
+    pi_prefix and is_prime, 1-indexed with index 0 unused, in the dtypes
+    of sieve.LambdaTable.
+    """
+    spf = [0] * (n_max + 1)
+    primes = []
+    for n in range(2, n_max + 1):
+        if spf[n] == 0:
+            spf[n] = n
+            primes.append(n)
+        for p in primes:
+            if p > spf[n] or n * p > n_max:
+                break
+            spf[n * p] = p
+    lam = np.zeros(n_max + 1)
+    is_prime = np.zeros(n_max + 1, dtype=bool)
+    theta_terms = np.zeros(n_max + 1)
+    for n in range(2, n_max + 1):
+        p = spf[n]
+        m = n
+        while m % p == 0:
+            m //= p
+        if m == 1:  # n = p^k
+            lam[n] = math.log(p)
+            if p == n:
+                is_prime[n] = True
+                theta_terms[n] = lam[n]
+    psi_prefix = np.zeros(n_max + 1)
+    psi_prefix[1:] = neumaier_prefix_loop(lam[1:])
+    theta_prefix = np.zeros(n_max + 1)
+    theta_prefix[1:] = neumaier_prefix_loop(theta_terms[1:])
+    pi_prefix = np.cumsum(is_prime).astype(np.int64)
+    return {
+        "lam": lam,
+        "psi_prefix": psi_prefix,
+        "theta_prefix": theta_prefix,
+        "pi_prefix": pi_prefix,
+        "is_prime": is_prime,
+    }
+
+
+def fmt6_dragon4(v: float) -> str:
+    """Fixed 6 decimals by numpy's Dragon4: the exact binary value rounded
+    half to even, locale independent."""
+    return np.format_float_positional(
+        v, precision=6, unique=False, fractional=True, trim="k"
+    )

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import math
 import pathlib
 
 import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pntavg import cli
+
+from oracles import fmt6_dragon4
 
 
 def run(argv, capsys):
@@ -58,6 +63,29 @@ def test_errors_series_csv(capsys):
     assert lines[0] == "n,value"
     assert lines[1] == "1,-1.000000"
     assert len(lines) == 51
+
+
+def test_errors_default_order_is_one(capsys):
+    default = run(["errors", "--n-max", "10"], capsys)
+    assert default == run(["errors", "--n-max", "10", "--order", "1"], capsys)
+    assert default[0] == 0
+
+
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(0.0078125)  # 1/2^7: an exact tie at the 6th decimal
+def test_fmt6_matches_dragon4(v):
+    assert f"{v:.6f}" == fmt6_dragon4(v)
+
+
+@given(st.integers(-(2**40), 2**40), st.integers(0, 60))
+def test_fmt6_matches_dragon4_on_dyadic_ties(j, k):
+    v = (2 * j + 1) / 2**k
+    assert f"{v:.6f}" == fmt6_dragon4(v)
 
 
 def test_errors_order_zero_is_raw_r(capsys):
@@ -130,6 +158,24 @@ def test_check_passes_without_zeros(capsys):
     assert "zero-sum suite skipped" in out
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 100])
+def test_check_small_n_max(n_max, capsys):
+    code, out, _ = run(["check", "--n-max", str(n_max)], capsys)
+    assert code == 0, out
+    assert "PASS averaging-identities" in out
+
+
+def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    def no_memory(n_max):
+        raise MemoryError
+
+    monkeypatch.setattr("pntavg.sieve.build_lambda_table", no_memory)
+    code, out, err = run(["sieve", "--n-max", "10"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_check_with_zeros(tmp_path, capsys):
     zpath = tmp_path / "z.txt"
     zpath.write_text("14.134725142\n21.022039639\n")
@@ -182,6 +228,7 @@ def test_usage_error_exit_code():
         ["sieve"],
         ["errors", "--order", "0", "--order", "2"],
         ["tables", "--allow-partial"],
+        ["check"],
     ],
 )
 def test_larger_cache_does_not_change_output(tmp_path, capsys, argv):

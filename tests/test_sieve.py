@@ -8,7 +8,7 @@ import pytest
 
 from pntavg import sieve
 
-from oracles import is_prime_trial, psi_lcm, psi_lcm_all
+from oracles import is_prime_trial, lambda_spf_loop, psi_lcm, psi_lcm_all
 
 
 def test_lambda_values(table_small):
@@ -33,6 +33,17 @@ def test_lambda_positive_iff_prime_power(table_small):
                     is_pp = True
                     break
         assert (table_small.lam[n] > 0) == (is_pp and n > 1), n
+
+
+def test_table_bitwise_equals_spf_loop():
+    # 300_000 passes 285343, the first prime whose np.log is 1 ulp away
+    # from math.log with numpy's vectorised log.
+    for n_max in [*range(1, 301), 961, 1024, 65536, 100_000, 300_000]:
+        table = sieve.build_lambda_table(n_max)
+        for name, want in lambda_spf_loop(n_max).items():
+            got = getattr(table, name)
+            assert got.dtype == want.dtype, (n_max, name)
+            assert got.tobytes() == want.tobytes(), (n_max, name)
 
 
 def test_psi_trivial(table_small):
