@@ -13,15 +13,17 @@ representation as a binomial-weighted sum over Lambda:
     tilde_r(i, n)     = (fr(n) - fr(n-1)) / 2,
                         fr(m) = m*(m-1)*(rbar_i(m) - rbar_i(m-1))  [weights h]
 
-The weighted-sum forms are exposed (weighted_psi and friends) both as
-public operations and as independent cross-checks of the difference
-forms; the weighted batch variants run off prefix sums of Lambda-derived
-series, a data path disjoint from the prefix sums of r.
+Every series comes from _folded_ratio: compensated prefix passes over a
+sequence g, divided by an exact binomial column.  g is r for rbar_k, and
+Lambda, (j-1) Lambda(j) or C(j, 2) Lambda(j) for the weighted series psi_i,
+psi-hat_i and psi-tilde_i, a data path disjoint from the prefix sums of r.
+The tests check these against the exact weights of pntavg.weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 
 import numpy as np
@@ -49,16 +51,19 @@ class RangeSummary:
     argmax: int
 
 
-def _binom_column_exact(n_max: int, k: int) -> np.ndarray:
-    """float C(n+k-1, k) for n = 1..n_max, exact integers converted once."""
-    return np.array([float(comb(n + k - 1, k)) for n in range(1, n_max + 1)])
+def _binom_column(n_max: int, k: int) -> np.ndarray:
+    """float C(n+k-1, k) for n = 1..n_max, exact integers rounded once."""
+    return np.fromiter(map(comb, range(k, n_max + k), repeat(k)), float, n_max)
 
 
-def _iterated_prefix(values: np.ndarray, folds: int) -> np.ndarray:
-    """folds compensated prefix-sum passes over values."""
+def _folded_ratio(g: np.ndarray, folds: int, k: int) -> np.ndarray:
+    """out[n] = (folds-fold compensated prefix sum of g)(n) / C(n+k-1, k)
+    for n = 1..len(g); out[0] = 0."""
     for _ in range(folds):
-        values = neumaier_prefix_sum(values)
-    return values
+        g = neumaier_prefix_sum(g)
+    out = np.zeros(len(g) + 1)
+    out[1:] = g / _binom_column(len(g), k)
+    return out
 
 
 def iterated_average(series: ErrorSeries, k: int, n_max: int | None = None) -> IteratedAverage:
@@ -73,9 +78,7 @@ def iterated_average(series: ErrorSeries, k: int, n_max: int | None = None) -> I
     if not 1 <= n_max <= series.n_max:
         raise ValueError(f"n_max = {n_max} outside series range [1, {series.n_max}]")
 
-    s = _iterated_prefix(series.r[1 : n_max + 1], k)
-    values = np.zeros(n_max + 1)
-    values[1:] = s / _binom_column_exact(n_max, k)
+    values = _folded_ratio(series.r[1 : n_max + 1], k, k)
     values.flags.writeable = False
     return IteratedAverage(k, n_max, values)
 
@@ -123,42 +126,6 @@ def weighted_psi(table: LambdaTable, i: int, x: int) -> float:
     return neumaier_sum(w * table.lam[1 : x + 1])
 
 
-def weighted_psi_hat(table: LambdaTable, i: int, x: int) -> float:
-    """psi-hat_i(x) = sum_{j <= x} b(i, x, j) Lambda(j)."""
-    _check_psi_args(table, i, x)
-    if i < 1:
-        raise ValueError("psi-hat needs i >= 1")
-    if x < 2:
-        raise ValueError("psi-hat needs x >= 2")
-    j = np.arange(1, x + 1, dtype=float)
-    # (j-1) C(x+i-1-j, i-1) / C(x+i-1, i+1)
-    w = (j - 1.0) / comb(x + i - 1, i + 1)
-    for t in range(i - 1):
-        w *= x + i - 1 - j - t
-    w /= float(np.prod(np.arange(1, i, dtype=float)))  # (i-1)!
-    return neumaier_sum(w * table.lam[1 : x + 1])
-
-
-def weighted_psi_hat_prime(table: LambdaTable, i: int, x: int) -> float:
-    """(n-1)-scaled variant: sum_j C(x+i-1-j, i-1)/C(x+i-1, i) (j-1) Lambda(j)."""
-    if i < 1:
-        raise ValueError("psi-hat' needs i >= 1")
-    return weighted_psi_hat(table, i, x) * (x - 1) / (i + 1)
-
-
-def weighted_psi_tilde(table: LambdaTable, i: int, x: int) -> float:
-    """psi-tilde_i(x) = sum_{j <= x} h(i, x, j) Lambda(j), i >= 2."""
-    _check_psi_args(table, i, x)
-    if i < 2:
-        raise ValueError("psi-tilde needs i >= 2")
-    j = np.arange(1, x + 1, dtype=float)
-    w = j * (j - 1.0) / 2.0 / comb(x + i - 1, i)
-    for t in range(i - 2):
-        w *= x + i - 2 - j - t
-    w /= float(np.prod(np.arange(1, i - 1, dtype=float)))  # (i-2)!
-    return neumaier_sum(w * table.lam[1 : x + 1])
-
-
 def weighted_psi_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:
     """psi_i(n) for all n <= n_max in O(i * n), via prefix sums of Lambda.
 
@@ -166,37 +133,33 @@ def weighted_psi_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:
     the whole series costs i+1 compensated passes.  Index 0 unused.
     """
     _check_psi_args(table, i, n_max)
-    s = _iterated_prefix(table.lam[1 : n_max + 1], i + 1)
-    out = np.zeros(n_max + 1)
-    out[1:] = s / _binom_column_exact(n_max, i)
-    return out
+    return _folded_ratio(table.lam[1 : n_max + 1], i + 1, i)
 
 
 def weighted_psi_hat_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:
-    """psi-hat_i(n) for all n <= n_max: i-fold prefix sum of (j-1) Lambda(j)."""
+    """psi-hat_i(n) for all n <= n_max: i-fold prefix sum of (j-1) Lambda(j)
+    over C(n+i-1, i+1).  Index 1 is nan: C(i, i+1) = 0."""
+    _check_psi_args(table, i, n_max)
     if i < 1:
         raise ValueError("psi-hat needs i >= 1")
-    g = (np.arange(1, n_max + 1, dtype=float) - 1.0) * table.lam[1 : n_max + 1]
-    s = _iterated_prefix(g, i)
-    out = np.full(n_max + 1, np.nan)  # n = 1 undefined: C(i, i+1) = 0
-    if n_max >= 2:
-        denom = np.array([float(comb(n + i - 1, i + 1)) for n in range(2, n_max + 1)])
-        out[2:] = s[1:] / denom
+    # the j = 1 term is 0, so folding from j = 2 gives the same sums, and
+    # position m of the fold is n = m + 1
+    j = np.arange(2, n_max + 1, dtype=float)
+    out = np.full(n_max + 1, np.nan)
+    out[2:] = _folded_ratio((j - 1.0) * table.lam[2 : n_max + 1], i, i + 1)[1:]
     return out
 
 
 def weighted_psi_tilde_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:
     """psi-tilde_i(n) for all n <= n_max: (i-1)-fold prefix sum of C(j,2) Lambda(j)."""
+    _check_psi_args(table, i, n_max)
     if i < 2:
         raise ValueError("psi-tilde needs i >= 2")
     j = np.arange(1, n_max + 1, dtype=float)
     g = j * (j - 1.0) / 2.0 * table.lam[1 : n_max + 1]
-    s = _iterated_prefix(g, i - 1)
     # (i-1)-fold prefix of g gives sum_j C(n-j+i-2, i-2) g(j), exactly the
     # weighted numerator.
-    out = np.zeros(n_max + 1)
-    out[1:] = s / _binom_column_exact(n_max, i)
-    return out
+    return _folded_ratio(g, i - 1, i)
 
 
 # -- differenced statistics -------------------------------------------------

@@ -50,23 +50,15 @@ def _resolve_cache(path_str: str) -> Path:
 
 def _load_or_build_table(n_max: int, cache: str | None) -> sieve.LambdaTable:
     if cache:
-        path = _resolve_cache(cache)
-        if path.exists():
-            table = sieve.read_cache(path)
-            if table.n_max >= n_max:
-                return table
-        table = sieve.build_lambda_table(n_max)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        sieve.write_cache(table, path)
-        return table
+        return sieve.load_or_build_table(_resolve_cache(cache), n_max)
     return sieve.build_lambda_table(n_max)
 
 
 def _out_stream(args):
-    """Context manager yielding --output opened for writing, or stdout,
-    which it leaves open."""
+    """Context manager yielding --output for writing, or stdout, which it
+    leaves open.  --output appears only if the command completes."""
     if args.output:
-        return open(args.output, "w", encoding="ascii")
+        return sieve.atomic_open(args.output, "w", encoding="ascii")
     return contextlib.nullcontext(sys.stdout)
 
 
@@ -125,6 +117,9 @@ def _table_rows(table: sieve.LambdaTable, n_max: int):
 
 
 def cmd_tables(args) -> int:
+    if args.n_max < 3:
+        print(f"error: tables needs --n-max >= 3, got {args.n_max}", file=sys.stderr)
+        return EXIT_USAGE
     if args.n_max < DEFAULT_N_MAX and not args.allow_partial:
         print(
             f"error: --n-max {args.n_max} < {DEFAULT_N_MAX} reproduces the tables "

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -51,12 +50,12 @@ class PerronResult:
         return abs(self.numeric - self.main_term)
 
 
-def _kernel_panels(a: float, b: float, t0: float, T: float, k: int, n_panels: int):
-    """k! a^s / prod(s+j) at s = b + it on the Gauss-Legendre nodes of n_panels
-    equal panels over [t0, T], with each panel's half-width."""
+def _kernel_upper_half(a: float, b: float, T: float, k: int, n_panels: int) -> float:
+    """(1/pi) int_0^T Re[k! a^s / prod(s+j)] dt at s = b + it, by Gauss-Legendre
+    on n_panels equal panels."""
     la = math.log(a)
     fact = float(math.factorial(k))
-    edges = np.linspace(t0, T, n_panels + 1)
+    edges = np.linspace(0.0, T, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * _gl_x[None, :]).ravel()
@@ -64,22 +63,9 @@ def _kernel_panels(a: float, b: float, t0: float, T: float, k: int, n_panels: in
     den = s.copy()
     for j in range(1, k + 1):
         den = den * (s + j)
-    return fact * (a**b) * np.exp(1j * t * la) / den, half
-
-
-def _kernel_upper_half(a: float, b: float, T: float, k: int, n_panels: int) -> float:
-    """(1/pi) int_0^T Re[k! a^s / prod(s+j)] dt at s = b + it."""
-    vals, half = _kernel_panels(a, b, 0.0, T, k, n_panels)
+    vals = fact * (a**b) * np.exp(1j * t * la) / den
     panels = (vals.real.reshape(-1, _GL_NODES) @ _gl_w) * half
     return neumaier_sum(panels) / math.pi
-
-
-def _kernel_full(a: float, b: float, T: float, k: int, n_panels: int) -> complex:
-    """Reference evaluation over the full segment [-T, T], no symmetry used."""
-    vals, half = _kernel_panels(a, b, -T, T, k, n_panels)
-    re = (vals.real.reshape(-1, _GL_NODES) @ _gl_w) * half
-    im = (vals.imag.reshape(-1, _GL_NODES) @ _gl_w) * half
-    return complex(neumaier_sum(re) / (2 * math.pi), neumaier_sum(im) / (2 * math.pi))
 
 
 def _initial_panels(a: float, T: float) -> int:
@@ -108,12 +94,12 @@ def residue_main_term(a: float, k: int) -> float:
     """Sum of residues of k! a^s / prod_{j=0}^k (s+j) at s = 0..-k, a > 1.
 
     Residue at s = -j is (-1)^j C(k, j) a^(-j); the sum telescopes to
-    (1 - 1/a)^k.  Computed from the exact rational coefficients.
+    (1 - 1/a)^k.  Computed term by term from the integer coefficients,
+    which convert to float exactly.
     """
     acc = 0.0
     for j in range(k + 1):
-        coeff = Fraction((-1) ** j * comb(k, j))
-        acc += float(coeff) * a ** (-j)
+        acc += float((-1) ** j * comb(k, j)) * a ** (-j)
     return acc
 
 
@@ -138,7 +124,7 @@ def perron_integral(
     """Adaptive evaluation of the kernel integral with closed-form reference.
 
     The integrand pairs conjugate points, so the numeric value is real by
-    construction (the imaginary part is verifiably ~0 via _kernel_full).
+    construction: only the upper half t in [0, T] is integrated.
     """
     if a <= 0:
         raise ValueError(f"a must be > 0, got {a}")
@@ -176,18 +162,6 @@ def perron_integral(
         bound=bound,
         quadrature_error_estimate=qerr,
     )
-
-
-def kernel_integral_reference(
-    a: float, b: float, T: float, k: int = 1, tol: float = 1e-10
-) -> complex:
-    """Full-segment evaluation without the conjugate-symmetry shortcut."""
-    if a <= 0 or b <= 0 or T <= 0:
-        raise ValueError("a, b, T must all be > 0")
-    value, _ = _adaptive(
-        lambda n: _kernel_full(a, b, T, k, n), 2 * _initial_panels(a, T), tol
-    )
-    return value
 
 
 def dirichlet_perron_check(

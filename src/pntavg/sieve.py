@@ -14,6 +14,7 @@ takes the same value.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -142,20 +143,38 @@ def error_series(table: LambdaTable, n_max: int | None = None) -> ErrorSeries:
 _HEADER = len(CACHE_MAGIC) + 8
 
 
-def write_cache(table: LambdaTable, path) -> None:
-    """Write the cache atomically: a temporary file in the same directory,
-    then os.replace, so a failed write leaves any previous cache intact."""
+@contextlib.contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """open() a temporary file beside path, os.replace it onto path when the
+    block completes, remove it on any exception: path is never half-written."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as f:
-            f.write(CACHE_MAGIC)
-            f.write(struct.pack("<Q", table.n_max))
-            f.write(table.lam[1:].astype("<f8", copy=False))
+        with open(tmp, mode, **kwargs) as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_cache(table: LambdaTable, path) -> None:
+    """Write the cache through atomic_open: a failed write keeps any old cache."""
+    with atomic_open(path, "wb") as f:
+        f.write(CACHE_MAGIC)
+        f.write(struct.pack("<Q", table.n_max))
+        f.write(table.lam[1:].astype("<f8", copy=False))
+
+
+def _read_header(f) -> int:
+    """The n_max of an open cache file, after checking its magic and size."""
+    head = f.read(_HEADER)
+    if len(head) < _HEADER or head[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+        raise CacheError("bad cache header")
+    (n_max,) = struct.unpack_from("<Q", head, len(CACHE_MAGIC))
+    if n_max < 1 or os.fstat(f.fileno()).st_size != _HEADER + 8 * n_max:
+        raise CacheError(f"cache length mismatch for n_max = {n_max}")
+    return n_max
 
 
 def read_cache(path) -> LambdaTable:
@@ -167,14 +186,25 @@ def read_cache(path) -> LambdaTable:
     any difference raises CacheError.
     """
     with open(path, "rb") as f:
-        head = f.read(_HEADER)
-        if len(head) < _HEADER or head[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-            raise CacheError("bad cache header")
-        (n_max,) = struct.unpack_from("<Q", head, len(CACHE_MAGIC))
-        if n_max < 1 or os.fstat(f.fileno()).st_size != _HEADER + 8 * n_max:
-            raise CacheError(f"cache length mismatch for n_max = {n_max}")
+        n_max = _read_header(f)
         table = build_lambda_table(n_max)
         payload = np.fromfile(f, dtype="<u8", count=n_max)
     if not np.array_equal(payload, table.lam[1:].astype("<f8", copy=False).view("<u8")):
         raise CacheError("cache integrity check failed: Lambda differs from a fresh sieve")
+    return table
+
+
+def load_or_build_table(path, n_max: int) -> LambdaTable:
+    """The table for n_max: read from the cache at path if it holds n_max or
+    more, else sieved once and written there.  A smaller cache is judged by
+    its header alone; a bad header or length raises CacheError, file untouched."""
+    path = Path(path)
+    if path.exists():
+        with open(path, "rb") as f:
+            cached = _read_header(f)
+        if cached >= n_max:
+            return read_cache(path)
+    table = build_lambda_table(n_max)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_cache(table, path)
     return table

@@ -4,7 +4,9 @@ Everything here deliberately avoids the production code paths: psi comes
 from big-integer lcm, primality from trial division or a linear
 smallest-prime-factor sieve, iterated averages from literal nested sums
 over the raw error values, the explicit-formula constants from mpmath's
-zeta, 6-decimal formatting from numpy's Dragon4.
+zeta, 6-decimal formatting from numpy's Dragon4, binomial columns from a
+list of exact integers, the Perron kernel integral from mpmath quadrature
+over the whole segment.
 """
 
 import math
@@ -172,3 +174,29 @@ def fmt6_dragon4(v: float) -> str:
     return np.format_float_positional(
         v, precision=6, unique=False, fractional=True, trim="k"
     )
+
+
+def binom_column_comb(n_max: int, k: int) -> np.ndarray:
+    """float(C(n+k-1, k)) for n = 1..n_max, one list comprehension of exact
+    integers."""
+    return np.array([float(math.comb(n + k - 1, k)) for n in range(1, n_max + 1)])
+
+
+def perron_full_segment(a: float, b: float, T: float, k: int) -> complex:
+    """(1/2 pi i) int_{b-iT}^{b+iT} k! a^s / (s(s+1)...(s+k)) ds over the
+    whole segment, without the conjugate-symmetry shortcut: mpmath's
+    tanh-sinh quadrature on 64 equal panels of [-T, T], at 18 digits.
+    With s = b + it, ds = i dt, so the integral is (1/2 pi) int f dt."""
+    with mpmath.workdps(18):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        fact = mpmath.factorial(k)
+
+        def f(t):
+            s = mpmath.mpc(b, t)
+            den = s
+            for j in range(1, k + 1):
+                den *= s + j
+            return fact * mpmath.power(a, s) / den
+
+        value = mpmath.quad(f, mpmath.linspace(-T, T, 65)) / (2 * mpmath.pi)
+        return complex(value)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,17 +16,32 @@ from pntavg.averaging import (
     tilde_r,
     tilde_r_series,
     weighted_psi,
-    weighted_psi_hat,
-    weighted_psi_hat_prime,
     weighted_psi_hat_series,
     weighted_psi_series,
-    weighted_psi_tilde,
     weighted_psi_tilde_series,
 )
+from pntavg.weights import WeightFamily, WeightScheme, weight
 
-from oracles import binom_weight_average, nested_average, psi_lcm
+from oracles import binom_column_comb, binom_weight_average, nested_average, psi_lcm
 
 LOG2 = math.log(2)
+
+
+def exact_weighted_sum(table, family, i, n, scale=1):
+    """sum_j w(i, n, j) Lambda(j) with the exact weights of pntavg.weights,
+    each times scale and rounded once, summed by math.fsum."""
+    scheme = WeightScheme(family, i)
+    return math.fsum(
+        float(weight(scheme, n, j) * scale) * table.lam[j] for j in range(1, n + 1)
+    )
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_binom_column_bitwise_equals_comb(k):
+    for n_max in [*range(51), 100_000]:
+        col = averaging._binom_column(n_max, k)
+        ref = binom_column_comb(n_max, k)
+        assert col.dtype == ref.dtype and col.tobytes() == ref.tobytes(), (n_max, k)
 
 
 # -- iterated averages ------------------------------------------------------
@@ -107,7 +123,7 @@ def test_weighted_psi_hat_series_matches_pointwise(table_small):
         batch = weighted_psi_hat_series(table_small, i, 500)
         for n in (2, 3, 33, 500):
             assert batch[n] == pytest.approx(
-                weighted_psi_hat(table_small, i, n), abs=1e-9
+                exact_weighted_sum(table_small, WeightFamily.B, i, n), abs=1e-9
             )
         assert np.isnan(batch[1])
 
@@ -117,8 +133,16 @@ def test_weighted_psi_tilde_series_matches_pointwise(table_small):
         batch = weighted_psi_tilde_series(table_small, i, 500)
         for n in (1, 2, 33, 500):
             assert batch[n] == pytest.approx(
-                weighted_psi_tilde(table_small, i, n), abs=1e-8
+                exact_weighted_sum(table_small, WeightFamily.H, i, n), abs=1e-8
             )
+
+
+@pytest.mark.parametrize(
+    "series_fn", [weighted_psi_series, weighted_psi_hat_series, weighted_psi_tilde_series]
+)
+def test_weighted_series_range_checked(table_small, series_fn):
+    with pytest.raises(ValueError, match="outside table range"):
+        series_fn(table_small, 2, table_small.n_max + 1)
 
 
 # -- differenced statistics -------------------------------------------------
@@ -157,7 +181,10 @@ def test_hat_prime_identity_weighted_form(table_small, series_small):
         avg = iterated_average(series_small, i)
         hp = hat_prime_r_series(avg)
         for n in (2, 3, 50, 777, 2000):
-            rhs = weighted_psi_hat_prime(table_small, i, n) - (n - 1) / (i + 1)
+            # psi-hat'_i(n) = (n-1)/(i+1) psi-hat_i(n)
+            scale = Fraction(n - 1, i + 1)
+            psi_hat_prime = exact_weighted_sum(table_small, WeightFamily.B, i, n, scale)
+            rhs = psi_hat_prime - (n - 1) / (i + 1)
             assert hp[n] == pytest.approx(rhs, abs=1e-7), (i, n)
 
 
@@ -175,7 +202,7 @@ def test_tilde_identity_weighted_form(table_small, series_small):
 def test_tilde_small_n_both_sides(table_small, series_small):
     avg = iterated_average(series_small, 2)
     lhs = tilde_r(avg, 3)
-    rhs = weighted_psi_tilde(table_small, 2, 3) - (3 - 1) / (2 + 1)
+    rhs = exact_weighted_sum(table_small, WeightFamily.H, 2, 3) - (3 - 1) / (2 + 1)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 

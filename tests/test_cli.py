@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pntavg import cli
+from pntavg import cli, sieve
 
 from oracles import fmt6_dragon4
 
@@ -38,6 +39,17 @@ def test_tables_reduced_with_flag(capsys):
     fields = rhat5.split(",")
     assert fields[1:3] == ["100", "1000"]
     assert abs(float(fields[3]) - (-0.001183)) <= 1e-4
+
+
+@pytest.mark.parametrize("n_max, code", [(1, 2), (2, 2), (3, 0)])
+def test_tables_smallest_n_max(n_max, code, capsys):
+    got, out, err = run(["tables", "--n-max", str(n_max), "--allow-partial"], capsys)
+    assert got == code
+    if code == cli.EXIT_USAGE:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert len(out.splitlines()) == 1 + 4 + 5 + 5 + 5
 
 
 def test_tables_pretty(capsys):
@@ -142,6 +154,20 @@ def test_output_file(tmp_path, capsys):
     assert dest.read_text().splitlines()[0] == "n,value"
 
 
+@pytest.mark.parametrize("before", [None, b"previous bytes\n"], ids=["new", "existing"])
+def test_failed_output_leaves_no_partial_file(tmp_path, capsys, before):
+    dest = tmp_path / "f.csv"
+    if before is not None:
+        dest.write_bytes(before)
+    argv = ["errors", "--n-max", "5", "--order", "1", "--order", "9"]
+    code, out, err = run(argv + ["--output", str(dest)], capsys)
+    assert code == cli.EXIT_FAILURE
+    assert "order k must be in [1, 8]" in err
+    assert os.listdir(tmp_path) == ([] if before is None else ["f.csv"])
+    if before is not None:
+        assert dest.read_bytes() == before
+
+
 def test_output_unwritable(capsys):
     code, _, err = run(
         ["errors", "--order", "1", "--n-max", "20", "--output", "/nonexistent/x.csv"],
@@ -207,6 +233,36 @@ def test_corrupted_cache_reported(tmp_path, capsys):
     code, _, err = run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)
     assert code == cli.EXIT_FAILURE
     assert "integrity" in err
+
+
+def test_smaller_cache_sieves_once(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "sieve.bin"
+    assert run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)[0] == 0
+    built = []
+    build = sieve.build_lambda_table
+
+    def counting_build(n_max):
+        built.append(n_max)
+        return build(n_max)
+
+    monkeypatch.setattr("pntavg.sieve.build_lambda_table", counting_build)
+    assert run(["sieve", "--n-max", "5000", "--cache", str(cache)], capsys)[0] == 0
+    assert built == [5000]
+    assert run(["sieve", "--n-max", "5000", "--cache", str(cache)], capsys)[0] == 0
+    assert built == [5000, 5000]  # the warm read validates against one sieve
+
+
+@pytest.mark.parametrize("damage", ["header", "length"])
+def test_malformed_cache_is_not_overwritten(tmp_path, capsys, damage):
+    cache = tmp_path / "sieve.bin"
+    run(["sieve", "--n-max", "100", "--cache", str(cache)], capsys)
+    data = cache.read_bytes()
+    data = b"X" + data[1:] if damage == "header" else data[:-8]
+    cache.write_bytes(data)
+    code, _, err = run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)
+    assert code == cli.EXIT_FAILURE
+    assert "cache" in err
+    assert cache.read_bytes() == data
 
 
 def test_cache_dir_env(tmp_path, monkeypatch, capsys):

@@ -5,11 +5,12 @@ import pytest
 from pntavg import perron
 from pntavg.perron import (
     dirichlet_perron_check,
-    kernel_integral_reference,
     lemma1_error_bound,
     perron_integral,
     residue_main_term,
 )
+
+from oracles import perron_full_segment
 
 
 def test_error_bound_values():
@@ -77,7 +78,7 @@ def test_higher_order_kernels():
 def test_conjugate_symmetry_reference():
     for a, k in [(2.0, 1), (0.5, 2), (1.0, 1)]:
         sym = perron_integral(a, 1.0, 200.0, k)
-        full = kernel_integral_reference(a, 1.0, 200.0, k, tol=1e-12)
+        full = perron_full_segment(a, 1.0, 200.0, k)
         assert abs(full.imag) <= 1e-12
         assert full.real == pytest.approx(sym.numeric.real, abs=1e-11)
 

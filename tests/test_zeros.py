@@ -114,6 +114,12 @@ def test_zero_sum_validation(zeros_2000):
         zero_sum(zeros_2000, 100.0, 1e9)  # beyond data
     with pytest.raises(ValueError):
         zero_sum(zeros_2000, 100.0, 100.0, k=0)
+    # T exactly at an ordinate includes that zero
+    gammas = zeros_2000.gammas
+    assert zero_sum(zeros_2000, 100.0, float(gammas[0])).count_used == 1
+    assert zero_sum(zeros_2000, 100.0, float(gammas[-1])).count_used == 2000
+    with pytest.raises(ValueError):
+        zero_sum(zeros_2000, 100.0, float(np.nextafter(gammas[-1], np.inf)))
 
 
 def test_lambda_factor(zeros_2000):
