@@ -165,37 +165,31 @@ def weighted_psi_tilde_series(table: LambdaTable, i: int, n_max: int) -> np.ndar
 # -- differenced statistics -------------------------------------------------
 
 
+def _step(avg: IteratedAverage, n: int, lo: int, name: str) -> float:
+    """rbar_i(n) - rbar_i(n-1), after checking lo <= n <= n_max."""
+    if n < lo:
+        raise ValueError(f"{name} needs n >= {lo}")
+    if n > avg.n_max:
+        raise ValueError(f"n = {n} outside average range [{lo}, {avg.n_max}]")
+    return float(avg.values[n]) - float(avg.values[n - 1])
+
+
 def hat_r(avg: IteratedAverage, n: int) -> float:
     """(i+1) * (rbar_i(n) - rbar_i(n-1)); needs n >= 2."""
-    if n < 2:
-        raise ValueError("hat_r needs n >= 2")
-    if n > avg.n_max:
-        raise ValueError(f"n = {n} outside average range [2, {avg.n_max}]")
-    return (avg.order + 1) * (float(avg.values[n]) - float(avg.values[n - 1]))
+    return (avg.order + 1) * _step(avg, n, 2, "hat_r")
 
 
 def hat_prime_r(avg: IteratedAverage, n: int) -> float:
     """(n-1) * (rbar_i(n) - rbar_i(n-1)); needs n >= 2."""
-    if n < 2:
-        raise ValueError("hat_prime_r needs n >= 2")
-    if n > avg.n_max:
-        raise ValueError(f"n = {n} outside average range [2, {avg.n_max}]")
-    return (n - 1) * (float(avg.values[n]) - float(avg.values[n - 1]))
+    return (n - 1) * _step(avg, n, 2, "hat_prime_r")
 
 
 def tilde_r(avg: IteratedAverage, n: int) -> float:
     """Second difference statistic; needs n >= 3 and order >= 2."""
     if avg.order < 2:
         raise ValueError("tilde_r needs average order >= 2")
-    if n < 3:
-        raise ValueError("tilde_r needs n >= 3")
-    if n > avg.n_max:
-        raise ValueError(f"n = {n} outside average range [3, {avg.n_max}]")
-
-    def fr(m: int) -> float:
-        return m * (m - 1) * (float(avg.values[m]) - float(avg.values[m - 1]))
-
-    return (fr(n) - fr(n - 1)) / 2.0
+    fr_n = n * (n - 1) * _step(avg, n, 3, "tilde_r")
+    return (fr_n - (n - 1) * (n - 2) * _step(avg, n - 1, 2, "tilde_r")) / 2.0
 
 
 def hat_r_series(avg: IteratedAverage) -> np.ndarray:

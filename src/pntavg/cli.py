@@ -56,10 +56,17 @@ def _load_or_build_table(n_max: int, cache: str | None) -> sieve.LambdaTable:
 
 def _out_stream(args):
     """Context manager yielding --output for writing, or stdout, which it
-    leaves open.  --output appears only if the command completes."""
-    if args.output:
-        return sieve.atomic_open(args.output, "w", encoding="ascii")
-    return contextlib.nullcontext(sys.stdout)
+    leaves open.  A new or writable regular file is replaced only when the
+    command completes; a symlink, device, FIFO or read-only file is opened
+    as given, so it is written through or refused exactly as open() does."""
+    p = args.output
+    if not p:
+        return contextlib.nullcontext(sys.stdout)
+    if os.path.lexists(p) and (
+        os.path.islink(p) or not os.path.isfile(p) or not os.access(p, os.W_OK)
+    ):
+        return open(p, "w", encoding="ascii")
+    return sieve.atomic_open(p, "w", encoding="ascii")
 
 
 # -- subcommands ------------------------------------------------------------

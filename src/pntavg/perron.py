@@ -140,11 +140,8 @@ def perron_integral(
             raise ValueError("closed form at a = 1 is only available for k = 1")
         main = 1.0 / (math.pi * T)
         bound = _a1_bound(b, T)
-    elif a > 1.0:
-        main = residue_main_term(a, k)
-        bound = lemma1_error_bound(a, b, T)
     else:
-        main = 0.0
+        main = residue_main_term(a, k) if a > 1.0 else 0.0
         bound = lemma1_error_bound(a, b, T)
 
     # keep quadrature error well below the bound being verified
@@ -196,7 +193,7 @@ def dirichlet_perron_check(
         a_ratio = xbar / n
         res = perron_integral(a_ratio, b, T, k=1)
         term = xbar * c * (n ** (-s0)) * res.numeric.real
-        re_parts.append(term.real if isinstance(term, complex) else term)
-        im_parts.append(term.imag if isinstance(term, complex) else 0.0)
+        re_parts.append(term.real)
+        im_parts.append(term.imag)
     rhs = complex(neumaier_sum(re_parts), neumaier_sum(im_parts))
     return lhs, rhs, abs(lhs - rhs)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -146,11 +147,14 @@ _HEADER = len(CACHE_MAGIC) + 8
 @contextlib.contextmanager
 def atomic_open(path, mode: str, **kwargs):
     """open() a temporary file beside path, os.replace it onto path when the
-    block completes, remove it on any exception: path is never half-written."""
+    block completes, remove it on any exception: path is never half-written.
+    The new file keeps the permission bits of the file it replaces."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as f:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
             yield f
         os.replace(tmp, path)
     except BaseException:

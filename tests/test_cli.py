@@ -168,6 +168,51 @@ def test_failed_output_leaves_no_partial_file(tmp_path, capsys, before):
         assert dest.read_bytes() == before
 
 
+ERRORS_20 = ["errors", "--order", "1", "--n-max", "20", "--output"]
+
+
+def test_output_through_symlink(tmp_path, capsys):
+    target = tmp_path / "target.csv"
+    link = tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    code, out, _ = run(ERRORS_20 + [str(link)], capsys)
+    assert code == 0 and out == ""
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    lines = target.read_text().splitlines()
+    assert lines[0] == "n,value" and len(lines) == 21
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+
+def test_output_to_device(capsys):
+    before = os.stat(os.devnull)
+    code, out, _ = run(ERRORS_20 + [os.devnull], capsys)
+    assert code == 0 and out == ""
+    after = os.lstat(os.devnull)
+    assert (after.st_mode, after.st_rdev) == (before.st_mode, before.st_rdev)
+
+
+def test_output_keeps_permission_bits(tmp_path, capsys):
+    dest = tmp_path / "out.csv"
+    dest.write_text("old\n")
+    dest.chmod(0o640)
+    code, _, _ = run(ERRORS_20 + [str(dest)], capsys)
+    assert code == 0
+    assert dest.stat().st_mode & 0o7777 == 0o640
+    assert dest.read_text().startswith("n,value\n")
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_output_read_only_refused(tmp_path, capsys):
+    dest = tmp_path / "out.csv"
+    dest.write_text("old\n")
+    dest.chmod(0o444)
+    code, _, err = run(ERRORS_20 + [str(dest)], capsys)
+    assert code == cli.EXIT_FAILURE
+    assert "error" in err.lower()
+    assert dest.read_text() == "old\n"
+
+
 def test_output_unwritable(capsys):
     code, _, err = run(
         ["errors", "--order", "1", "--n-max", "20", "--output", "/nonexistent/x.csv"],
