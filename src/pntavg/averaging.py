@@ -17,7 +17,9 @@ Every series comes from _folded_ratio: compensated prefix passes over a
 sequence g, divided by an exact binomial column.  g is r for rbar_k, and
 Lambda, (j-1) Lambda(j) or C(j, 2) Lambda(j) for the weighted series psi_i,
 psi-hat_i and psi-tilde_i, a data path disjoint from the prefix sums of r.
-The tests check these against the exact weights of pntavg.weights.
+The scalar forms average_via_weights and weighted_psi are views of the
+rbar_k and psi_i series at one point.  The tests check all of these
+against the exact weights of pntavg.weights.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import comb
 
 import numpy as np
 
-from .accum import neumaier_prefix_sum, neumaier_sum
+from .accum import neumaier_prefix_sum
 from .sieve import ErrorSeries, LambdaTable
 
 
@@ -84,20 +86,13 @@ def iterated_average(series: ErrorSeries, k: int, n_max: int | None = None) -> I
 
 
 def average_via_weights(series: ErrorSeries, k: int, n: int) -> float:
-    """Single-point rbar_k(n) as a weighted sum over r(1..n).
+    """Single-point rbar_k(n): a view of iterated_average at n.
 
-    rbar_k(n) = sum_{m <= n} C(n+k-m-1, k-1) r(m) / C(n+k-1, k), evaluated
-    with exact binomials; independent route used to cross-check
-    iterated_average.
+    The weighted numerator sum_{m <= n} C(n+k-m-1, k-1) r(m) is the k-fold
+    prefix sum of r at n, so the binomial-weighted form and the series
+    agree.  Raises what iterated_average raises for n_max = n.
     """
-    if not 1 <= k <= 8:
-        raise ValueError(f"order k must be in [1, 8], got {k}")
-    if not 1 <= n <= series.n_max:
-        raise ValueError(f"n = {n} outside series range [1, {series.n_max}]")
-    terms = (
-        float(comb(n + k - m - 1, k - 1)) * series.r[m] for m in range(1, n + 1)
-    )
-    return neumaier_sum(terms) / comb(n + k - 1, k)
+    return float(iterated_average(series, k, n).values[n])
 
 
 # -- weighted Lambda sums ---------------------------------------------------
@@ -113,17 +108,9 @@ def _check_psi_args(table: LambdaTable, i: int, x: int) -> None:
 def weighted_psi(table: LambdaTable, i: int, x: int) -> float:
     """psi_i(x) = sum_{j <= x} a(i, x, j) Lambda(j); psi_0 = psi.
 
-    Weights are evaluated as products of i linear factors in float; each
-    weight carries only O(i) rounding.
+    A view of weighted_psi_series at x, so it costs O(i * x).
     """
-    _check_psi_args(table, i, x)
-    if i == 0:
-        return float(table.psi_prefix[x])
-    j = np.arange(1, x + 1, dtype=float)
-    w = np.ones(x)
-    for t in range(i):
-        w *= (x + i - j - t) / (x + i - 1 - t)
-    return neumaier_sum(w * table.lam[1 : x + 1])
+    return float(weighted_psi_series(table, i, x)[x])
 
 
 def weighted_psi_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:

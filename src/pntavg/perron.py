@@ -28,10 +28,13 @@ from .accum import neumaier_sum
 
 _GL_NODES = 16
 _gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
+_MAX_DOUBLINGS = 10
+# an evaluation holds about 1.2 KB per panel, so the cap bounds it near 1.3 GB
+_MAX_PANELS = 1 << 20
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement failed to reach the requested tolerance."""
+    """Refinement did not converge, or needed more than _MAX_PANELS panels."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,8 @@ class PerronResult:
 def _kernel_upper_half(a: float, b: float, T: float, k: int, n_panels: int) -> float:
     """(1/pi) int_0^T Re[k! a^s / prod(s+j)] dt at s = b + it, by Gauss-Legendre
     on n_panels equal panels."""
+    if n_panels > _MAX_PANELS:
+        raise QuadratureError(f"{n_panels} panels needed, limit is {_MAX_PANELS}")
     la = math.log(a)
     fact = float(math.factorial(k))
     edges = np.linspace(0.0, T, n_panels + 1)
@@ -74,11 +79,11 @@ def _initial_panels(a: float, T: float) -> int:
     return max(64, int(4.0 * T * la / (2.0 * math.pi)) + 1)
 
 
-def _adaptive(eval_fn, n0: int, tol: float, max_doublings: int = 10):
+def _adaptive(eval_fn, n0: int, tol: float):
     prev = eval_fn(n0)
     err = math.inf
     n = n0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         n *= 2
         cur = eval_fn(n)
         err = abs(cur - prev)
@@ -86,7 +91,7 @@ def _adaptive(eval_fn, n0: int, tol: float, max_doublings: int = 10):
         if err < tol:
             return cur, err
     raise QuadratureError(
-        f"no convergence after {max_doublings} doublings ({n} panels, last delta {err:.3e})"
+        f"no convergence after {_MAX_DOUBLINGS} doublings ({n} panels, last delta {err:.3e})"
     )
 
 
@@ -118,20 +123,15 @@ def _a1_bound(b: float, T: float) -> float:
     return ((b + 1.0) ** 3 - b**3) / (3.0 * math.pi * T**3)
 
 
-def perron_integral(
-    a: float, b: float, T: float, k: int = 1, tol: float = 1e-10
-) -> PerronResult:
+def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
     """Adaptive evaluation of the kernel integral with closed-form reference.
 
     The integrand pairs conjugate points, so the numeric value is real by
     construction: only the upper half t in [0, T] is integrated.
     """
-    if a <= 0:
-        raise ValueError(f"a must be > 0, got {a}")
-    if b <= 0:
-        raise ValueError(f"b must be > 0, got {b}")
-    if T <= 0:
-        raise ValueError(f"T must be > 0, got {T}")
+    for name, v in (("a", a), ("b", b), ("T", T)):
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
     if not 1 <= k <= 6:
         raise ValueError(f"k must be in [1, 6], got {k}")
 
@@ -145,7 +145,7 @@ def perron_integral(
         bound = lemma1_error_bound(a, b, T)
 
     # keep quadrature error well below the bound being verified
-    target = min(tol, max(bound * 1e-3, 1e-14))
+    target = min(1e-10, max(bound * 1e-3, 1e-14))
     value, qerr = _adaptive(
         lambda n: _kernel_upper_half(a, b, T, k, n), _initial_panels(a, T), target
     )

@@ -33,7 +33,6 @@ class ZeroSet:
     """Strictly increasing positive ordinates, immutable after load."""
 
     gammas: np.ndarray
-    source: str = "unknown"
 
     def __len__(self) -> int:
         return len(self.gammas)
@@ -69,7 +68,7 @@ def _parse_lines(lines: Iterable[str]) -> list[float]:
     return out
 
 
-def load_zeros(source: str | IO, name: str | None = None) -> ZeroSet:
+def load_zeros(source: str | IO) -> ZeroSet:
     """Parse a zeros table from a path or an open text stream.
 
     Strict: any malformed line raises ZeroFormatError.  An empty stream
@@ -77,20 +76,16 @@ def load_zeros(source: str | IO, name: str | None = None) -> ZeroSet:
     """
     if hasattr(source, "read"):
         gammas = _parse_lines(source)
-        label = name or getattr(source, "name", "stream")
     else:
         with open(source, "r", encoding="ascii") as f:
             gammas = _parse_lines(f)
-        label = name or str(source)
     arr = np.asarray(gammas, dtype=float)
     arr.flags.writeable = False
-    return ZeroSet(arr, label)
+    return ZeroSet(arr)
 
 
 def _select(zeros: ZeroSet, T: float) -> np.ndarray:
-    if len(zeros) == 0:
-        return zeros.gammas
-    if T > zeros.gammas[-1]:
+    if len(zeros) and T > zeros.gammas[-1]:
         raise ValueError(
             f"T = {T} exceeds last available ordinate {zeros.gammas[-1]:.6f}; "
             "insufficient zero data"
@@ -104,8 +99,10 @@ def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
     Terms are accumulated in ascending gamma with compensation; the
     decay 1/gamma^(k+1) makes the order fixed and reproducible.
     """
-    if x <= 1:
-        raise ValueError(f"x must be > 1, got {x}")
+    if not 1 < x < math.inf:
+        raise ValueError(f"x must be finite and > 1, got {x}")
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     gs = _select(zeros, T)
@@ -127,8 +124,6 @@ def lambda_factor(zeros: ZeroSet, x: float, T: float, i: int) -> float:
     """Normalized factor lambda_i = zero_sum(x, T, i).value / sqrt(x)."""
     if i not in (1, 2, 3):
         raise ValueError(f"i must be 1, 2 or 3, got {i}")
-    if len(zeros) == 0:
-        return 0.0
     return zero_sum(zeros, x, T, i).value / math.sqrt(x)
 
 
@@ -158,10 +153,7 @@ def explicit_formula_residual(
         raise ValueError(f"x must be >= 2, got {x}")
     if x > avg.n_max:
         raise ValueError(f"x = {x} outside average range [2, {avg.n_max}]")
-    rbar = float(avg.values[x])
-    if len(zeros) == 0 or T < zeros.gammas[0]:
-        return rbar
-    return rbar + zero_sum(zeros, float(x), T, 1).value
+    return float(avg.values[x]) + zero_sum(zeros, float(x), T, 1).value
 
 
 def gamma_square_tail(zeros: ZeroSet, T: float) -> float:

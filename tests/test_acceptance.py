@@ -14,12 +14,12 @@ import pytest
 
 from pntavg import averaging, perron, sieve, zeros
 from pntavg.averaging import (
-    average_via_weights,
     hat_prime_r_series,
     hat_r_series,
     iterated_average,
     range_summary,
     tilde_r_series,
+    weighted_psi_series,
 )
 from pntavg.weights import WeightFamily, WeightScheme, row_sum
 
@@ -108,17 +108,19 @@ def test_criterion_04_table4_reproduction(averages_full):
     assert worst <= 1e-3
 
 
-def test_criterion_05_oracle_equivalence(series_small):
+def test_criterion_05_oracle_equivalence(table_small, series_small):
     """Nested-sum oracle vs weight form vs prefix-sum values, n <= 300, k <= 3.
 
     The oracle runs in exact rational arithmetic over the (exactly
     representable) float error values, so its results equal the literal
-    nested sums of the defining formula with zero rounding.
+    nested sums of the defining formula with zero rounding.  The weight
+    form is the Lambda route rbar_k(n) = psi_k(n) - (n + k)/(k + 1).
     """
     r_exact = [Fraction(0)] + [Fraction(float(series_small.r[m])) for m in range(1, 301)]
     worst = 0.0
     for k in (1, 2, 3):
         avg = iterated_average(series_small, k)
+        psi_k = weighted_psi_series(table_small, k, 300)
         layers = r_exact[1:]
         for _ in range(k):
             acc = Fraction(0)
@@ -130,7 +132,7 @@ def test_criterion_05_oracle_equivalence(series_small):
         for n in range(1, 301):
             exact = layers[n - 1] / math.comb(n + k - 1, k)
             dev_prefix = abs(float(exact) - float(avg.values[n]))
-            dev_weight = abs(float(exact) - average_via_weights(series_small, k, n))
+            dev_weight = abs(float(exact) - (psi_k[n] - (n + k) / (k + 1)))
             worst = max(worst, dev_prefix, dev_weight)
     _report("criterion-05 oracle-equivalence", worst <= 1e-9, f"worst dev {worst:.2e}")
     assert worst <= 1e-9

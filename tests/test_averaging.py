@@ -65,10 +65,12 @@ def test_average_matches_nested_sum_oracle(series_small):
 
 
 def test_average_via_weights_matches_prefix_form(series_small):
+    # a view of the series: bitwise its value, truncated at n or not
     for k in (1, 2, 3):
         avg = iterated_average(series_small, k)
         for n in (1, 2, 17, 100, 1000):
-            assert abs(average_via_weights(series_small, k, n) - avg.values[n]) <= 1e-9
+            view = average_via_weights(series_small, k, n)
+            assert view == iterated_average(series_small, k, n).values[n] == avg.values[n]
 
 
 def test_average_via_weights_matches_rational_oracle(series_small):
@@ -115,7 +117,10 @@ def test_weighted_psi_series_matches_pointwise(table_small):
     for i in (1, 2, 3):
         batch = weighted_psi_series(table_small, i, 500)
         for n in (1, 2, 33, 500):
-            assert batch[n] == pytest.approx(weighted_psi(table_small, i, n), abs=1e-9)
+            assert batch[n] == pytest.approx(
+                exact_weighted_sum(table_small, WeightFamily.A, i, n), abs=1e-9
+            )
+            assert weighted_psi(table_small, i, n) == batch[n]
 
 
 def test_weighted_psi_hat_series_matches_pointwise(table_small):

@@ -3,15 +3,19 @@ import json
 import math
 import os
 import pathlib
+import time
 
 import mpmath
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pntavg import cli, sieve
+from pntavg import averaging, cli, sieve
 
 from oracles import fmt6_dragon4
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+ZEROS = ROOT / "data" / "zeros_2000.txt"
 
 
 def run(argv, capsys):
@@ -116,6 +120,27 @@ def test_perron_row(capsys):
     assert float(fields[7]) <= float(fields[6])  # gap <= bound
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--a 2 --T inf",
+        "--a inf --T 100",
+        "--a 2 --b inf --T 100",
+        "--a 2 --b 1e300 --T 100",
+        "--a 2 --T 1e-300",
+        "--a 1e-300 --T 1e6",  # would need 4.4e8 panels
+    ],
+)
+def test_perron_bad_input_is_one_line_error(argv, capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(["perron", *argv.split()], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == cli.EXIT_FAILURE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_zerosum_row(tmp_path, capsys):
     zpath = tmp_path / "z.txt"
     zpath.write_text("14.134725142\n21.022039639\n25.010857580\n")
@@ -127,6 +152,15 @@ def test_zerosum_row(tmp_path, capsys):
     header, row = out.strip().splitlines()
     assert header == "x,T,k,value,count_used"
     assert row.split(",")[4] == "2"
+
+
+@pytest.mark.parametrize("flags", ["--x nan --T 100", "--x inf --T 100", "--x 100 --T nan"])
+def test_zerosum_non_finite_is_error(flags, capsys):
+    argv = ["zerosum", "--zeros", str(ZEROS), *flags.split()]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_FAILURE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_zerosum_missing_zeros_flag(capsys):
@@ -227,6 +261,27 @@ def test_check_passes_without_zeros(capsys):
     assert code == 0
     assert "PASS sieve-psi-oracle" in out
     assert "zero-sum suite skipped" in out
+
+
+def test_check_catches_perturbed_average(monkeypatch, capsys):
+    """The weight-form leg of the averaging suite checks iterated_average
+    against the Lambda route, so an error of 2e-9 at n = 100 fails it."""
+    real = averaging.iterated_average
+
+    def perturbed(series, k, n_max=None):
+        avg = real(series, k, n_max)
+        values = avg.values.copy()
+        values[100] += 2e-9
+        return averaging.IteratedAverage(avg.order, avg.n_max, values)
+
+    monkeypatch.setattr(averaging, "iterated_average", perturbed)
+    code, out, _ = run(["check", "--n-max", "2000"], capsys)
+    assert code == cli.EXIT_FAILURE
+    fail = next(line for line in out.splitlines() if line.startswith("FAIL "))
+    assert fail == (
+        "FAIL averaging-identities: weight-form rbar1(100) mismatch; "
+        "weight-form rbar2(100) mismatch; weight-form rbar3(100) mismatch"
+    )
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 100])
@@ -348,21 +403,13 @@ def test_check_leaves_mpmath_precision(capsys):
     assert mpmath.mp.prec == 53
 
 
-EXPECTED = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
-ORDERS = " ".join(f"--order {k}" for k in range(1, 7))
+EXPECTED = ROOT / "perfbench" / "expected.json"
+DIGESTS = json.loads(EXPECTED.read_text(encoding="ascii"))["digests"]
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        "tables --n-max 3000 --allow-partial",
-        f"errors --n-max 3000 {ORDERS}",
-        "sieve --n-max 3000",
-        "sieve --n-max 20000",
-    ],
-)
+@pytest.mark.parametrize("command", DIGESTS)
 def test_stdout_matches_recorded_digest(command, capsys):
-    digests = json.loads(EXPECTED.read_text(encoding="ascii"))["digests"]
+    """Every stdout the benchmark gates, paper scale included."""
     code, out, _ = run(command.split(), capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digests[command]
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == DIGESTS[command]

@@ -92,6 +92,15 @@ def test_kernel_validation():
         perron_integral(2.0, 1.0, 100.0, k=7)
     with pytest.raises(ValueError):
         perron_integral(1.0, 1.0, 100.0, k=2)
+    for a, b, T in [(math.inf, 1, 100), (2, math.inf, 100), (2, 1, math.inf), (2, 1, math.nan)]:
+        with pytest.raises(ValueError):
+            perron_integral(a, b, T)
+
+
+def test_panel_count_is_capped():
+    # 4.4e8 panels would be needed; refused before any node is allocated
+    with pytest.raises(perron.QuadratureError, match="^439761360 panels"):
+        perron_integral(1e-300, 1.0, 1e6)
 
 
 # -- finite Dirichlet polynomial check --------------------------------------

@@ -114,6 +114,9 @@ def test_zero_sum_validation(zeros_2000):
         zero_sum(zeros_2000, 100.0, 1e9)  # beyond data
     with pytest.raises(ValueError):
         zero_sum(zeros_2000, 100.0, 100.0, k=0)
+    for x, T in [(math.nan, 100.0), (math.inf, 100.0), (100.0, math.nan), (100.0, -math.inf)]:
+        with pytest.raises(ValueError):
+            zero_sum(zeros_2000, x, T)
     # T exactly at an ordinate includes that zero
     gammas = zeros_2000.gammas
     assert zero_sum(zeros_2000, 100.0, float(gammas[0])).count_used == 1
