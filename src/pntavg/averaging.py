@@ -17,8 +17,8 @@ Every series comes from _folded_ratio: compensated prefix passes over a
 sequence g, divided by an exact binomial column.  g is r for rbar_k, and
 Lambda, (j-1) Lambda(j) or C(j, 2) Lambda(j) for the weighted series psi_i,
 psi-hat_i and psi-tilde_i, a data path disjoint from the prefix sums of r.
-The scalar forms average_via_weights and weighted_psi are views of the
-rbar_k and psi_i series at one point.  The tests check all of these
+The scalar forms average_via_weights, weighted_psi, hat_r, hat_prime_r and
+tilde_r are views of their series at one point.  The tests check all of these
 against the exact weights of pntavg.weights.
 """
 
@@ -152,31 +152,31 @@ def weighted_psi_tilde_series(table: LambdaTable, i: int, n_max: int) -> np.ndar
 # -- differenced statistics -------------------------------------------------
 
 
-def _step(avg: IteratedAverage, n: int, lo: int, name: str) -> float:
-    """rbar_i(n) - rbar_i(n-1), after checking lo <= n <= n_max."""
+def _check_n(avg: IteratedAverage, n: int, lo: int, name: str) -> None:
     if n < lo:
         raise ValueError(f"{name} needs n >= {lo}")
     if n > avg.n_max:
         raise ValueError(f"n = {n} outside average range [{lo}, {avg.n_max}]")
-    return float(avg.values[n]) - float(avg.values[n - 1])
 
 
 def hat_r(avg: IteratedAverage, n: int) -> float:
-    """(i+1) * (rbar_i(n) - rbar_i(n-1)); needs n >= 2."""
-    return (avg.order + 1) * _step(avg, n, 2, "hat_r")
+    """(i+1) * (rbar_i(n) - rbar_i(n-1)); needs n >= 2.  A view of hat_r_series."""
+    _check_n(avg, n, 2, "hat_r")
+    return float(hat_r_series(avg)[n])
 
 
 def hat_prime_r(avg: IteratedAverage, n: int) -> float:
-    """(n-1) * (rbar_i(n) - rbar_i(n-1)); needs n >= 2."""
-    return (n - 1) * _step(avg, n, 2, "hat_prime_r")
+    """(n-1) * (rbar_i(n) - rbar_i(n-1)); needs n >= 2.  A view of
+    hat_prime_r_series."""
+    _check_n(avg, n, 2, "hat_prime_r")
+    return float(hat_prime_r_series(avg)[n])
 
 
 def tilde_r(avg: IteratedAverage, n: int) -> float:
-    """Second difference statistic; needs n >= 3 and order >= 2."""
-    if avg.order < 2:
-        raise ValueError("tilde_r needs average order >= 2")
-    fr_n = n * (n - 1) * _step(avg, n, 3, "tilde_r")
-    return (fr_n - (n - 1) * (n - 2) * _step(avg, n - 1, 2, "tilde_r")) / 2.0
+    """Second difference statistic; needs n >= 3 and order >= 2.  A view of
+    tilde_r_series."""
+    _check_n(avg, n, 3, "tilde_r")
+    return float(tilde_r_series(avg)[n])
 
 
 def hat_r_series(avg: IteratedAverage) -> np.ndarray:

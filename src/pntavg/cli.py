@@ -20,12 +20,10 @@ import contextlib
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import averaging, perron, sieve, zeros
-from .sieve import CacheError
 
 DEFAULT_N_MAX = 100_000
 
@@ -34,23 +32,9 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def cache_dir() -> Path:
-    env = os.environ.get("PNT_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "pntavg"
-
-
-def _resolve_cache(path_str: str) -> Path:
-    p = Path(path_str)
-    if p.parent == Path("."):
-        return cache_dir() / p
-    return p
-
-
 def _load_or_build_table(n_max: int, cache: str | None) -> sieve.LambdaTable:
     if cache:
-        return sieve.load_or_build_table(_resolve_cache(cache), n_max)
+        return sieve.load_or_build_table(cache, n_max)
     return sieve.build_lambda_table(n_max)
 
 
@@ -172,11 +156,11 @@ def cmd_zerosum(args) -> int:
 def cmd_perron(args) -> int:
     res = perron.perron_integral(args.a, args.b, args.T, args.k)
     gap = res.gap
-    ratio = gap / res.bound if res.bound > 0 else math.inf
+    ratio = gap / res.bound
     with _out_stream(args) as out:
         out.write("a,b,T,k,numeric,main_term,bound,gap,ratio\n")
         out.write(
-            f"{res.a:g},{res.b:g},{res.T:g},{res.k},{res.numeric.real!r},"
+            f"{res.a:g},{res.b:g},{res.T:g},{res.k},{res.numeric!r},"
             f"{res.main_term!r},{res.bound!r},{gap!r},{ratio!r}\n"
         )
     return EXIT_OK if gap <= res.bound + res.quadrature_error_estimate else EXIT_FAILURE
@@ -259,10 +243,7 @@ def cmd_check(args) -> int:
         print("note: --zeros absent, zero-sum suite skipped")
     status = EXIT_OK
     for name, fn in suites:
-        try:
-            failures = fn()
-        except CacheError as exc:
-            failures = [str(exc)]
+        failures = fn()
         if failures:
             status = EXIT_FAILURE
             print(f"FAIL {name}: {'; '.join(failures)}")
@@ -330,7 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError, CacheError, perron.QuadratureError) as exc:
+    except (ValueError, ArithmeticError, perron.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except OSError as exc:

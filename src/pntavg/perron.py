@@ -43,7 +43,7 @@ class PerronResult:
     b: float
     T: float
     k: int
-    numeric: complex
+    numeric: float
     main_term: float
     bound: float
     quadrature_error_estimate: float
@@ -139,10 +139,16 @@ def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
         if k != 1:
             raise ValueError("closed form at a = 1 is only available for k = 1")
         main = 1.0 / (math.pi * T)
-        bound = _a1_bound(b, T)
     else:
         main = residue_main_term(a, k) if a > 1.0 else 0.0
-        bound = lemma1_error_bound(a, b, T)
+    try:
+        bound = _a1_bound(b, T) if a == 1.0 else lemma1_error_bound(a, b, T)
+    except ArithmeticError:  # a**b or (b+1)**3 overflows, T**2 or T**3 underflows
+        bound = math.nan
+    if not 0 < bound < math.inf:
+        raise ValueError(
+            f"error bound at a = {a}, b = {b}, T = {T} is not positive and finite"
+        )
 
     # keep quadrature error well below the bound being verified
     target = min(1e-10, max(bound * 1e-3, 1e-14))
@@ -154,7 +160,7 @@ def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
         b=b,
         T=T,
         k=k,
-        numeric=complex(value, 0.0),
+        numeric=value,
         main_term=main,
         bound=bound,
         quadrature_error_estimate=qerr,
@@ -192,7 +198,7 @@ def dirichlet_perron_check(
     for n, c in sorted(coeffs.items()):
         a_ratio = xbar / n
         res = perron_integral(a_ratio, b, T, k=1)
-        term = xbar * c * (n ** (-s0)) * res.numeric.real
+        term = xbar * c * (n ** (-s0)) * res.numeric
         re_parts.append(term.real)
         im_parts.append(term.imag)
     rhs = complex(neumaier_sum(re_parts), neumaier_sum(im_parts))

@@ -1,9 +1,10 @@
 """Von Mangoldt sieve and the Chebyshev functions psi, theta, pi.
 
-The core object is a LambdaTable holding Lambda(n) for 1 <= n <= n_max
-together with compensated prefix sums, so that psi(x), theta(x), pi(x)
-and the error series r(n) = psi(n) - n are O(1) lookups after an O(n)
-construction.
+The core object is a LambdaTable holding Lambda(n) for 1 <= n <= n_max,
+its compensated prefix sum and the primality flags, built in O(n).  psi(x)
+and the error series r(n) = psi(n) - n are O(1) lookups in the prefix;
+theta(x) and pi(x) are O(x) passes over the primes, since only
+`pntavg sieve` prints them, once each.
 
 Lambda(n) = log p when n = p^m for a prime p, else 0.  Primality comes
 from a vectorised sieve of Eratosthenes: each prime p <= sqrt(n_max)
@@ -24,33 +25,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .accum import neumaier_prefix_sum
+from .accum import neumaier_prefix_sum, neumaier_sum
 
 CACHE_MAGIC = b"PNTSIEVE1"
 
 
-class CacheError(Exception):
+class CacheError(ValueError):
     """Raised when a sieve cache file is malformed or fails validation."""
 
 
 @dataclass(frozen=True)
 class LambdaTable:
-    """Sieved Lambda values and prefix sums up to n_max.
+    """Sieved Lambda values, their prefix sum and primality up to n_max.
 
     Arrays are 1-indexed (index 0 unused) and frozen after construction:
 
         lam[n]         Lambda(n)
-        psi_prefix[n]  psi(n) = sum_{m <= n} Lambda(m)
-        theta_prefix[n] theta(n) = sum_{p <= n} log p
-        pi_prefix[n]   number of primes <= n
-        is_prime[n]    primality flag from the sieve
+        psi_prefix[n]  psi(n) = sum_{m <= n} Lambda(m), so psi is O(1)
+        is_prime[n]    primality flag from the sieve, so theta and pi are O(x)
     """
 
     n_max: int
     lam: np.ndarray
     psi_prefix: np.ndarray
-    theta_prefix: np.ndarray
-    pi_prefix: np.ndarray
     is_prime: np.ndarray
 
 
@@ -63,7 +60,7 @@ class ErrorSeries:
 
 
 def build_lambda_table(n_max: int) -> LambdaTable:
-    """Sieve Lambda(n) for n <= n_max and accumulate psi, theta, pi prefixes.
+    """Sieve Lambda(n) for n <= n_max and accumulate the psi prefix.
 
     Raises ValueError for n_max < 1.  Deterministic: equal n_max gives
     bitwise-equal tables.
@@ -87,17 +84,13 @@ def build_lambda_table(n_max: int) -> LambdaTable:
         while q <= n_max:
             lam[q] = lam[p]
             q *= p
-    theta_terms = np.where(is_prime, lam, 0.0)
 
     psi_prefix = np.zeros(n_max + 1)
     psi_prefix[1:] = neumaier_prefix_sum(lam[1:])
-    theta_prefix = np.zeros(n_max + 1)
-    theta_prefix[1:] = neumaier_prefix_sum(theta_terms[1:])
-    pi_prefix = np.cumsum(is_prime).astype(np.int64)
 
-    for arr in (lam, psi_prefix, theta_prefix, pi_prefix, is_prime):
+    for arr in (lam, psi_prefix, is_prime):
         arr.flags.writeable = False
-    return LambdaTable(n_max, lam, psi_prefix, theta_prefix, pi_prefix, is_prime)
+    return LambdaTable(n_max, lam, psi_prefix, is_prime)
 
 
 def _check_range(table: LambdaTable, x: int) -> None:
@@ -112,15 +105,19 @@ def psi(table: LambdaTable, x: int) -> float:
 
 
 def theta(table: LambdaTable, x: int) -> float:
-    """Chebyshev theta(x) = sum over primes p <= x of log p."""
+    """Chebyshev theta(x) = sum over primes p <= x of log p, in O(x).
+
+    Bitwise what a compensated prefix over Lambda(n) [n prime] would hold
+    at x: the skipped terms are +0.0, which leave Neumaier's state as is.
+    """
     _check_range(table, x)
-    return float(table.theta_prefix[x])
+    return neumaier_sum(table.lam[1 : x + 1][table.is_prime[1 : x + 1]])
 
 
 def prime_pi(table: LambdaTable, x: int) -> int:
-    """Number of primes <= x."""
+    """Number of primes <= x, in O(x)."""
     _check_range(table, x)
-    return int(table.pi_prefix[x])
+    return int(np.count_nonzero(table.is_prime[: x + 1]))
 
 
 def error_series(table: LambdaTable, n_max: int | None = None) -> ErrorSeries:
@@ -199,14 +196,20 @@ def read_cache(path) -> LambdaTable:
 
 
 def load_or_build_table(path, n_max: int) -> LambdaTable:
-    """The table for n_max: read from the cache at path if it holds n_max or
-    more, else sieved once and written there.  A smaller cache is judged by
-    its header alone; a bad header or length raises CacheError, file untouched."""
+    """The table for n_max, sieved exactly once.
+
+    A cache at path whose header holds n_max is read (and so validated
+    against that one sieve).  A cache for any other n_max is judged by its
+    header alone and replaced by a fresh table for n_max, as is a missing
+    file.  A bad header or length raises CacheError and leaves the file
+    untouched.  Reading costs the sieve it validates against, so a cache
+    never saves the sieve.
+    """
     path = Path(path)
     if path.exists():
         with open(path, "rb") as f:
             cached = _read_header(f)
-        if cached >= n_max:
+        if cached == n_max:
             return read_cache(path)
     table = build_lambda_table(n_max)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -101,10 +101,11 @@ def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
     """
     if not 1 < x < math.inf:
         raise ValueError(f"x must be finite and > 1, got {x}")
-    if not math.isfinite(T):
-        raise ValueError(f"T must be finite, got {T}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 <= T < math.inf:
+        raise ValueError(f"T must be finite and >= 0, got {T}")
+    # the orders of iterated_average that the sums pair with
+    if not 1 <= k <= 8:
+        raise ValueError(f"k must be in [1, 8], got {k}")
     gs = _select(zeros, T)
     amp = math.sqrt(x)
     lx = math.log(x)

@@ -211,6 +211,26 @@ def test_tilde_small_n_both_sides(table_small, series_small):
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def test_scalar_differences_equal_the_difference_formulas(series_small):
+    """hat_r, hat_prime_r and tilde_r give, bit for bit, the literal
+    differences of rbar_i at n, for every order and every n."""
+    for i in range(1, 9):
+        avg = iterated_average(series_small, i)
+        v = [float(x) for x in avg.values]
+        for n in range(2, avg.n_max + 1):
+            step = v[n] - v[n - 1]
+            assert hat_r(avg, n) == (i + 1) * step, (i, n)
+            assert hat_prime_r(avg, n) == (n - 1) * step, (i, n)
+            if i >= 2 and n >= 3:
+                fr = n * (n - 1) * step - (n - 1) * (n - 2) * (v[n - 1] - v[n - 2])
+                assert tilde_r(avg, n) == fr / 2.0, (i, n)
+        for fn in (hat_r, hat_prime_r, tilde_r):
+            if fn is tilde_r and i < 2:
+                continue
+            with pytest.raises(ValueError, match="outside average range"):
+                fn(avg, avg.n_max + 1)
+
+
 def test_differences_invalid_args(series_small):
     avg1 = iterated_average(series_small, 1)
     avg2 = iterated_average(series_small, 2)

@@ -120,15 +120,25 @@ def test_perron_row(capsys):
     assert float(fields[7]) <= float(fields[6])  # gap <= bound
 
 
+# the error bound overflows, divides by zero or underflows to 0
+PERRON_BAD_BOUND = [
+    "--a 2 --b 1e300 --T 100",
+    "--a 1 --b 1e300 --T 100",
+    "--a 2 --T 1e-300",
+    "--a 1 --T 1e-300",
+    "--a 0.5 --b 1e300 --T 100",
+    "--a 1e-300 --b 2 --T 10",
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         "--a 2 --T inf",
         "--a inf --T 100",
         "--a 2 --b inf --T 100",
-        "--a 2 --b 1e300 --T 100",
-        "--a 2 --T 1e-300",
         "--a 1e-300 --T 1e6",  # would need 4.4e8 panels
+        *PERRON_BAD_BOUND,
     ],
 )
 def test_perron_bad_input_is_one_line_error(argv, capsys):
@@ -139,6 +149,8 @@ def test_perron_bad_input_is_one_line_error(argv, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if argv in PERRON_BAD_BOUND:
+        assert "bound" in err
 
 
 def test_zerosum_row(tmp_path, capsys):
@@ -158,6 +170,14 @@ def test_zerosum_row(tmp_path, capsys):
 def test_zerosum_non_finite_is_error(flags, capsys):
     argv = ["zerosum", "--zeros", str(ZEROS), *flags.split()]
     code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_FAILURE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", ["--x 1e4 --T 100 --k 400", "--x 1e4 --T -1"])
+def test_zerosum_bad_order_or_negative_T_is_error(flags, capsys):
+    code, out, err = run(["zerosum", "--zeros", str(ZEROS), *flags.split()], capsys)
     assert code == cli.EXIT_FAILURE
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -324,20 +344,36 @@ def test_cache_roundtrip_via_cli(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_corrupted_cache_reported(tmp_path, capsys):
-    cache = tmp_path / "sieve.bin"
-    run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)
+def _corrupt(cache):
     data = bytearray(cache.read_bytes())
     data[-3] ^= 0x7F
     cache.write_bytes(bytes(data))
+
+
+def test_corrupted_cache_reported(tmp_path, capsys):
+    cache = tmp_path / "sieve.bin"
+    run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)
+    _corrupt(cache)
     code, _, err = run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)
     assert code == cli.EXIT_FAILURE
     assert "integrity" in err
 
 
-def test_smaller_cache_sieves_once(tmp_path, monkeypatch, capsys):
+def test_check_with_corrupted_cache_is_one_line_error(tmp_path, capsys):
     cache = tmp_path / "sieve.bin"
-    assert run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)[0] == 0
+    run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)
+    _corrupt(cache)
+    code, out, err = run(["check", "--n-max", "500", "--cache", str(cache)], capsys)
+    assert code == cli.EXIT_FAILURE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "integrity" in err
+
+
+@pytest.mark.parametrize("cached, wanted", [(500, 5000), (5000, 500)], ids=["smaller", "larger"])
+def test_cache_of_other_size_sieves_once(tmp_path, monkeypatch, capsys, cached, wanted):
+    cache = tmp_path / "sieve.bin"
+    assert run(["sieve", "--n-max", str(cached), "--cache", str(cache)], capsys)[0] == 0
     built = []
     build = sieve.build_lambda_table
 
@@ -346,10 +382,13 @@ def test_smaller_cache_sieves_once(tmp_path, monkeypatch, capsys):
         return build(n_max)
 
     monkeypatch.setattr("pntavg.sieve.build_lambda_table", counting_build)
-    assert run(["sieve", "--n-max", "5000", "--cache", str(cache)], capsys)[0] == 0
-    assert built == [5000]
-    assert run(["sieve", "--n-max", "5000", "--cache", str(cache)], capsys)[0] == 0
-    assert built == [5000, 5000]  # the warm read validates against one sieve
+    argv = ["sieve", "--n-max", str(wanted), "--cache", str(cache)]
+    assert run(argv, capsys)[0] == 0
+    assert built == [wanted]
+    with open(cache, "rb") as f:
+        assert sieve._read_header(f) == wanted
+    assert run(argv, capsys)[0] == 0
+    assert built == [wanted, wanted]  # the warm read validates against one sieve
 
 
 @pytest.mark.parametrize("damage", ["header", "length"])
@@ -365,11 +404,17 @@ def test_malformed_cache_is_not_overwritten(tmp_path, capsys, damage):
     assert cache.read_bytes() == data
 
 
-def test_cache_dir_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PNT_CACHE_DIR", str(tmp_path))
-    code, _, _ = run(["sieve", "--n-max", "300", "--cache", "small.bin"], capsys)
+def test_bare_cache_name_is_relative_to_cwd(tmp_path, monkeypatch, capsys):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("PNT_CACHE_DIR", str(elsewhere))
+    monkeypatch.chdir(work)
+    code, _, _ = run(["sieve", "--n-max", "300", "--cache", "bare.bin"], capsys)
     assert code == 0
-    assert (tmp_path / "small.bin").exists()
+    assert os.listdir(work) == ["bare.bin"]
+    assert os.listdir(elsewhere) == []
 
 
 def test_usage_error_exit_code():

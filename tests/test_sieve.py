@@ -35,15 +35,32 @@ def test_lambda_positive_iff_prime_power(table_small):
         assert (table_small.lam[n] > 0) == (is_pp and n > 1), n
 
 
+def _theta_pi_points(n_max: int) -> list[int]:
+    """Every x up to 1024; beyond, each compensated-sum block edge
+    m * 16384 +- 1, every 997th x and n_max itself."""
+    if n_max <= 1024:
+        return list(range(1, n_max + 1))
+    edges = {m * 16384 + d for m in range(1, n_max // 16384 + 1) for d in (-1, 0, 1)}
+    return sorted({x for x in edges if x <= n_max} | set(range(1, n_max + 1, 997)) | {n_max})
+
+
 def test_table_bitwise_equals_spf_loop():
     # 300_000 passes 285343, the first prime whose np.log is 1 ulp away
     # from math.log with numpy's vectorised log.
     for n_max in [*range(1, 301), 961, 1024, 65536, 100_000, 300_000]:
         table = sieve.build_lambda_table(n_max)
-        for name, want in lambda_spf_loop(n_max).items():
+        want = lambda_spf_loop(n_max)
+        assert [f.name for f in dataclasses.fields(table)] == [
+            "n_max", "lam", "psi_prefix", "is_prime"
+        ]
+        for name in ("lam", "psi_prefix", "is_prime"):
             got = getattr(table, name)
-            assert got.dtype == want.dtype, (n_max, name)
-            assert got.tobytes() == want.tobytes(), (n_max, name)
+            assert got.dtype == want[name].dtype, (n_max, name)
+            assert got.tobytes() == want[name].tobytes(), (n_max, name)
+        for x in _theta_pi_points(n_max):
+            theta = sieve.theta(table, x)
+            assert theta.hex() == float(want["theta_prefix"][x]).hex(), (n_max, x)
+            assert sieve.prime_pi(table, x) == int(want["pi_prefix"][x]), (n_max, x)
 
 
 def test_psi_trivial(table_small):

@@ -112,9 +112,16 @@ def test_zero_sum_validation(zeros_2000):
         zero_sum(zeros_2000, 0.5, 100.0)
     with pytest.raises(ValueError):
         zero_sum(zeros_2000, 100.0, 1e9)  # beyond data
-    with pytest.raises(ValueError):
-        zero_sum(zeros_2000, 100.0, 100.0, k=0)
-    for x, T in [(math.nan, 100.0), (math.inf, 100.0), (100.0, math.nan), (100.0, -math.inf)]:
+    for k in (0, 9, 400):  # outside the orders of iterated_average
+        with pytest.raises(ValueError, match=r"\[1, 8\]"):
+            zero_sum(zeros_2000, 100.0, 100.0, k=k)
+    for x, T in [
+        (math.nan, 100.0),
+        (math.inf, 100.0),
+        (100.0, math.nan),
+        (100.0, -math.inf),
+        (100.0, -1.0),
+    ]:
         with pytest.raises(ValueError):
             zero_sum(zeros_2000, x, T)
     # T exactly at an ordinate includes that zero
