@@ -119,8 +119,9 @@ def lemma1_error_bound(a: float, b: float, T: float) -> float:
 
 
 def _a1_bound(b: float, T: float) -> float:
-    # leading term of the alternating arctan tail
-    return ((b + 1.0) ** 3 - b**3) / (3.0 * math.pi * T**3)
+    # leading term of the alternating arctan tail; (b + 1)^3 - b^3 expanded,
+    # since the difference cancels to 0 for b >= 2^53
+    return (3.0 * b * b + 3.0 * b + 1.0) / (3.0 * math.pi * T**3)
 
 
 def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
@@ -143,7 +144,7 @@ def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
         main = residue_main_term(a, k) if a > 1.0 else 0.0
     try:
         bound = _a1_bound(b, T) if a == 1.0 else lemma1_error_bound(a, b, T)
-    except ArithmeticError:  # a**b or (b+1)**3 overflows, T**2 or T**3 underflows
+    except ArithmeticError:  # a**b overflows, T**2 or T**3 underflows
         bound = math.nan
     if not 0 < bound < math.inf:
         raise ValueError(

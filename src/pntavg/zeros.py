@@ -13,7 +13,6 @@ kernel order k.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -98,6 +97,11 @@ def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
 
     Terms are accumulated in ascending gamma with compensation; the
     decay 1/gamma^(k+1) makes the order fixed and reproducible.
+
+    All terms are formed in one pass of float array operations that
+    spell out CPython's complex product and quotient (Smith's method),
+    so each term is bit for bit the scalar
+    2 * (sqrt(x) * cmath.exp(1j * gamma * log x) / den).real.
     """
     if not 1 < x < math.inf:
         raise ValueError(f"x must be finite and > 1, got {x}")
@@ -110,15 +114,23 @@ def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
     amp = math.sqrt(x)
     lx = math.log(x)
 
-    def terms():
-        for g in gs:
-            rho = complex(0.5, g)
-            den = rho
-            for j in range(1, k + 1):
-                den *= rho + j
-            yield 2.0 * (amp * cmath.exp(1j * g * lx) / den).real
-
-    return ZeroSumResult(x=x, T=T, k=k, value=neumaier_sum(terms()), count_used=len(gs))
+    # den = rho (rho + 1) ... (rho + k), rho = 1/2 + i gamma
+    dr = np.full_like(gs, 0.5)
+    di = gs.copy()
+    for j in range(1, k + 1):
+        br = 0.5 + j
+        dr, di = dr * br - di * gs, dr * gs + di * br
+    # amp * x^(i gamma); exp of a zero real part is cos + i sin, as in cmath
+    e = np.exp(1j * (gs * lx))
+    ar, ai = amp * e.real, amp * e.imag
+    # real part of (ar + i ai) / den, dividing through by the larger of |dr|, |di|;
+    # where() evaluates both branches, so silence the unused branch's overflow
+    with np.errstate(all="ignore"):
+        big = np.abs(dr) >= np.abs(di)
+        ratio = np.where(big, di / dr, dr / di)
+        denom = np.where(big, dr + di * ratio, dr * ratio + di)
+        qr = np.where(big, (ar + ai * ratio) / denom, (ar * ratio + ai) / denom)
+    return ZeroSumResult(x=x, T=T, k=k, value=neumaier_sum(2.0 * qr), count_used=len(gs))
 
 
 def lambda_factor(zeros: ZeroSet, x: float, T: float, i: int) -> float:
@@ -133,7 +145,8 @@ def explicit_formula_residual(
 ) -> float:
     """rbar(x) + zero_sum(x, T, 1).value, the truncation residual.
 
-    Requires a first-order average (avg.order == 1) and x >= 2.  With T
+    Requires a first-order average (avg.order == 1) and an integral
+    x >= 2 (an int, numpy integer or integral float).  With T
     below the first ordinate the sum is empty and the residual is just
     rbar(x).
 
@@ -150,6 +163,9 @@ def explicit_formula_residual(
     """
     if avg.order != 1:
         raise ValueError("explicit_formula_residual needs a k = 1 average")
+    if not (isinstance(x, (int, np.integer)) or float(x).is_integer()):
+        raise ValueError(f"x must be an integer, got {x}")
+    x = int(x)
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if x > avg.n_max:
@@ -163,7 +179,7 @@ def gamma_square_tail(zeros: ZeroSet, T: float) -> float:
     Nondecreasing in T and bounded as T grows; T beyond the data is
     allowed here since missing tail terms only tighten the partial sum.
     """
-    if T < 0:
+    if not T >= 0:
         raise ValueError(f"T must be >= 0, got {T}")
     gs = zeros.gammas[zeros.gammas <= T]
     return 2.0 * neumaier_sum(1.0 / (gs * gs))

@@ -6,9 +6,11 @@ smallest-prime-factor sieve, iterated averages from literal nested sums
 over the raw error values, the explicit-formula constants from mpmath's
 zeta, 6-decimal formatting from numpy's Dragon4, binomial columns from a
 list of exact integers, the Perron kernel integral from mpmath quadrature
-over the whole segment.
+over the whole segment, and the truncated zero sum from a scalar cmath
+loop.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -120,6 +122,26 @@ def neumaier_prefix_loop(values) -> list[float]:
         s = t
         out.append(s + c)
     return out
+
+
+def zero_sum_loop(gammas, x: float, T: float, k: int) -> tuple[float, int]:
+    """(value, count_used) of zeros.zero_sum from one cmath term per zero,
+    summed by the scalar Neumaier loop; the reference for the vectorised
+    term pass, which must match it bit for bit."""
+    gs = gammas[gammas <= T]
+    amp = math.sqrt(x)
+    lx = math.log(x)
+
+    def terms():
+        for g in gs:
+            rho = complex(0.5, g)
+            den = rho
+            for j in range(1, k + 1):
+                den *= rho + j
+            yield 2.0 * (amp * cmath.exp(1j * g * lx) / den).real
+
+    prefix = neumaier_prefix_loop(terms())
+    return (prefix[-1] if prefix else 0.0), len(gs)
 
 
 def lambda_spf_loop(n_max: int) -> dict[str, np.ndarray]:

@@ -120,6 +120,14 @@ def test_perron_row(capsys):
     assert float(fields[7]) <= float(fields[6])  # gap <= bound
 
 
+def test_perron_a1_large_b(capsys):
+    # the a = 1 bound is positive at b >= 2^53, where (b + 1)^3 - b^3 cancels
+    code, out, _ = run(["perron", "--a", "1", "--b", "1e16", "--T", "100"], capsys)
+    assert code == 0
+    bound = float(out.strip().splitlines()[1].split(",")[6])
+    assert bound == pytest.approx(3.2e25, rel=0.01)
+
+
 # the error bound overflows, divides by zero or underflows to 0
 PERRON_BAD_BOUND = [
     "--a 2 --b 1e300 --T 100",

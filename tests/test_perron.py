@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +57,17 @@ def test_kernel_a_equal_one():
     # exact value is (arctan(T/b) - arctan(T/(b+1)))/pi
     exact = (math.atan(100.0) - math.atan(50.0)) / math.pi
     assert res.numeric.real == pytest.approx(exact, abs=1e-11)
+
+
+def test_a1_bound_has_no_cancellation():
+    # (b + 1)^3 - b^3 formed in floats is 6% off at b = 3e15 and 0 from 2^53
+    for b in (1.0, 1e6, 1e12, 1e15, 3e15, 1e16):
+        exact = (Fraction(b) + 1) ** 3 - Fraction(b) ** 3
+        want = float(exact) / (3.0 * math.pi)
+        assert perron._a1_bound(b, 1.0) == pytest.approx(want, rel=1e-15, abs=0)
+    assert perron._a1_bound(1.0, 1.0) == 7.0 / (3.0 * math.pi)
+    res = perron_integral(1.0, 1e16, 100.0)
+    assert res.bound == pytest.approx(3.2e25, rel=0.01)
 
 
 def test_kernel_a_equal_one_t_cubed_scaling():

@@ -1,6 +1,7 @@
 import cmath
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from pntavg.zeros import (
     zero_sum,
 )
 
-from oracles import explicit_formula_limit
+from oracles import explicit_formula_limit, zero_sum_loop
 
 GAMMA_1 = 14.134725141734695
 
@@ -107,6 +108,26 @@ def test_zero_sum_additive_over_ranges(zeros_2000):
     assert full == pytest.approx(head + tail, abs=1e-12)
 
 
+def test_zero_sum_bitwise_equals_loop(zeros_2000):
+    """The one-pass array form reproduces the scalar cmath loop bit for bit:
+    numpy's own complex product and quotient round differently from
+    CPython's, so any term formed with them breaks this."""
+    gammas = zeros_2000.gammas
+    rng = np.random.default_rng(13)
+    xs = [float(v) for v in rng.integers(2, 10**7, size=4)]
+    xs += [float(v) for v in np.exp(rng.uniform(0.01, math.log(1e7), size=4))]
+    Ts = [float(gammas[0]) / 2, float(gammas[0]), 100.0, 1000.0, float(gammas[-1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in xs:
+            for k in range(1, 9):
+                for T in Ts:
+                    got = zero_sum(zeros_2000, x, T, k)
+                    value, count_used = zero_sum_loop(gammas, x, T, k)
+                    assert got.value.hex() == value.hex(), (x, T, k)
+                    assert got.count_used == count_used
+
+
 def test_zero_sum_validation(zeros_2000):
     with pytest.raises(ValueError):
         zero_sum(zeros_2000, 0.5, 100.0)
@@ -162,6 +183,13 @@ def test_residual_validation(zeros_2000, series_small):
         explicit_formula_residual(avg2, zeros_2000, 100, 50.0)
     with pytest.raises(ValueError):
         explicit_formula_residual(avg1, zeros_2000, 1, 50.0)
+    for x in (100.5, math.nan, math.inf, np.float64(2.25)):
+        with pytest.raises(ValueError, match="^x must be an integer"):
+            explicit_formula_residual(avg1, zeros_2000, x, 50.0)
+    # integral floats and numpy integers index like the int
+    want = explicit_formula_residual(avg1, zeros_2000, 100, 50.0)
+    for x in (100.0, np.int64(100), np.float64(100.0)):
+        assert explicit_formula_residual(avg1, zeros_2000, x, 50.0) == want
 
 
 def test_residual_spread_shrinks_with_more_zeros(table_full, zeros_2000):
@@ -202,3 +230,10 @@ def test_gamma_square_tail(zeros_2000):
     assert gamma_square_tail(zeros_2000, 100.0) <= gamma_square_tail(zeros_2000, 1000.0)
     # bounded: full-data value stays modest
     assert gamma_square_tail(zeros_2000, float(zeros_2000.gammas[-1])) < 0.1
+    # T beyond the data keeps every zero; NaN is refused, not read as 0
+    assert gamma_square_tail(zeros_2000, math.inf) == gamma_square_tail(
+        zeros_2000, float(zeros_2000.gammas[-1])
+    )
+    for T in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="^T must be >= 0"):
+            gamma_square_tail(zeros_2000, T)
