@@ -115,8 +115,7 @@ def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
     lx = math.log(x)
 
     # den = rho (rho + 1) ... (rho + k), rho = 1/2 + i gamma
-    dr = np.full_like(gs, 0.5)
-    di = gs.copy()
+    dr, di = np.full_like(gs, 0.5), gs
     for j in range(1, k + 1):
         br = 0.5 + j
         dr, di = dr * br - di * gs, dr * gs + di * br
