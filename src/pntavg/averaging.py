@@ -73,7 +73,7 @@ def iterated_average(series: ErrorSeries, k: int, n_max: int | None = None) -> I
 
     Raises ValueError for k outside [1, 8] or n_max beyond the series.
     """
-    if not 1 <= k <= 8:
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= 8:
         raise ValueError(f"order k must be in [1, 8], got {k}")
     if n_max is None:
         n_max = series.n_max
@@ -101,7 +101,7 @@ def average_via_weights(series: ErrorSeries, k: int, n: int) -> float:
 def _check_psi_args(table: LambdaTable, i: int, x: int) -> None:
     if not 1 <= x <= table.n_max:
         raise ValueError(f"x = {x} outside table range [1, {table.n_max}]")
-    if i < 0:
+    if not isinstance(i, (int, np.integer)) or i < 0:
         raise ValueError(f"order i must be >= 0, got {i}")
 
 

@@ -32,12 +32,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _load_or_build_table(n_max: int, cache: str | None) -> sieve.LambdaTable:
-    if cache:
-        return sieve.load_or_build_table(cache, n_max)
-    return sieve.build_lambda_table(n_max)
-
-
 def _out_stream(args):
     """Context manager yielding --output for writing, or stdout, which it
     leaves open.  A new or writable regular file is replaced only when the
@@ -57,7 +51,7 @@ def _out_stream(args):
 
 
 def cmd_sieve(args) -> int:
-    table = _load_or_build_table(args.n_max, args.cache)
+    table = sieve.load_or_build_table(args.cache, args.n_max)
     n = args.n_max
     print(f"n_max={n}")
     print(f"psi({n})={sieve.psi(table, n):.6f}")
@@ -67,7 +61,7 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_errors(args) -> int:
-    table = _load_or_build_table(args.n_max, args.cache)
+    table = sieve.load_or_build_table(args.cache, args.n_max)
     series = sieve.error_series(table, args.n_max)
     orders = args.order or [1]
     with _out_stream(args) as out:
@@ -123,7 +117,7 @@ def cmd_tables(args) -> int:
             f"warning: tables computed over reduced range n <= {args.n_max}",
             file=sys.stderr,
         )
-    table = _load_or_build_table(args.n_max, args.cache)
+    table = sieve.load_or_build_table(args.cache, args.n_max)
     rows = _table_rows(table, args.n_max)
     with _out_stream(args) as out:
         if args.pretty:
@@ -231,7 +225,7 @@ def _check_zeros(path) -> list[str]:
 
 def cmd_check(args) -> int:
     n_check = min(args.n_max, 10_000)
-    table = _load_or_build_table(n_check, args.cache)
+    table = sieve.load_or_build_table(args.cache, n_check)
     suites = [
         ("sieve-psi-oracle", lambda: _check_sieve(table, n_check)),
         ("averaging-identities", lambda: _check_averaging(table, n_check)),

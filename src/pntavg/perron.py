@@ -13,13 +13,15 @@ closed form
     a = 1:  1/(pi*T)             (k = 1 only)
 
 together with the error bound a^b * min(1/T, 1/(T^2 |log a|)) for a != 1
-and the alternating-tail bound ((b+1)^3 - b^3)/(3 pi T^3) at a = 1.
+and the alternating-tail bound (3b^2 + 3b + 1)/(3 pi T^3) at a = 1, where
+for T >= b + 1 the gap is the tail beyond T, integrated without cancellation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -46,53 +48,50 @@ class PerronResult:
     numeric: float
     main_term: float
     bound: float
+    gap: float
     quadrature_error_estimate: float
 
-    @property
-    def gap(self) -> float:
-        return abs(self.numeric - self.main_term)
 
-
-def _kernel_upper_half(a: float, b: float, T: float, k: int, n_panels: int) -> float:
-    """(1/pi) int_0^T Re[k! a^s / prod(s+j)] dt at s = b + it, by Gauss-Legendre
-    on n_panels equal panels."""
+def _gl_integral(fn, hi: float, n_panels: int) -> float:
+    """(1/pi) int_0^hi fn(t) dt by Gauss-Legendre on n_panels equal panels."""
     if n_panels > _MAX_PANELS:
         raise QuadratureError(f"{n_panels} panels needed, limit is {_MAX_PANELS}")
-    la = math.log(a)
-    fact = float(math.factorial(k))
-    edges = np.linspace(0.0, T, n_panels + 1)
+    edges = np.linspace(0.0, hi, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * _gl_x[None, :]).ravel()
-    s = b + 1j * t
-    den = s.copy()
-    for j in range(1, k + 1):
-        den = den * (s + j)
-    vals = fact * (a**b) * np.exp(1j * t * la) / den
-    panels = (vals.real.reshape(-1, _GL_NODES) @ _gl_w) * half
+    panels = (fn(t).reshape(-1, _GL_NODES) @ _gl_w) * half
     return neumaier_sum(panels) / math.pi
 
 
-def _initial_panels(a: float, T: float) -> int:
-    # >= 4 panels per oscillation period 2*pi/|log a|, floor of 64
-    la = abs(math.log(a))
-    return max(64, int(4.0 * T * la / (2.0 * math.pi)) + 1)
+def _kernel_upper_half(a: float, b: float, T: float, k: int, n_panels: int) -> float:
+    """(1/pi) int_0^T Re[k! a^s / prod(s+j)] dt at s = b + it."""
+    scale = float(math.factorial(k)) * a**b
+
+    def integrand(t):
+        s = b + 1j * t
+        den = s.copy()
+        for j in range(1, k + 1):
+            den = den * (s + j)
+        return (scale * np.exp(1j * t * math.log(a)) / den).real
+
+    return _gl_integral(integrand, T, n_panels)
 
 
-def _adaptive(eval_fn, n0: int, tol: float):
-    prev = eval_fn(n0)
-    err = math.inf
-    n = n0
-    for _ in range(_MAX_DOUBLINGS):
-        n *= 2
-        cur = eval_fn(n)
-        err = abs(cur - prev)
-        prev = cur
-        if err < tol:
-            return cur, err
-    raise QuadratureError(
-        f"no convergence after {_MAX_DOUBLINGS} doublings ({n} panels, last delta {err:.3e})"
-    )
+def _a1_gap(b: float, T: float, n_panels: int) -> float:
+    """1/(pi T) minus the k = 1 kernel at a = 1, as (1/pi) int_T^inf h(t) dt:
+    the whole line integrates to 0.  h = Re[1/(s(s+1))] + 1/t^2 is summed as
+    [(3b^2+3b+1) t^2 + b^2 (b+1)^2] / (t^2 p q), p = b^2 + t^2, q = (b+1)^2 + t^2,
+    which has no cancellation; no factor overflows.  Integrated in u = T/t."""
+
+    def integrand(u):
+        t = T / u
+        t2 = t * t
+        p, q = b * b + t2, (b + 1.0) ** 2 + t2
+        h = (3.0 * b * b + 3.0 * b + 1.0) / p / q + (b * b / p) * ((b + 1.0) ** 2 / q) / t2
+        return h * (t / u)
+
+    return _gl_integral(integrand, 1.0, n_panels)
 
 
 def residue_main_term(a: float, k: int) -> float:
@@ -133,7 +132,7 @@ def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
     for name, v in (("a", a), ("b", b), ("T", T)):
         if not 0 < v < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {v}")
-    if not 1 <= k <= 6:
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= 6:
         raise ValueError(f"k must be in [1, 6], got {k}")
 
     if a == 1.0:
@@ -153,17 +152,34 @@ def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
 
     # keep quadrature error well below the bound being verified
     target = min(1e-10, max(bound * 1e-3, 1e-14))
-    value, qerr = _adaptive(
-        lambda n: _kernel_upper_half(a, b, T, k, n), _initial_panels(a, T), target
-    )
+    # At a = 1 the kernel over [0, T] nears main, and the gap cancels, once T
+    # passes the integrand's scales b and b + 1; from there the tail is used.
+    tail = a == 1.0 and T >= b + 1.0
+    # >= 4 panels per oscillation period 2*pi/|log a|, floor of 64
+    n = 4 if tail else max(64, int(4.0 * T * abs(math.log(a)) / (2.0 * math.pi)) + 1)
+
+    evaluate = partial(_a1_gap, b, T) if tail else partial(_kernel_upper_half, a, b, T, k)
+    value = evaluate(n)
+    for _ in range(_MAX_DOUBLINGS):
+        n *= 2
+        prev, value = value, evaluate(n)
+        qerr = abs(value - prev)
+        if qerr < target:
+            break
+    else:
+        raise QuadratureError(
+            f"no convergence after {_MAX_DOUBLINGS} doublings ({n} panels, last delta {qerr:.3e})"
+        )
+    gap, numeric = (value, main - value) if tail else (abs(value - main), value)
     return PerronResult(
         a=a,
         b=b,
         T=T,
         k=k,
-        numeric=value,
+        numeric=numeric,
         main_term=main,
         bound=bound,
+        gap=gap,
         quadrature_error_estimate=qerr,
     )
 

@@ -198,13 +198,15 @@ def read_cache(path) -> LambdaTable:
 def load_or_build_table(path, n_max: int) -> LambdaTable:
     """The table for n_max, sieved exactly once.
 
-    A cache at path whose header holds n_max is read (and so validated
-    against that one sieve).  A cache for any other n_max is judged by its
-    header alone and replaced by a fresh table for n_max, as is a missing
-    file.  A bad header or length raises CacheError and leaves the file
-    untouched.  Reading costs the sieve it validates against, so a cache
-    never saves the sieve.
+    With no path (None or empty) nothing is read or written.  A cache at
+    path whose header holds n_max is read (and so validated against that
+    one sieve).  A cache for any other n_max is judged by its header alone
+    and replaced by a fresh table for n_max, as is a missing file.  A bad
+    header or length raises CacheError and leaves the file untouched.  A
+    read costs the sieve it validates against, so a cache saves no sieve.
     """
+    if not path:
+        return build_lambda_table(n_max)
     path = Path(path)
     if path.exists():
         with open(path, "rb") as f:

@@ -7,10 +7,9 @@ and its differences as weighted sums of Lambda:
     B:  b(i, n, j) = (j-1) * C(n+i-1-j, i-1) / C(n+i-1, i+1)
     H:  h(i, n, j) = C(n+i-2-j, i-2) * C(j, 2) / C(n+i-1, i)   (i >= 2)
 
-All values are exact Fractions.  Ratios of binomials with equal order are
-built multiplicatively from <= i small factors, never via factorials, so
-numerators stay proportional to n**i instead of overflowing into huge
-intermediates.
+Each weight is one exact Fraction of math.comb values, as written above.
+math.comb(m, k) multiplies k small factors and never forms m!, so at
+order i the integers stay near n**i.
 """
 
 from __future__ import annotations
@@ -27,49 +26,22 @@ class WeightFamily(enum.Enum):
     H = "h"
 
 
-def falling(m: int, k: int) -> int:
-    """Falling factorial m * (m-1) * ... * (m-k+1); equals C(m, k) * k!."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = 1
-    for t in range(k):
-        out *= m - t
-    return out
-
-
-def binom_ratio(m_num: int, m_den: int, k: int) -> Fraction:
-    """C(m_num, k) / C(m_den, k) as a product of k linear factors."""
-    if m_den < k:
-        raise ValueError(f"undefined ratio: C({m_den}, {k}) = 0")
-    if m_num < 0 or m_num < k:
-        return Fraction(0)
-    out = Fraction(1)
-    for t in range(k):
-        out *= Fraction(m_num - t, m_den - t)
-    return out
-
-
 def weight_a(i: int, n: int, j: int) -> Fraction:
     if i < 0:
         raise ValueError("family A needs i >= 0")
-    return binom_ratio(n + i - j, n + i - 1, i)
+    return Fraction(comb(n + i - j, i), comb(n + i - 1, i))
 
 
 def weight_b(i: int, n: int, j: int) -> Fraction:
     if i < 1:
         raise ValueError("family B needs i >= 1")
-    # (j-1) * C(n+i-1-j, i-1) / C(n+i-1, i+1)
-    num = (j - 1) * falling(n + i - 1 - j, i - 1) * falling(i + 1, i + 1)
-    den = falling(i - 1, i - 1) * falling(n + i - 1, i + 1)
-    return Fraction(num, den)
+    return Fraction((j - 1) * comb(n + i - 1 - j, i - 1), comb(n + i - 1, i + 1))
 
 
 def weight_h(i: int, n: int, j: int) -> Fraction:
     if i < 2:
         raise ValueError("family H needs i >= 2")
-    num = falling(n + i - 2 - j, i - 2) * comb(j, 2) * falling(i, i)
-    den = falling(i - 2, i - 2) * falling(n + i - 1, i)
-    return Fraction(num, den)
+    return Fraction(comb(n + i - 2 - j, i - 2) * comb(j, 2), comb(n + i - 1, i))
 
 
 _EVALUATORS = {

@@ -108,7 +108,7 @@ def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
     if not 0 <= T < math.inf:
         raise ValueError(f"T must be finite and >= 0, got {T}")
     # the orders of iterated_average that the sums pair with
-    if not 1 <= k <= 8:
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= 8:
         raise ValueError(f"k must be in [1, 8], got {k}")
     gs = _select(zeros, T)
     amp = math.sqrt(x)

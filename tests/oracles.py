@@ -6,8 +6,8 @@ smallest-prime-factor sieve, iterated averages from literal nested sums
 over the raw error values, the explicit-formula constants from mpmath's
 zeta, 6-decimal formatting from numpy's Dragon4, binomial columns from a
 list of exact integers, the Perron kernel integral from mpmath quadrature
-over the whole segment, and the truncated zero sum from a scalar cmath
-loop.
+over the whole segment, its a = 1 gap from mpmath's atan, and the
+truncated zero sum from a scalar cmath loop.
 """
 
 import cmath
@@ -222,3 +222,12 @@ def perron_full_segment(a: float, b: float, T: float, k: int) -> complex:
 
         value = mpmath.quad(f, mpmath.linspace(-T, T, 65)) / (2 * mpmath.pi)
         return complex(value)
+
+
+def perron_a1_gap(b: float, T: float) -> float:
+    """The a = 1, k = 1 gap 1/(pi T) - (1/pi) int_0^T Re[1/(s(s+1))] dt in
+    closed form, (1/T - atan((b+1)/T) + atan(b/T)) / pi, at 60 digits, so
+    the cancellation between its terms costs nothing for T <= 1e12."""
+    with mpmath.workdps(60):
+        b, T = mpmath.mpf(b), mpmath.mpf(T)
+        return float((1 / T - mpmath.atan((b + 1) / T) + mpmath.atan(b / T)) / mpmath.pi)

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing PASS/FAIL.
 
-Expected table values are frozen from the published min/max tables; all
-comparisons are absolute-tolerance, never string equality.  Run with -s
+Expected table values are frozen from the published min/max tables.
+Criteria 1-3 compare the 6-decimal string of each min and max with them
+exactly; criterion 4 is held to 1e-3, and its exact form is an expected
+failure until tilde_r comes from the Lambda-weighted route.  Run with -s
 to see the per-criterion report lines.
 """
 
@@ -56,6 +58,17 @@ TABLE_4 = {  # tilde_r, scanned over n >= 3
 }
 
 
+def _mismatches(computed: dict, table: dict) -> list[str]:
+    """Cells whose min or max, printed to 6 decimals, differs from table."""
+    out = []
+    for name, (lo, hi) in table.items():
+        s = computed[name]
+        for which, got, want in (("min", s.min, lo), ("max", s.max, hi)):
+            if f"{got:.6f}" != f"{want:.6f}":
+                out.append(f"{name} {which} {got:.6f} != {want:.6f}")
+    return out
+
+
 def _report(name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"{status} {name}" + (f": {detail}" if detail else ""))
@@ -71,32 +84,25 @@ def test_criterion_01_table1_reproduction():
         computed[f"rbar{k}"] = range_summary(avg.values, 1, N_FULL)
     elapsed = time.perf_counter() - t0
 
-    worst = 0.0
-    for name, (lo, hi) in TABLE_1.items():
-        s = computed[name]
-        worst = max(worst, abs(s.min - lo), abs(s.max - hi))
-    ok = worst <= 1e-4 and elapsed < 10.0
-    _report("criterion-01 table-1", ok, f"worst dev {worst:.2e}, {elapsed:.1f} s")
-    assert worst <= 1e-4
+    bad = _mismatches(computed, TABLE_1)
+    ok = not bad and elapsed < 10.0
+    _report("criterion-01 table-1", ok, f"{len(bad)} cells differ, {elapsed:.1f} s")
+    assert bad == []
     assert elapsed < 10.0
 
 
 def test_criterion_02_table2_reproduction(averages_full):
-    worst = 0.0
-    for i, (lo, hi) in TABLE_2.items():
-        s = range_summary(hat_r_series(averages_full[i]), 100, N_FULL)
-        worst = max(worst, abs(s.min - lo), abs(s.max - hi))
-    _report("criterion-02 table-2", worst <= 1e-4, f"worst dev {worst:.2e}")
-    assert worst <= 1e-4
+    computed = {i: range_summary(hat_r_series(averages_full[i]), 100, N_FULL) for i in TABLE_2}
+    bad = _mismatches(computed, TABLE_2)
+    _report("criterion-02 table-2", not bad, f"{len(bad)} cells differ")
+    assert bad == []
 
 
 def test_criterion_03_table3_reproduction(averages_full):
-    worst = 0.0
-    for i, (lo, hi) in TABLE_3.items():
-        s = range_summary(hat_prime_r_series(averages_full[i]), 2, N_FULL)
-        worst = max(worst, abs(s.min - lo), abs(s.max - hi))
-    _report("criterion-03 table-3", worst <= 1e-3, f"worst dev {worst:.2e}")
-    assert worst <= 1e-3
+    computed = {i: range_summary(hat_prime_r_series(averages_full[i]), 2, N_FULL) for i in TABLE_3}
+    bad = _mismatches(computed, TABLE_3)
+    _report("criterion-03 table-3", not bad, f"{len(bad)} cells differ")
+    assert bad == []
 
 
 def test_criterion_04_table4_reproduction(averages_full):
@@ -106,6 +112,15 @@ def test_criterion_04_table4_reproduction(averages_full):
         worst = max(worst, abs(s.min - lo), abs(s.max - hi))
     _report("criterion-04 table-4", worst <= 1e-3, f"worst dev {worst:.2e}")
     assert worst <= 1e-3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the difference route misprints rtilde4 max, rtilde5 and rtilde6",
+)
+def test_criterion_04_table4_exact(averages_full):
+    computed = {i: range_summary(tilde_r_series(averages_full[i]), 3, N_FULL) for i in TABLE_4}
+    assert _mismatches(computed, TABLE_4) == []
 
 
 def test_criterion_05_oracle_equivalence(table_small, series_small):

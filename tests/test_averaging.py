@@ -87,6 +87,9 @@ def test_average_invalid_args(series_small):
         iterated_average(series_small, 0)
     with pytest.raises(ValueError):
         iterated_average(series_small, 9)
+    for k in (2.0, 1.5, np.float64(3.0)):  # non-integral orders, even integral floats
+        with pytest.raises(ValueError, match=r"\[1, 8\]"):
+            iterated_average(series_small, k)
     with pytest.raises(ValueError):
         iterated_average(series_small, 1, series_small.n_max + 1)
 
@@ -148,6 +151,9 @@ def test_weighted_psi_tilde_series_matches_pointwise(table_small):
 def test_weighted_series_range_checked(table_small, series_fn):
     with pytest.raises(ValueError, match="outside table range"):
         series_fn(table_small, 2, table_small.n_max + 1)
+    for i in (2.0, 2.5):
+        with pytest.raises(ValueError, match="order i must be >= 0"):
+            series_fn(table_small, i, 100)
 
 
 # -- differenced statistics -------------------------------------------------

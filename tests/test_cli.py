@@ -120,6 +120,15 @@ def test_perron_row(capsys):
     assert float(fields[7]) <= float(fields[6])  # gap <= bound
 
 
+@pytest.mark.parametrize("argv", ["--T 3223", "--T 9749", "--b 1e100 --T 100"])
+def test_perron_a1_within_bound(argv, capsys):
+    # formed as 1/(pi T) - I(T), the gap exceeds the bound at T = 3223 and 9749
+    code, out, _ = run(["perron", "--a", "1", *argv.split()], capsys)
+    assert code == 0
+    fields = out.strip().splitlines()[1].split(",")
+    assert 0 < float(fields[8]) < 1  # gap / bound
+
+
 def test_perron_a1_large_b(capsys):
     # the a = 1 bound is positive at b >= 2^53, where (b + 1)^3 - b^3 cancels
     code, out, _ = run(["perron", "--a", "1", "--b", "1e16", "--T", "100"], capsys)

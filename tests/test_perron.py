@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pntavg import perron
@@ -11,7 +13,7 @@ from pntavg.perron import (
     residue_main_term,
 )
 
-from oracles import perron_full_segment
+from oracles import perron_a1_gap, perron_full_segment
 
 
 def test_error_bound_values():
@@ -59,6 +61,32 @@ def test_kernel_a_equal_one():
     assert res.numeric.real == pytest.approx(exact, abs=1e-11)
 
 
+def test_a1_gap_within_bound_over_T():
+    # formed as 1/(pi T) - I(T), the gap loses about 8 digits at T = 1e4 and
+    # breaks the bound at T = 3223; the tail beyond T has no cancellation
+    rng = random.Random(2)
+    Ts = [10.0 ** rng.uniform(1.0, 4.0) for _ in range(1500)] + [3223.0, 9749.0]
+    for T in Ts:
+        res = perron_integral(1.0, 1.0, T)
+        assert 0 < res.gap < res.bound, T
+        assert res.numeric == res.main_term - res.gap
+        assert abs(res.numeric - res.main_term) <= res.bound + res.quadrature_error_estimate, T
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 3.0, 1e6])
+def test_a1_gap_matches_atan_oracle(b):
+    # T on both sides of b + 1, where the tail takes over from the kernel
+    for T in (2.0, 10.0, 100.0, 3223.0, 1e4, 1e6, 1e7):
+        res = perron_integral(1.0, b, T)
+        assert res.gap == pytest.approx(perron_a1_gap(b, T), rel=1e-12, abs=0), T
+
+
+def test_gap_is_distance_to_main_off_a_equal_one():
+    for a, k in [(2.0, 1), (0.5, 2), (3.7, 3)]:
+        res = perron_integral(a, 1.0, 500.0, k)
+        assert res.gap == abs(res.numeric - res.main_term)
+
+
 def test_a1_bound_has_no_cancellation():
     # (b + 1)^3 - b^3 formed in floats is 6% off at b = 3e15 and 0 from 2^53
     for b in (1.0, 1e6, 1e12, 1e15, 3e15, 1e16):
@@ -100,6 +128,9 @@ def test_kernel_validation():
         perron_integral(2.0, 0.0, 100.0)
     with pytest.raises(ValueError):
         perron_integral(2.0, 1.0, 100.0, k=7)
+    for k in (2.0, 1.5, np.float64(1.0)):  # non-integral orders, even integral floats
+        with pytest.raises(ValueError, match=r"\[1, 6\]"):
+            perron_integral(2.0, 1.0, 100.0, k=k)
     with pytest.raises(ValueError):
         perron_integral(1.0, 1.0, 100.0, k=2)
     for a, b, T in [(math.inf, 1, 100), (2, math.inf, 100), (2, 1, math.inf), (2, 1, math.nan)]:

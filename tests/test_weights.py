@@ -95,7 +95,7 @@ def test_h_nonnegative(i, n, j):
 
 
 def test_no_overflow_at_large_n():
-    # multiplicative form keeps numerators near n**i even at n = 1e6
+    # math.comb never forms n!, and the reduced Fraction stays small at n = 1e6
     w = weight_a(8, 1_000_000, 500_000)
     assert 0 < w < 1
     assert w.denominator.bit_length() < 200

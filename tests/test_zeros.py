@@ -133,7 +133,7 @@ def test_zero_sum_validation(zeros_2000):
         zero_sum(zeros_2000, 0.5, 100.0)
     with pytest.raises(ValueError):
         zero_sum(zeros_2000, 100.0, 1e9)  # beyond data
-    for k in (0, 9, 400):  # outside the orders of iterated_average
+    for k in (0, 9, 400, 2.0, 1.5):  # outside the orders of iterated_average
         with pytest.raises(ValueError, match=r"\[1, 8\]"):
             zero_sum(zeros_2000, 100.0, 100.0, k=k)
     for x, T in [
@@ -165,6 +165,8 @@ def test_lambda_factor(zeros_2000):
     assert abs(lambda_factor(zeros_2000, x, T, 3)) <= b3
     with pytest.raises(ValueError):
         lambda_factor(zeros_2000, x, T, 4)
+    with pytest.raises(ValueError, match=r"\[1, 8\]"):
+        lambda_factor(zeros_2000, x, T, 2.0)
     assert lambda_factor(zeros.ZeroSet(np.array([])), x, T, 1) == 0.0
 
 
