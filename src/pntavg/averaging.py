@@ -30,6 +30,7 @@ from math import comb
 
 import numpy as np
 
+from ._args import check_int
 from .accum import neumaier_prefix_sum
 from .sieve import ErrorSeries, LambdaTable
 
@@ -71,14 +72,13 @@ def _folded_ratio(g: np.ndarray, folds: int, k: int) -> np.ndarray:
 def iterated_average(series: ErrorSeries, k: int, n_max: int | None = None) -> IteratedAverage:
     """k-fold averaged error via k compensated prefix-sum passes.
 
-    Raises ValueError for k outside [1, 8] or n_max beyond the series.
+    Raises ValueError unless k is an integer in [1, 8] and n_max one in
+    [1, series.n_max].
     """
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= 8:
-        raise ValueError(f"order k must be in [1, 8], got {k}")
+    check_int("order k", k, 1, 8)
     if n_max is None:
         n_max = series.n_max
-    if not 1 <= n_max <= series.n_max:
-        raise ValueError(f"n_max = {n_max} outside series range [1, {series.n_max}]")
+    check_int("n_max", n_max, 1, series.n_max)
 
     values = _folded_ratio(series.r[1 : n_max + 1], k, k)
     values.flags.writeable = False
@@ -98,17 +98,11 @@ def average_via_weights(series: ErrorSeries, k: int, n: int) -> float:
 # -- weighted Lambda sums ---------------------------------------------------
 
 
-def _check_psi_args(table: LambdaTable, i: int, x: int) -> None:
-    if not 1 <= x <= table.n_max:
-        raise ValueError(f"x = {x} outside table range [1, {table.n_max}]")
-    if not isinstance(i, (int, np.integer)) or i < 0:
-        raise ValueError(f"order i must be >= 0, got {i}")
-
-
 def weighted_psi(table: LambdaTable, i: int, x: int) -> float:
     """psi_i(x) = sum_{j <= x} a(i, x, j) Lambda(j); psi_0 = psi.
 
-    A view of weighted_psi_series at x, so it costs O(i * x).
+    A view of weighted_psi_series at x, so it costs O(i * x), and raises
+    what that raises for n_max = x.
     """
     return float(weighted_psi_series(table, i, x)[x])
 
@@ -119,16 +113,16 @@ def weighted_psi_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:
     sum_j C(n+i-j, i) Lambda(j) is the (i+1)-fold prefix sum of Lambda, so
     the whole series costs i+1 compensated passes.  Index 0 unused.
     """
-    _check_psi_args(table, i, n_max)
+    check_int("n_max", n_max, 1, table.n_max)
+    check_int("order i", i, 0)
     return _folded_ratio(table.lam[1 : n_max + 1], i + 1, i)
 
 
 def weighted_psi_hat_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:
     """psi-hat_i(n) for all n <= n_max: i-fold prefix sum of (j-1) Lambda(j)
     over C(n+i-1, i+1).  Index 1 is nan: C(i, i+1) = 0."""
-    _check_psi_args(table, i, n_max)
-    if i < 1:
-        raise ValueError("psi-hat needs i >= 1")
+    check_int("n_max", n_max, 1, table.n_max)
+    check_int("order i", i, 1)
     # the j = 1 term is 0, so folding from j = 2 gives the same sums, and
     # position m of the fold is n = m + 1
     j = np.arange(2, n_max + 1, dtype=float)
@@ -139,9 +133,8 @@ def weighted_psi_hat_series(table: LambdaTable, i: int, n_max: int) -> np.ndarra
 
 def weighted_psi_tilde_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:
     """psi-tilde_i(n) for all n <= n_max: (i-1)-fold prefix sum of C(j,2) Lambda(j)."""
-    _check_psi_args(table, i, n_max)
-    if i < 2:
-        raise ValueError("psi-tilde needs i >= 2")
+    check_int("n_max", n_max, 1, table.n_max)
+    check_int("order i", i, 2)
     j = np.arange(1, n_max + 1, dtype=float)
     g = j * (j - 1.0) / 2.0 * table.lam[1 : n_max + 1]
     # (i-1)-fold prefix of g gives sum_j C(n-j+i-2, i-2) g(j), exactly the
@@ -152,30 +145,23 @@ def weighted_psi_tilde_series(table: LambdaTable, i: int, n_max: int) -> np.ndar
 # -- differenced statistics -------------------------------------------------
 
 
-def _check_n(avg: IteratedAverage, n: int, lo: int, name: str) -> None:
-    if n < lo:
-        raise ValueError(f"{name} needs n >= {lo}")
-    if n > avg.n_max:
-        raise ValueError(f"n = {n} outside average range [{lo}, {avg.n_max}]")
-
-
 def hat_r(avg: IteratedAverage, n: int) -> float:
     """(i+1) * (rbar_i(n) - rbar_i(n-1)); needs n >= 2.  A view of hat_r_series."""
-    _check_n(avg, n, 2, "hat_r")
+    check_int("n", n, 2, avg.n_max)
     return float(hat_r_series(avg)[n])
 
 
 def hat_prime_r(avg: IteratedAverage, n: int) -> float:
     """(n-1) * (rbar_i(n) - rbar_i(n-1)); needs n >= 2.  A view of
     hat_prime_r_series."""
-    _check_n(avg, n, 2, "hat_prime_r")
+    check_int("n", n, 2, avg.n_max)
     return float(hat_prime_r_series(avg)[n])
 
 
 def tilde_r(avg: IteratedAverage, n: int) -> float:
     """Second difference statistic; needs n >= 3 and order >= 2.  A view of
     tilde_r_series."""
-    _check_n(avg, n, 3, "tilde_r")
+    check_int("n", n, 3, avg.n_max)
     return float(tilde_r_series(avg)[n])
 
 
@@ -196,8 +182,7 @@ def hat_prime_r_series(avg: IteratedAverage) -> np.ndarray:
 
 def tilde_r_series(avg: IteratedAverage) -> np.ndarray:
     """tilde_r for n = 3..n_max; out[0..2] = nan."""
-    if avg.order < 2:
-        raise ValueError("tilde_r needs average order >= 2")
+    check_int("average order", avg.order, 2)
     out = np.full(avg.n_max + 1, np.nan)
     n = np.arange(2, avg.n_max + 1, dtype=float)
     fr = n * (n - 1.0) * np.diff(avg.values[1:])
@@ -211,10 +196,8 @@ def range_summary(values: np.ndarray, lo: int, hi: int) -> RangeSummary:
     values is indexed like the series arrays (index = n).  NaN entries
     (undefined leading indices of differenced statistics) are rejected.
     """
-    if lo > hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    if lo < 0 or hi >= len(values):
-        raise ValueError(f"range [{lo}, {hi}] outside array of length {len(values)}")
+    check_int("lo", lo, 0, len(values) - 1)
+    check_int("hi", hi, lo, len(values) - 1)
     window = values[lo : hi + 1]
     if np.isnan(window).any():
         raise ValueError("range contains undefined (NaN) entries")

@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, n_max_default=DEFAULT_N_MAX):
         sp.add_argument("--n-max", type=int, default=n_max_default)
         sp.add_argument("--cache", type=str, default=None)
-        sp.add_argument("--output", type=str, default=None)
 
     sp = sub.add_parser("sieve", help="build the Lambda table")
     common(sp)
@@ -267,11 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("errors", help="emit error series CSV")
     common(sp)
+    sp.add_argument("--output", type=str, default=None)
     sp.add_argument("--order", type=int, action="append", default=None)
     sp.set_defaults(fn=cmd_errors)
 
     sp = sub.add_parser("tables", help="reproduce the four summary tables")
     common(sp)
+    sp.add_argument("--output", type=str, default=None)
     sp.add_argument("--allow-partial", action="store_true")
     sp.add_argument("--pretty", action="store_true")
     sp.set_defaults(fn=cmd_tables)

@@ -26,6 +26,7 @@ from math import comb
 
 import numpy as np
 
+from ._args import check_int
 from .accum import neumaier_sum
 
 _GL_NODES = 16
@@ -132,8 +133,7 @@ def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
     for name, v in (("a", a), ("b", b), ("T", T)):
         if not 0 < v < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {v}")
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= 6:
-        raise ValueError(f"k must be in [1, 6], got {k}")
+    check_int("k", k, 1, 6)
 
     if a == 1.0:
         if k != 1:
@@ -198,12 +198,11 @@ def dirichlet_perron_check(
     xbar = x + 1, evaluated term by term through the kernel quadrature.
     Returns (lhs, rhs, |lhs - rhs|); the gap shrinks like 1/T or faster.
     """
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
+    check_int("x", x, 1)
     if len(coeffs) > 1000:
         raise ValueError("finite check limited to 1000 coefficients")
-    if any(n < 1 for n in coeffs):
-        raise ValueError("coefficient indices must be >= 1")
+    for n in coeffs:
+        check_int("coefficient index", n, 1)
     xbar = x + 1
 
     # lhs: a(m) m^{-s0} counted once per n in [m, x], i.e. (xbar - m) times

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._args import check_int
 from .accum import neumaier_prefix_sum, neumaier_sum
 
 CACHE_MAGIC = b"PNTSIEVE1"
@@ -62,11 +63,10 @@ class ErrorSeries:
 def build_lambda_table(n_max: int) -> LambdaTable:
     """Sieve Lambda(n) for n <= n_max and accumulate the psi prefix.
 
-    Raises ValueError for n_max < 1.  Deterministic: equal n_max gives
-    bitwise-equal tables.
+    Raises ValueError unless n_max is an integer >= 1.  Deterministic:
+    equal n_max gives bitwise-equal tables.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    check_int("n_max", n_max, 1)
 
     root = math.isqrt(n_max)
     is_prime = np.ones(n_max + 1, dtype=bool)
@@ -93,14 +93,9 @@ def build_lambda_table(n_max: int) -> LambdaTable:
     return LambdaTable(n_max, lam, psi_prefix, is_prime)
 
 
-def _check_range(table: LambdaTable, x: int) -> None:
-    if not 1 <= x <= table.n_max:
-        raise ValueError(f"x = {x} outside table range [1, {table.n_max}]")
-
-
 def psi(table: LambdaTable, x: int) -> float:
     """Chebyshev psi(x) = sum_{n <= x} Lambda(n) = log lcm(1..x)."""
-    _check_range(table, x)
+    check_int("x", x, 1, table.n_max)
     return float(table.psi_prefix[x])
 
 
@@ -110,13 +105,13 @@ def theta(table: LambdaTable, x: int) -> float:
     Bitwise what a compensated prefix over Lambda(n) [n prime] would hold
     at x: the skipped terms are +0.0, which leave Neumaier's state as is.
     """
-    _check_range(table, x)
+    check_int("x", x, 1, table.n_max)
     return neumaier_sum(table.lam[1 : x + 1][table.is_prime[1 : x + 1]])
 
 
 def prime_pi(table: LambdaTable, x: int) -> int:
     """Number of primes <= x, in O(x)."""
-    _check_range(table, x)
+    check_int("x", x, 1, table.n_max)
     return int(np.count_nonzero(table.is_prime[: x + 1]))
 
 
@@ -124,8 +119,7 @@ def error_series(table: LambdaTable, n_max: int | None = None) -> ErrorSeries:
     """Error series r[n] = psi(n) - n for n <= n_max (default: whole table)."""
     if n_max is None:
         n_max = table.n_max
-    if not 1 <= n_max <= table.n_max:
-        raise ValueError(f"n_max = {n_max} outside table range [1, {table.n_max}]")
+    check_int("n_max", n_max, 1, table.n_max)
     r = np.zeros(n_max + 1)
     r[1:] = table.psi_prefix[1 : n_max + 1] - np.arange(1, n_max + 1, dtype=float)
     r.flags.writeable = False

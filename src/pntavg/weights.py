@@ -4,7 +4,7 @@ Three families of binomial-coefficient ratios express the averaged error
 and its differences as weighted sums of Lambda:
 
     A:  a(i, n, j) = C(n+i-j, i) / C(n+i-1, i)
-    B:  b(i, n, j) = (j-1) * C(n+i-1-j, i-1) / C(n+i-1, i+1)
+    B:  b(i, n, j) = (j-1) * C(n+i-1-j, i-1) / C(n+i-1, i+1)   (n >= 2)
     H:  h(i, n, j) = C(n+i-2-j, i-2) * C(j, 2) / C(n+i-1, i)   (i >= 2)
 
 Each weight is one exact Fraction of math.comb values, as written above.
@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._args import check_int
+
 
 class WeightFamily(enum.Enum):
     A = "a"
@@ -27,20 +29,19 @@ class WeightFamily(enum.Enum):
 
 
 def weight_a(i: int, n: int, j: int) -> Fraction:
-    if i < 0:
-        raise ValueError("family A needs i >= 0")
+    check_int("order i", i, 0)
     return Fraction(comb(n + i - j, i), comb(n + i - 1, i))
 
 
 def weight_b(i: int, n: int, j: int) -> Fraction:
-    if i < 1:
-        raise ValueError("family B needs i >= 1")
-    return Fraction((j - 1) * comb(n + i - 1 - j, i - 1), comb(n + i - 1, i + 1))
+    check_int("order i", i, 1)
+    check_int("n", n, 2)  # C(n+i-1, i+1) = 0 at n = 1
+    # int(j): a numpy j would wrap the product at 2**63
+    return Fraction((int(j) - 1) * comb(n + i - 1 - j, i - 1), comb(n + i - 1, i + 1))
 
 
 def weight_h(i: int, n: int, j: int) -> Fraction:
-    if i < 2:
-        raise ValueError("family H needs i >= 2")
+    check_int("order i", i, 2)
     return Fraction(comb(n + i - 2 - j, i - 2) * comb(j, 2), comb(n + i - 1, i))
 
 
@@ -59,18 +60,15 @@ class WeightScheme:
     order: int
 
     def __post_init__(self):
-        if self.family is WeightFamily.H and self.order < 2:
-            raise ValueError("family H requires order >= 2")
-        if self.family is WeightFamily.B and self.order < 1:
-            raise ValueError("family B requires order >= 1")
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
+        # the family's evaluator checks the order; row 2, column 1 is in
+        # every family's domain
+        _EVALUATORS[self.family](self.order, 2, 1)
 
 
 def weight(scheme: WeightScheme, n: int, j: int) -> Fraction:
     """Exact weight value for row n, column j (1 <= j <= n)."""
-    if not 1 <= j <= n:
-        raise ValueError(f"need 1 <= j <= n, got j = {j}, n = {n}")
+    check_int("n", n, 1)
+    check_int("j", j, 1, n)
     return _EVALUATORS[scheme.family](scheme.order, n, j)
 
 

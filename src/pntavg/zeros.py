@@ -19,6 +19,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from ._args import check_int
 from .accum import neumaier_sum
 from .averaging import IteratedAverage
 
@@ -108,8 +109,7 @@ def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
     if not 0 <= T < math.inf:
         raise ValueError(f"T must be finite and >= 0, got {T}")
     # the orders of iterated_average that the sums pair with
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= 8:
-        raise ValueError(f"k must be in [1, 8], got {k}")
+    check_int("k", k, 1, 8)
     gs = _select(zeros, T)
     amp = math.sqrt(x)
     lx = math.log(x)
@@ -134,8 +134,7 @@ def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
 
 def lambda_factor(zeros: ZeroSet, x: float, T: float, i: int) -> float:
     """Normalized factor lambda_i = zero_sum(x, T, i).value / sqrt(x)."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"i must be 1, 2 or 3, got {i}")
+    check_int("i", i, 1, 3)
     return zero_sum(zeros, x, T, i).value / math.sqrt(x)
 
 
@@ -162,13 +161,11 @@ def explicit_formula_residual(
     """
     if avg.order != 1:
         raise ValueError("explicit_formula_residual needs a k = 1 average")
-    if not (isinstance(x, (int, np.integer)) or float(x).is_integer()):
-        raise ValueError(f"x must be an integer, got {x}")
-    x = int(x)
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    if x > avg.n_max:
-        raise ValueError(f"x = {x} outside average range [2, {avg.n_max}]")
+    if not isinstance(x, (int, np.integer)):
+        if not float(x).is_integer():
+            raise ValueError(f"x must be an integer, got {x}")
+        x = int(x)
+    check_int("x", x, 2, avg.n_max)
     return float(avg.values[x]) + zero_sum(zeros, float(x), T, 1).value
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -92,6 +93,16 @@ def test_average_invalid_args(series_small):
             iterated_average(series_small, k)
     with pytest.raises(ValueError):
         iterated_average(series_small, 1, series_small.n_max + 1)
+    top = series_small.n_max
+    for k in (2.0, True, 9):
+        with pytest.raises(ValueError, match=r"^order k must be in \[1, 8\], got "):
+            iterated_average(series_small, k)
+    for n_max in (50.0, True, top + 1):
+        with pytest.raises(ValueError, match=rf"^n_max must be in \[1, {top}\], got "):
+            iterated_average(series_small, 2, n_max)
+    # a numpy integer gives the int's result, bit for bit
+    want = iterated_average(series_small, 3, 500).values.tobytes()
+    assert iterated_average(series_small, np.int64(3), np.int64(500)).values.tobytes() == want
 
 
 # -- weighted Lambda sums ---------------------------------------------------
@@ -149,11 +160,19 @@ def test_weighted_psi_tilde_series_matches_pointwise(table_small):
     "series_fn", [weighted_psi_series, weighted_psi_hat_series, weighted_psi_tilde_series]
 )
 def test_weighted_series_range_checked(table_small, series_fn):
-    with pytest.raises(ValueError, match="outside table range"):
+    top = table_small.n_max
+    least = {weighted_psi_series: 0, weighted_psi_hat_series: 1}.get(series_fn, 2)
+    with pytest.raises(ValueError, match=rf"^n_max must be in \[1, {top}\], got {top + 1}$"):
         series_fn(table_small, 2, table_small.n_max + 1)
-    for i in (2.0, 2.5):
-        with pytest.raises(ValueError, match="order i must be >= 0"):
+    for i in (2.0, 2.5, True, least - 1):
+        with pytest.raises(ValueError, match=f"^order i must be >= {least}, got "):
             series_fn(table_small, i, 100)
+    for n_max in (50.0, True, 0):
+        with pytest.raises(ValueError, match=rf"^n_max must be in \[1, {top}\], got "):
+            series_fn(table_small, 2, n_max)
+    # a numpy integer gives the int's result, bit for bit
+    want = series_fn(table_small, 2, 100).tobytes()
+    assert series_fn(table_small, np.int64(2), np.int64(100)).tobytes() == want
 
 
 # -- differenced statistics -------------------------------------------------
@@ -233,7 +252,8 @@ def test_scalar_differences_equal_the_difference_formulas(series_small):
         for fn in (hat_r, hat_prime_r, tilde_r):
             if fn is tilde_r and i < 2:
                 continue
-            with pytest.raises(ValueError, match="outside average range"):
+            top = avg.n_max
+            with pytest.raises(ValueError, match=rf"^n must be in \[\d, {top}\], got {top + 1}$"):
                 fn(avg, avg.n_max + 1)
 
 
@@ -248,6 +268,15 @@ def test_differences_invalid_args(series_small):
         tilde_r(avg1, 5)  # order < 2
     with pytest.raises(ValueError):
         tilde_r(avg2, 2)  # n < 3
+    top = avg2.n_max
+    for fn, least in ((hat_r, 2), (hat_prime_r, 2), (tilde_r, 3)):
+        for n in (5.0, True, top + 1):
+            with pytest.raises(ValueError, match=rf"^n must be in \[{least}, {top}\], got "):
+                fn(avg2, n)
+        assert fn(avg2, np.int64(100)) == fn(avg2, 100)
+    for order in (1, 2.0, True):
+        with pytest.raises(ValueError, match="^average order must be >= 2, got "):
+            tilde_r_series(dataclasses.replace(avg2, order=order))
 
 
 # -- range summaries --------------------------------------------------------
@@ -275,6 +304,13 @@ def test_range_summary_errors():
         range_summary(vals, 0, 7)
     with pytest.raises(ValueError):
         range_summary(np.array([1.0, np.nan, 2.0]), 0, 2)
+    for lo in (1.0, True, 5):
+        with pytest.raises(ValueError, match=r"^lo must be in \[0, 4\], got "):
+            range_summary(vals, lo, 4)
+    for hi in (3.0, True, 5):
+        with pytest.raises(ValueError, match=r"^hi must be in \[1, 4\], got "):
+            range_summary(vals, 1, hi)
+    assert range_summary(vals, np.int64(1), np.int64(3)) == range_summary(vals, 1, 3)
 
 
 def test_rbar3_max_attained_at_1(series_small):

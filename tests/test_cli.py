@@ -440,6 +440,15 @@ def test_usage_error_exit_code():
     assert exc.value.code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["sieve", "check"])
+def test_output_refused_where_nothing_is_written(tmp_path, command):
+    # sieve and check print only to stdout, so --output is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--n-max", "100", "--output", str(tmp_path / "o.txt")])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -131,6 +131,11 @@ def test_kernel_validation():
     for k in (2.0, 1.5, np.float64(1.0)):  # non-integral orders, even integral floats
         with pytest.raises(ValueError, match=r"\[1, 6\]"):
             perron_integral(2.0, 1.0, 100.0, k=k)
+    for k in (2.0, True, 7):
+        with pytest.raises(ValueError, match=r"^k must be in \[1, 6\], got "):
+            perron_integral(2.0, 1.0, 100.0, k=k)
+    # a numpy integer gives the int's result, bit for bit
+    assert perron_integral(2.0, 1.0, 100.0, np.int64(3)) == perron_integral(2.0, 1.0, 100.0, 3)
     with pytest.raises(ValueError):
         perron_integral(1.0, 1.0, 100.0, k=2)
     for a, b, T in [(math.inf, 1, 100), (2, math.inf, 100), (2, 1, math.inf), (2, 1, math.nan)]:
@@ -184,3 +189,11 @@ def test_dirichlet_validation():
         dirichlet_perron_check({1: 1.0}, 0.0, 1.0, 100.0, 0)
     with pytest.raises(ValueError):
         dirichlet_perron_check({0: 1.0}, 0.0, 1.0, 100.0, 5)
+    for x in (5.0, True, 0):
+        with pytest.raises(ValueError, match="^x must be >= 1, got "):
+            dirichlet_perron_check({1: 1.0}, 0.0, 1.0, 100.0, x)
+    for n in (2.0, True, 0):
+        with pytest.raises(ValueError, match="^coefficient index must be >= 1, got "):
+            dirichlet_perron_check({n: 1.0}, 0.0, 1.0, 100.0, 5)
+    want = dirichlet_perron_check({1: 1.0, 2: 0.5}, 0.0, 1.0, 100.0, 5)
+    assert dirichlet_perron_check({np.int64(1): 1.0, 2: 0.5}, 0.0, 1.0, 100.0, np.int64(5)) == want

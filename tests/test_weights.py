@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +58,33 @@ def test_weight_scheme_validation():
         weight(WeightScheme(WeightFamily.A, 2), 5, 6)
     with pytest.raises(ValueError):
         weight(WeightScheme(WeightFamily.A, 2), 5, 0)
+    for family, least in ((WeightFamily.A, 0), (WeightFamily.B, 1), (WeightFamily.H, 2)):
+        for order in (2.0, True, least - 1):
+            with pytest.raises(ValueError, match=f"^order i must be >= {least}, got "):
+                WeightScheme(family, order)
+    for fn, least in ((weight_a, 0), (weight_b, 1), (weight_h, 2)):
+        for i in (3.0, True, least - 1):
+            with pytest.raises(ValueError, match=f"^order i must be >= {least}, got "):
+                fn(i, 5, 2)
+    a2 = WeightScheme(WeightFamily.A, 2)
+    for j in (1.5, True, 4):
+        with pytest.raises(ValueError, match=r"^j must be in \[1, 3\], got "):
+            weight(a2, 3, j)
+    for n in (3.0, True, 0):
+        with pytest.raises(ValueError, match="^n must be >= 1, got "):
+            weight(a2, n, 1)
+    # family B divides by C(n+i-1, i+1), which is 0 at n = 1
+    for i in (1, 2, 5):
+        b = WeightScheme(WeightFamily.B, i)
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1"):
+            weight(b, 1, 1)
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1"):
+            row_sum(b, 1)
+    # a numpy integer gives the int's exact weight, even past 2**63
+    b4 = WeightScheme(WeightFamily.B, 4)
+    assert weight(b4, np.int64(2_000_000), np.int64(30_000)) == weight(b4, 2_000_000, 30_000)
+    h3 = WeightScheme(WeightFamily.H, np.int64(3))
+    assert weight(h3, np.int64(50), np.int64(7)) == weight(WeightScheme(WeightFamily.H, 3), 50, 7)
 
 
 @given(

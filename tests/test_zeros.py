@@ -136,6 +136,11 @@ def test_zero_sum_validation(zeros_2000):
     for k in (0, 9, 400, 2.0, 1.5):  # outside the orders of iterated_average
         with pytest.raises(ValueError, match=r"\[1, 8\]"):
             zero_sum(zeros_2000, 100.0, 100.0, k=k)
+    for k in (2.0, True, 9):
+        with pytest.raises(ValueError, match=r"^k must be in \[1, 8\], got "):
+            zero_sum(zeros_2000, 100.0, 100.0, k=k)
+    # a numpy integer gives the int's result, bit for bit
+    assert zero_sum(zeros_2000, 100.0, 100.0, np.int64(3)) == zero_sum(zeros_2000, 100.0, 100.0, 3)
     for x, T in [
         (math.nan, 100.0),
         (math.inf, 100.0),
@@ -165,8 +170,12 @@ def test_lambda_factor(zeros_2000):
     assert abs(lambda_factor(zeros_2000, x, T, 3)) <= b3
     with pytest.raises(ValueError):
         lambda_factor(zeros_2000, x, T, 4)
-    with pytest.raises(ValueError, match=r"\[1, 8\]"):
+    with pytest.raises(ValueError, match=r"\[1, 3\]"):
         lambda_factor(zeros_2000, x, T, 2.0)
+    for i in (2.0, True, 4):
+        with pytest.raises(ValueError, match=r"^i must be in \[1, 3\], got "):
+            lambda_factor(zeros_2000, x, T, i)
+    assert lambda_factor(zeros_2000, x, T, np.int64(2)) == lambda_factor(zeros_2000, x, T, 2)
     assert lambda_factor(zeros.ZeroSet(np.array([])), x, T, 1) == 0.0
 
 
@@ -192,6 +201,11 @@ def test_residual_validation(zeros_2000, series_small):
     want = explicit_formula_residual(avg1, zeros_2000, 100, 50.0)
     for x in (100.0, np.int64(100), np.float64(100.0)):
         assert explicit_formula_residual(avg1, zeros_2000, x, 50.0) == want
+    # an integral float is the one non-integer x taken; a bool is not
+    top = avg1.n_max
+    for x in (True, 1, top + 1, float(top + 1)):
+        with pytest.raises(ValueError, match=rf"^x must be in \[2, {top}\], got "):
+            explicit_formula_residual(avg1, zeros_2000, x, 50.0)
 
 
 def test_residual_spread_shrinks_with_more_zeros(table_full, zeros_2000):
