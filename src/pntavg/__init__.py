@@ -6,7 +6,7 @@ Submodules:
     averaging  iterated averages, weighted Lambda sums, differenced statistics
     weights    exact rational binomial weight families
     zeros      Riemann-zero ingestion and truncated explicit-formula sums
-    perron     kernel-integral quadrature and closed-form verification
+    perron     Perron kernel integral in closed form against its main term and bound
     cli        command-line interface
 """
 

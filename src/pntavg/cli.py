@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError, perron.QuadratureError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except OSError as exc:

@@ -28,20 +28,27 @@ class WeightFamily(enum.Enum):
     H = "h"
 
 
+def _check_row(n: int, j: int, least_n: int = 1) -> None:
+    check_int("n", n, least_n)
+    check_int("j", j, 1, n)
+
+
 def weight_a(i: int, n: int, j: int) -> Fraction:
     check_int("order i", i, 0)
+    _check_row(n, j)
     return Fraction(comb(n + i - j, i), comb(n + i - 1, i))
 
 
 def weight_b(i: int, n: int, j: int) -> Fraction:
     check_int("order i", i, 1)
-    check_int("n", n, 2)  # C(n+i-1, i+1) = 0 at n = 1
+    _check_row(n, j, 2)  # C(n+i-1, i+1) = 0 at n = 1
     # int(j): a numpy j would wrap the product at 2**63
     return Fraction((int(j) - 1) * comb(n + i - 1 - j, i - 1), comb(n + i - 1, i + 1))
 
 
 def weight_h(i: int, n: int, j: int) -> Fraction:
     check_int("order i", i, 2)
+    _check_row(n, j)
     return Fraction(comb(n + i - 2 - j, i - 2) * comb(j, 2), comb(n + i - 1, i))
 
 
@@ -67,8 +74,6 @@ class WeightScheme:
 
 def weight(scheme: WeightScheme, n: int, j: int) -> Fraction:
     """Exact weight value for row n, column j (1 <= j <= n)."""
-    check_int("n", n, 1)
-    check_int("j", j, 1, n)
     return _EVALUATORS[scheme.family](scheme.order, n, j)
 
 

@@ -6,8 +6,9 @@ smallest-prime-factor sieve, iterated averages from literal nested sums
 over the raw error values, the explicit-formula constants from mpmath's
 zeta, 6-decimal formatting from numpy's Dragon4, binomial columns from a
 list of exact integers, the Perron kernel integral from mpmath quadrature
-over the whole segment, its a = 1 gap from mpmath's atan, and the
-truncated zero sum from a scalar cmath loop.
+over the whole segment and from float Gauss-Legendre panels, its gap from
+mpmath's Tricomi U (a != 1) and atan (a = 1), and the truncated zero sum
+from a scalar cmath loop.
 """
 
 import cmath
@@ -224,10 +225,123 @@ def perron_full_segment(a: float, b: float, T: float, k: int) -> complex:
         return complex(value)
 
 
+def perron_excess_hyperu(a: float, b: float, T: float, k: int, prec: int) -> float:
+    """I - main of the Perron kernel integral for a != 1 from the partial
+    fractions, with E1(z) = exp(-z) U(1, 1, z) taken from mpmath's Tricomi
+    function, not its exponential integral, at prec bits:
+
+        -(1/pi) sum_j (-1)^j C(k, j) a^(-j) Im E1(-log(a) (b + j + iT))."""
+    with mpmath.workprec(prec):
+        a, b, T = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(T)
+        total = 0
+        for j in range(k + 1):
+            z = -mpmath.log(a) * mpmath.mpc(b + j, T)
+            e1 = mpmath.exp(-z) * mpmath.hyperu(1, 1, z)
+            total += (-1) ** j * math.comb(k, j) * a**-j * e1.imag
+        return float(-total / mpmath.pi)
+
+
 def perron_a1_gap(b: float, T: float) -> float:
     """The a = 1, k = 1 gap 1/(pi T) - (1/pi) int_0^T Re[1/(s(s+1))] dt in
-    closed form, (1/T - atan((b+1)/T) + atan(b/T)) / pi, at 60 digits, so
-    the cancellation between its terms costs nothing for T <= 1e12."""
-    with mpmath.workdps(60):
+    closed form, (1/T - atan((b+1)/T) + atan(b/T)) / pi, with the two atans
+    joined by the subtraction formula into atan(T / (T^2 + b (b+1))).  The
+    two remaining terms cancel by about T^2, so they are taken at 200 bits
+    plus twice the bits of T."""
+    with mpmath.workprec(200 + 2 * max(0, math.frexp(T)[1])):
         b, T = mpmath.mpf(b), mpmath.mpf(T)
-        return float((1 / T - mpmath.atan((b + 1) / T) + mpmath.atan(b / T)) / mpmath.pi)
+        return float((1 / T - mpmath.atan(T / (T * T + b * (b + 1)))) / mpmath.pi)
+
+
+# -- Perron kernel by float Gauss-Legendre panels ----------------------------
+
+_GL_NODES = 16
+_gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
+_MAX_DOUBLINGS = 10
+# an evaluation holds about 1.2 KB per panel, so the cap bounds it near 1.3 GB
+_MAX_PANELS = 1 << 20
+
+
+class QuadratureError(RuntimeError):
+    """Refinement did not converge, or needed more than _MAX_PANELS panels."""
+
+
+def _gl_integral(fn, hi: float, n_panels: int) -> float:
+    """(1/pi) int_0^hi fn(t) dt by Gauss-Legendre on n_panels equal panels."""
+    if n_panels > _MAX_PANELS:
+        raise QuadratureError(f"{n_panels} panels needed, limit is {_MAX_PANELS}")
+    edges = np.linspace(0.0, hi, n_panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t = (mid[:, None] + half[:, None] * _gl_x[None, :]).ravel()
+    panels = (fn(t).reshape(-1, _GL_NODES) @ _gl_w) * half
+    return math.fsum(panels) / math.pi
+
+
+def _kernel_upper_half(a: float, b: float, T: float, k: int, n_panels: int) -> float:
+    """(1/pi) int_0^T Re[k! a^s / prod(s+j)] dt at s = b + it; the conjugate
+    half contributes the same."""
+    scale = float(math.factorial(k)) * a**b
+
+    def integrand(t):
+        s = b + 1j * t
+        den = s.copy()
+        for j in range(1, k + 1):
+            den = den * (s + j)
+        return (scale * np.exp(1j * t * math.log(a)) / den).real
+
+    return _gl_integral(integrand, T, n_panels)
+
+
+def _a1_gap(b: float, T: float, n_panels: int) -> float:
+    """1/(pi T) minus the k = 1 kernel at a = 1, as (1/pi) int_T^inf h(t) dt:
+    the whole line integrates to 0.  h = Re[1/(s(s+1))] + 1/t^2 is summed as
+    [(3b^2+3b+1) t^2 + b^2 (b+1)^2] / (t^2 p q), p = b^2 + t^2, q = (b+1)^2 + t^2,
+    which has no cancellation; no factor overflows.  Integrated in u = T/t."""
+
+    def integrand(u):
+        t = T / u
+        t2 = t * t
+        p, q = b * b + t2, (b + 1.0) ** 2 + t2
+        h = (3.0 * b * b + 3.0 * b + 1.0) / p / q + (b * b / p) * ((b + 1.0) ** 2 / q) / t2
+        return h * (t / u)
+
+    return _gl_integral(integrand, 1.0, n_panels)
+
+
+def perron_quadrature(a: float, b: float, T: float, k: int) -> tuple[float, float]:
+    """(I - main, error estimate) of the Perron kernel integral by panel
+    doubling until two evaluations agree well below the error bound.
+
+    Panels start at 4 per oscillation period 2 pi/|log a|, at least 64.  At
+    a = 1 and T >= b + 1 the kernel over [0, T] nears the main term and the
+    difference cancels, so the tail beyond T is integrated instead.  Raises
+    QuadratureError past _MAX_DOUBLINGS doublings or _MAX_PANELS panels.
+    """
+    if a == 1.0:
+        main = 1.0 / (math.pi * T)
+        bound = (3.0 * b * b + 3.0 * b + 1.0) / (3.0 * math.pi * T**3)
+    else:
+        residues = ((-1) ** j * math.comb(k, j) * a**-j for j in range(k + 1))
+        main = math.fsum(residues) if a > 1 else 0.0
+        bound = a**b * min(1.0 / T, 1.0 / (T * T * abs(math.log(a))))
+    target = min(1e-10, max(bound * 1e-3, 1e-14))
+    tail = a == 1.0 and T >= b + 1.0
+    n = 4 if tail else max(64, int(4.0 * T * abs(math.log(a)) / (2.0 * math.pi)) + 1)
+
+    def evaluate(n_panels):
+        if tail:
+            return _a1_gap(b, T, n_panels)
+        return _kernel_upper_half(a, b, T, k, n_panels)
+
+    value = evaluate(n)
+    for _ in range(_MAX_DOUBLINGS):
+        n *= 2
+        prev, value = value, evaluate(n)
+        qerr = abs(value - prev)
+        if qerr < target:
+            break
+    else:
+        raise QuadratureError(
+            f"no convergence after {_MAX_DOUBLINGS} doublings ({n} panels, last delta {qerr:.3e})"
+        )
+    return (-value if tail else value - main), qerr

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pntavg import averaging, cli, sieve
+from pntavg import averaging, cli, perron, sieve
 
 from oracles import fmt6_dragon4
 
@@ -154,7 +154,6 @@ PERRON_BAD_BOUND = [
         "--a 2 --T inf",
         "--a inf --T 100",
         "--a 2 --b inf --T 100",
-        "--a 1e-300 --T 1e6",  # would need 4.4e8 panels
         *PERRON_BAD_BOUND,
     ],
 )
@@ -168,6 +167,21 @@ def test_perron_bad_input_is_one_line_error(argv, capsys):
     assert "Traceback" not in err
     if argv in PERRON_BAD_BOUND:
         assert "bound" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--a 1e-300 --T 1e6",  # panel quadrature needed 4.4e8 panels
+        "--a 1 --b 1e-10 --T 0.5",  # panel quadrature did not converge
+        "--a 0.5 --T 1000 --k 3",
+    ],
+)
+def test_perron_within_bound_exits_0(argv, capsys):
+    code, out, err = run(["perron", *argv.split()], capsys)
+    assert (code, err) == (0, "")
+    fields = out.strip().splitlines()[1].split(",")
+    assert 0 <= float(fields[8]) <= 1  # gap / bound
 
 
 def test_zerosum_row(tmp_path, capsys):
@@ -319,6 +333,38 @@ def test_check_catches_perturbed_average(monkeypatch, capsys):
         "FAIL averaging-identities: weight-form rbar1(100) mismatch; "
         "weight-form rbar2(100) mismatch; weight-form rbar3(100) mismatch"
     )
+
+
+def test_check_visits_the_perron_points(monkeypatch, capsys):
+    seen = []
+    real = perron.perron_integral
+
+    def recording(a, b, T, k=1):
+        seen.append((a, b, T, k))
+        return real(a, b, T, k)
+
+    monkeypatch.setattr(perron, "perron_integral", recording)
+    assert run(["check", "--n-max", "100"], capsys)[0] == 0
+    assert seen == [(a, 1.0, T, 1) for a in (2.0, 0.5, 1.0) for T in (100.0, 1000.0)]
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_check_perron_tolerance(above, monkeypatch, capsys):
+    """The envelope is gap <= 4 bound + error estimate, inclusive: a gap
+    exactly there passes, and the next float above it fails."""
+    bound, qerr = 2.0, 0.5
+    gap = 4.0 * bound + qerr
+    if above:
+        gap = math.nextafter(gap, math.inf)
+
+    def at_tolerance(a, b, T, k=1):
+        return perron.PerronResult(a, b, T, k, -gap, 0.0, bound, gap, qerr)
+
+    monkeypatch.setattr(perron, "perron_integral", at_tolerance)
+    code, out, _ = run(["check", "--n-max", "100"], capsys)
+    assert code == (cli.EXIT_FAILURE if above else cli.EXIT_OK)
+    line = next(x for x in out.splitlines() if "perron-envelope" in x)
+    assert line.startswith("FAIL perron-envelope: " if above else "PASS perron-envelope")
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 100])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,8 @@ from pntavg.perron import (
     residue_main_term,
 )
 
-from oracles import perron_a1_gap, perron_full_segment
+import oracles
+from oracles import perron_a1_gap, perron_excess_hyperu, perron_full_segment
 
 
 def test_error_bound_values():
@@ -82,9 +84,10 @@ def test_a1_gap_matches_atan_oracle(b):
 
 
 def test_gap_is_distance_to_main_off_a_equal_one():
+    # the gap is computed directly; numeric is main + gap rounded to float
     for a, k in [(2.0, 1), (0.5, 2), (3.7, 3)]:
         res = perron_integral(a, 1.0, 500.0, k)
-        assert res.gap == abs(res.numeric - res.main_term)
+        assert abs(res.gap - abs(res.numeric - res.main_term)) <= math.ulp(res.main_term)
 
 
 def test_a1_bound_has_no_cancellation():
@@ -154,10 +157,82 @@ def test_kernel_validation():
             perron_integral(a, b, T)
 
 
-def test_panel_count_is_capped():
-    # 4.4e8 panels would be needed; refused before any node is allocated
-    with pytest.raises(perron.QuadratureError, match="^439761360 panels"):
-        perron_integral(1e-300, 1.0, 1e6)
+def test_former_quadrature_failures_are_within_bound():
+    # panel quadrature needed 4.4e8 panels at the first point, and did not
+    # converge at the second, where the pole at 0 sits 1e-10 from the line
+    for a, b, T in [(1e-300, 1.0, 1e6), (1.0, 1e-10, 0.5)]:
+        res = perron_integral(a, b, T)
+        assert res.gap <= res.bound + res.quadrature_error_estimate
+
+
+@pytest.mark.parametrize(
+    "a, b, T, k",
+    [
+        (0.5, 1.0, 1e8, 3),
+        (2.0, 1.0, 1e30, 2),
+        (3.7, 1.0, 500.0, 3),
+        (1.0 + 2**-40, 1.0, 1e12, 3),
+        (1.0, 1.0, 1e30, 1),
+        (1.0, 1e6, 1e3, 1),
+    ],
+)
+def test_gap_is_accurate_to_its_own_size(a, b, T, k):
+    # the terms cancel by about T^k, and the working precision covers it:
+    # the gap is good to 12 digits even where it is far below its bound
+    res = perron_integral(a, b, T, k)
+    if a == 1.0:
+        want = perron_a1_gap(b, T)
+    else:
+        want = abs(perron_excess_hyperu(a, b, T, k, 128 + k * math.frexp(T)[1]))
+    assert res.gap == pytest.approx(want, rel=1e-12, abs=0)
+    assert 0 < res.quadrature_error_estimate <= 1e-18 * res.gap
+
+
+def _kernel_grid(side):
+    # |log a| from 1e-12 to 1.5 on the given side of 1, T from 1e-3 to 1e8,
+    # b from 1e-10 to 1e3, wherever a^b, and so the bound, is a normal float
+    grid = itertools.product((1e-12, 1e-4, 0.1, 1.5), (1e-3, 1.0, 1e3, 1e8), (1e-10, 1.0, 1e3))
+    for u, T, b in grid:
+        if u * b < 700:
+            yield math.exp(side * u), b, T
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gap_matches_quadrature_oracle(k, side, monkeypatch):
+    # the float panel quadrature is capped at 2^11 panels to keep this fast;
+    # where it does not converge by then it is not compared
+    monkeypatch.setattr(oracles, "_MAX_PANELS", 1 << 11)
+    compared = 0
+    for a, b, T in _kernel_grid(side):
+        res = perron_integral(a, b, T, k)
+        excess = float(perron._excess(a, b, T, k, 0))
+        assert res.gap == abs(excess)
+        try:
+            want, _ = oracles.perron_quadrature(a, b, T, k)
+        except oracles.QuadratureError:
+            continue
+        assert abs(excess - want) <= 1e-6 * res.bound, (a, b, T)
+        compared += 1
+    assert compared >= 15
+
+
+@pytest.mark.parametrize(
+    "a, b, T, k",
+    [
+        (0.5, 1e-10, 1e100, 1),  # b + j rounded to float gives a gap of 1.7e-118
+        (2.0, 1e-300, 1e30, 3),
+        (1e-300, 1.0, 1e6, 1),
+        (1.0 + 2**-40, 1e6, 1e-50, 2),
+        (1.0 - 2**-40, 1e10, 1e15, 3),
+    ],
+)
+def test_gap_matches_tricomi_oracle(a, b, T, k):
+    # outside any quadrature's reach; E1 from mpmath's Tricomi U instead
+    res = perron_integral(a, b, T, k)
+    want = perron_excess_hyperu(a, b, T, k, 128 + k * max(0, math.frexp(T)[1]))
+    assert res.gap <= res.bound
+    assert abs(res.gap - abs(want)) <= 1e-6 * res.bound
 
 
 # -- finite Dirichlet polynomial check --------------------------------------

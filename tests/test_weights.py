@@ -66,6 +66,17 @@ def test_weight_scheme_validation():
         for i in (3.0, True, least - 1):
             with pytest.raises(ValueError, match=f"^order i must be >= {least}, got "):
                 fn(i, 5, 2)
+    # each family checks the row and column itself, called directly too
+    for j in (6, 0):
+        with pytest.raises(ValueError, match=rf"^j must be in \[1, 5\], got {j}$"):
+            weight_a(2, 5, j)
+    with pytest.raises(ValueError, match=r"^j must be in \[1, 3\], got 5$"):
+        weight_h(2, 3, 5)
+    for fn, i in ((weight_a, 0), (weight_b, 1), (weight_h, 2)):
+        with pytest.raises(ValueError, match=r"^j must be in \[1, 4\], got 5$"):
+            fn(i, 4, 5)
+        with pytest.raises(ValueError, match="^n must be >= "):
+            fn(i, 0, 1)
     a2 = WeightScheme(WeightFamily.A, 2)
     for j in (1.5, True, 4):
         with pytest.raises(ValueError, match=r"^j must be in \[1, 3\], got "):

@@ -206,6 +206,9 @@ def test_residual_validation(zeros_2000, series_small):
     for x in (True, 1, top + 1, float(top + 1)):
         with pytest.raises(ValueError, match=rf"^x must be in \[2, {top}\], got "):
             explicit_formula_residual(avg1, zeros_2000, x, 50.0)
+    # a string is refused, even one that parses as an integer
+    with pytest.raises(ValueError, match=rf"^x must be in \[2, {top}\], got 100$"):
+        explicit_formula_residual(avg1, zeros_2000, "100", 50.0)
 
 
 def test_residual_spread_shrinks_with_more_zeros(table_full, zeros_2000):
