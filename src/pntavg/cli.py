@@ -20,12 +20,14 @@ import contextlib
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
-from . import averaging, perron, sieve, zeros
+from . import _args, averaging, perron, sieve, zeros
 
 DEFAULT_N_MAX = 100_000
+_ROWS = 1 << 14
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -60,21 +62,28 @@ def cmd_sieve(args) -> int:
     return EXIT_OK
 
 
+def _write_rows(out, values) -> None:
+    """Write "n,value" rows from n = 1, one %-format and one write per _ROWS
+    rows; "%.6f" rounds as f"{v:.6f}" does, by PyOS_double_to_string."""
+    for lo in range(0, len(values), _ROWS):
+        xs = values[lo : lo + _ROWS].tolist()
+        rows = chain.from_iterable(zip(range(lo + 1, lo + 1 + len(xs)), xs))
+        out.write(("%d,%.6f\n" * len(xs)) % tuple(rows))
+
+
 def cmd_errors(args) -> int:
+    orders = args.order or [1]
+    for order in orders:
+        _args.check_int("order", order, 0, 8)
     table = sieve.load_or_build_table(args.cache, args.n_max)
     series = sieve.error_series(table, args.n_max)
-    orders = args.order or [1]
     with _out_stream(args) as out:
         for order in orders:
             if len(orders) > 1:
                 out.write(f"# order={order}\n")
-            if order == 0:
-                values = series.r
-            else:
-                values = averaging.iterated_average(series, order).values
+            values = averaging.iterated_average(series, order).values if order else series.r
             out.write("n,value\n")
-            rows = enumerate(values[1:].tolist(), 1)
-            out.writelines(f"{n},{v:.6f}\n" for n, v in rows)
+            _write_rows(out, values[1:])
     return EXIT_OK
 
 

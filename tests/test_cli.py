@@ -1,13 +1,16 @@
 import hashlib
+import io
 import json
 import math
 import os
 import pathlib
+import sys
 import time
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pntavg import averaging, cli, perron, sieve
@@ -95,13 +98,54 @@ def test_errors_default_order_is_one(capsys):
 @example(-math.inf)
 @example(0.0078125)  # 1/2^7: an exact tie at the 6th decimal
 def test_fmt6_matches_dragon4(v):
-    assert f"{v:.6f}" == fmt6_dragon4(v)
+    assert f"{v:.6f}" == "%.6f" % v == fmt6_dragon4(v)
 
 
 @given(st.integers(-(2**40), 2**40), st.integers(0, 60))
 def test_fmt6_matches_dragon4_on_dyadic_ties(j, k):
     v = (2 * j + 1) / 2**k
-    assert f"{v:.6f}" == fmt6_dragon4(v)
+    assert f"{v:.6f}" == "%.6f" % v == fmt6_dragon4(v)
+
+
+ROW_COUNTS = [cli._ROWS - 1, cli._ROWS, cli._ROWS + 1, 2 * cli._ROWS + 1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40), st.sampled_from(ROW_COUNTS))
+@example([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.0078125, 1e300], cli._ROWS + 1)
+def test_block_rows_match_per_row_fstring(xs, count):
+    values = np.resize(np.array(xs), count)
+    out = io.StringIO()
+    cli._write_rows(out, values)
+    rows = enumerate(values.tolist(), 1)
+    assert out.getvalue() == "".join(f"{n},{v:.6f}\n" for n, v in rows)
+
+
+class CountingStringIO(io.StringIO):
+    writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+def test_errors_writes_once_per_block(monkeypatch):
+    stdout = CountingStringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    n = 40_000
+    assert cli.main(["errors", "--n-max", str(n), "--order", "0", "--order", "3"]) == 0
+    assert stdout.getvalue().count("\n") == 2 * (2 + n)
+    assert stdout.writes <= 2 * (2 + math.ceil(n / cli._ROWS))
+
+
+@pytest.mark.parametrize("orders", [["1", "9"], ["-1"], ["0", "3", "9"]])
+def test_bad_order_writes_nothing(orders, capsys):
+    argv = ["errors", "--n-max", "5"] + [a for o in orders for a in ("--order", o)]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_FAILURE
+    assert out == ""
+    assert err.startswith("error: order must be in [0, 8], got ")
+    assert err.count("\n") == 1
 
 
 def test_errors_order_zero_is_raw_r(capsys):
@@ -247,7 +291,7 @@ def test_failed_output_leaves_no_partial_file(tmp_path, capsys, before):
     argv = ["errors", "--n-max", "5", "--order", "1", "--order", "9"]
     code, out, err = run(argv + ["--output", str(dest)], capsys)
     assert code == cli.EXIT_FAILURE
-    assert "order k must be in [1, 8]" in err
+    assert "order must be in [0, 8], got 9" in err
     assert os.listdir(tmp_path) == ([] if before is None else ["f.csv"])
     if before is not None:
         assert dest.read_bytes() == before
