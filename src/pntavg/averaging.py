@@ -34,6 +34,8 @@ from ._args import check_int
 from .accum import neumaier_prefix_sum
 from .sieve import ErrorSeries, LambdaTable
 
+MAX_ORDER = 8
+
 
 @dataclass(frozen=True)
 class IteratedAverage:
@@ -72,10 +74,10 @@ def _folded_ratio(g: np.ndarray, folds: int, k: int) -> np.ndarray:
 def iterated_average(series: ErrorSeries, k: int, n_max: int | None = None) -> IteratedAverage:
     """k-fold averaged error via k compensated prefix-sum passes.
 
-    Raises ValueError unless k is an integer in [1, 8] and n_max one in
+    Raises ValueError unless k is an integer in [1, MAX_ORDER] and n_max one in
     [1, series.n_max].
     """
-    check_int("order k", k, 1, 8)
+    check_int("order k", k, 1, MAX_ORDER)
     if n_max is None:
         n_max = series.n_max
     check_int("n_max", n_max, 1, series.n_max)

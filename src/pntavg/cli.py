@@ -74,14 +74,17 @@ def _write_rows(out, values) -> None:
 def cmd_errors(args) -> int:
     orders = args.order or [1]
     for order in orders:
-        _args.check_int("order", order, 0, 8)
+        _args.check_int("order", order, 0, averaging.MAX_ORDER)
     table = sieve.load_or_build_table(args.cache, args.n_max)
     series = sieve.error_series(table, args.n_max)
     with _out_stream(args) as out:
         for order in orders:
             if len(orders) > 1:
                 out.write(f"# order={order}\n")
-            values = averaging.iterated_average(series, order).values if order else series.r
+            if order == 0:
+                values = series.r
+            else:
+                values = averaging.iterated_average(series, order).values
             out.write("n,value\n")
             _write_rows(out, values[1:])
     return EXIT_OK

@@ -284,14 +284,26 @@ def test_output_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("before", [None, b"previous bytes\n"], ids=["new", "existing"])
-def test_failed_output_leaves_no_partial_file(tmp_path, capsys, before):
+def test_failed_output_leaves_no_partial_file(tmp_path, capsys, monkeypatch, before):
+    # order 2 fails only after order 1's rows have gone to the output
+    iterated_average = averaging.iterated_average
+    orders_seen = []
+
+    def fail_on_order_2(series, k, n_max=None):
+        orders_seen.append(k)
+        if k == 2:
+            raise ValueError("order 2 failed midway")
+        return iterated_average(series, k, n_max)
+
+    monkeypatch.setattr(averaging, "iterated_average", fail_on_order_2)
     dest = tmp_path / "f.csv"
     if before is not None:
         dest.write_bytes(before)
-    argv = ["errors", "--n-max", "5", "--order", "1", "--order", "9"]
+    argv = ["errors", "--n-max", "5", "--order", "1", "--order", "2"]
     code, out, err = run(argv + ["--output", str(dest)], capsys)
     assert code == cli.EXIT_FAILURE
-    assert "order must be in [0, 8], got 9" in err
+    assert orders_seen == [1, 2]
+    assert "order 2 failed midway" in err
     assert os.listdir(tmp_path) == ([] if before is None else ["f.csv"])
     if before is not None:
         assert dest.read_bytes() == before
