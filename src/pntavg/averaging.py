@@ -4,9 +4,9 @@ For r(n) = psi(n) - n, the k-fold averaged error is
 
     rbar_k(n) = S_k(n) / C(n+k-1, k)
 
-where S_k is the k-fold prefix sum of r.  Differencing rbar_k in n gives
-three derived statistics, each of which also has an equivalent
-representation as a binomial-weighted sum over Lambda:
+where S_k is the k-fold prefix sum of r, so rbar_0 = r.  Differencing
+rbar_k in n gives three derived statistics, each of which also has an
+equivalent representation as a binomial-weighted sum over Lambda:
 
     hat_r(i, n)       = (i+1) * (rbar_i(n) - rbar_i(n-1))       [weights b]
     hat_prime_r(i, n) = (n-1) * (rbar_i(n) - rbar_i(n-1))
@@ -72,12 +72,12 @@ def _folded_ratio(g: np.ndarray, folds: int, k: int) -> np.ndarray:
 
 
 def iterated_average(series: ErrorSeries, k: int, n_max: int | None = None) -> IteratedAverage:
-    """k-fold averaged error via k compensated prefix-sum passes.
+    """k-fold averaged error via k compensated prefix-sum passes; k = 0 is r.
 
-    Raises ValueError unless k is an integer in [1, MAX_ORDER] and n_max one in
+    Raises ValueError unless k is an integer in [0, MAX_ORDER] and n_max one in
     [1, series.n_max].
     """
-    check_int("order k", k, 1, MAX_ORDER)
+    check_int("order k", k, 0, MAX_ORDER)
     if n_max is None:
         n_max = series.n_max
     check_int("n_max", n_max, 1, series.n_max)

@@ -81,17 +81,14 @@ def cmd_errors(args) -> int:
         for order in orders:
             if len(orders) > 1:
                 out.write(f"# order={order}\n")
-            if order == 0:
-                values = series.r
-            else:
-                values = averaging.iterated_average(series, order).values
+            values = averaging.iterated_average(series, order).values
             out.write("n,value\n")
             _write_rows(out, values[1:])
     return EXIT_OK
 
 
 def _table_rows(table: sieve.LambdaTable, n_max: int):
-    """The four summary tables as (name, lo, hi, RangeSummary) rows."""
+    """The four summary tables as (name, RangeSummary) rows."""
     series = sieve.error_series(table, n_max)
     avgs = {k: averaging.iterated_average(series, k) for k in range(1, 7)}
     rows = []
@@ -117,14 +114,14 @@ def cmd_tables(args) -> int:
     if args.n_max < 3:
         print(f"error: tables needs --n-max >= 3, got {args.n_max}", file=sys.stderr)
         return EXIT_USAGE
-    if args.n_max < DEFAULT_N_MAX and not args.allow_partial:
-        print(
-            f"error: --n-max {args.n_max} < {DEFAULT_N_MAX} reproduces the tables "
-            "only partially; pass --allow-partial to proceed",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     if args.n_max < DEFAULT_N_MAX:
+        if not args.allow_partial:
+            print(
+                f"error: --n-max {args.n_max} < {DEFAULT_N_MAX} reproduces the tables "
+                "only partially; pass --allow-partial to proceed",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
         print(
             f"warning: tables computed over reduced range n <= {args.n_max}",
             file=sys.stderr,
@@ -268,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_max_default=DEFAULT_N_MAX):
-        sp.add_argument("--n-max", type=int, default=n_max_default)
+    def common(sp):
+        sp.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
         sp.add_argument("--cache", type=str, default=None)
 
     sp = sub.add_parser("sieve", help="build the Lambda table")
@@ -306,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_perron)
 
     sp = sub.add_parser("check", help="run reduced-scale invariant suites")
-    common(sp, n_max_default=10_000)
+    common(sp)
     sp.add_argument("--zeros", type=str, default=None)
     sp.set_defaults(fn=cmd_check)
 

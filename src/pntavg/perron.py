@@ -23,9 +23,10 @@ for a > 1 the path crosses the cut of E1, whose 2 pi i jump is the residue
 sum.  The terms agree to about T^k relative to one another (DLMF 6.12), so
 mpmath sums them at 73 + k log2 T bits.  At a = 1 the gap is
 (1/pi)(1/T - atan((b+1)/T) + atan(b/T)), at 73 + 2 log2 T bits.  These
-precisions are set by the bound: where the gap lies many orders below it
-(T << 1, |log a| tiny), fewer of its own digits hold, and the error
-estimate, the change of the gap with 32 more bits, shows how many.
+precisions are set by the bound.  Where the gap lies many orders below it
+(T << 1, |log a| tiny), 32 bits at a time are added, up to _MAX_EXTRA_BITS,
+until 32 more move the gap by at most 2^-40 of itself; the error estimate
+is that last change of the gap.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from math import comb
 
 from ._args import check_int
 from .accum import neumaier_sum
+
+_MAX_EXTRA_BITS = 2048
 
 
 @dataclass(frozen=True)
@@ -129,8 +132,12 @@ def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
             f"error bound at a = {a}, b = {b}, T = {T} is not positive and finite"
         )
 
-    excess = _excess(a, b, T, k, 0)
-    qerr = float(abs(excess - _excess(a, b, T, k, 32)))
+    extra = 0
+    excess, finer = _excess(a, b, T, k, 0), _excess(a, b, T, k, 32)
+    while abs(excess - finer) > abs(excess) * 2.0**-40 and extra < _MAX_EXTRA_BITS:
+        extra += 32
+        excess, finer = finer, _excess(a, b, T, k, extra + 32)
+    qerr = float(abs(excess - finer))
     return PerronResult(
         a=a,
         b=b,

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._args import check_int
 from .accum import neumaier_sum
-from .averaging import IteratedAverage
+from .averaging import MAX_ORDER, IteratedAverage
 
 
 class ZeroFormatError(ValueError):
@@ -108,8 +108,7 @@ def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
         raise ValueError(f"x must be finite and > 1, got {x}")
     if not 0 <= T < math.inf:
         raise ValueError(f"T must be finite and >= 0, got {T}")
-    # the orders of iterated_average that the sums pair with
-    check_int("k", k, 1, 8)
+    check_int("k", k, 1, MAX_ORDER)
     gs = _select(zeros, T)
     amp = math.sqrt(x)
     lx = math.log(x)

@@ -83,19 +83,28 @@ def test_average_via_weights_matches_rational_oracle(series_small):
             )
 
 
+def test_order_zero_is_r(series_small):
+    # zero folds over the column C(n-1, 0) = 1: rbar_0 is r bit for bit
+    avg = iterated_average(series_small, 0)
+    assert avg.order == 0
+    assert avg.values.tobytes() == series_small.r.tobytes()
+    for n in (1, 2, 17, 100, series_small.n_max):
+        assert average_via_weights(series_small, 0, n) == series_small.r[n]
+
+
 def test_average_invalid_args(series_small):
     with pytest.raises(ValueError):
-        iterated_average(series_small, 0)
+        iterated_average(series_small, -1)
     with pytest.raises(ValueError):
         iterated_average(series_small, 9)
     for k in (2.0, 1.5, np.float64(3.0)):  # non-integral orders, even integral floats
-        with pytest.raises(ValueError, match=r"\[1, 8\]"):
+        with pytest.raises(ValueError, match=r"\[0, 8\]"):
             iterated_average(series_small, k)
     with pytest.raises(ValueError):
         iterated_average(series_small, 1, series_small.n_max + 1)
     top = series_small.n_max
     for k in (2.0, True, 9):
-        with pytest.raises(ValueError, match=r"^order k must be in \[1, 8\], got "):
+        with pytest.raises(ValueError, match=r"^order k must be in \[0, 8\], got "):
             iterated_average(series_small, k)
     for n_max in (50.0, True, top + 1):
         with pytest.raises(ValueError, match=rf"^n_max must be in \[1, {top}\], got "):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pntavg import averaging, cli, perron, sieve
+from pntavg import averaging, cli, perron, sieve, zeros
 
 from oracles import fmt6_dragon4
 
@@ -404,6 +404,19 @@ def test_check_visits_the_perron_points(monkeypatch, capsys):
     assert seen == [(a, 1.0, T, 1) for a in (2.0, 0.5, 1.0) for T in (100.0, 1000.0)]
 
 
+def test_check_sieves_10000_by_default(monkeypatch, capsys):
+    built = []
+    build = sieve.build_lambda_table
+
+    def counting_build(n_max):
+        built.append(n_max)
+        return build(n_max)
+
+    monkeypatch.setattr("pntavg.sieve.build_lambda_table", counting_build)
+    assert run(["check"], capsys)[0] == 0
+    assert built == [10_000]
+
+
 @pytest.mark.parametrize("above", [False, True])
 def test_check_perron_tolerance(above, monkeypatch, capsys):
     """The envelope is gap <= 4 bound + error estimate, inclusive: a gap
@@ -441,12 +454,21 @@ def test_out_of_memory_is_usage_error(monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_check_with_zeros(tmp_path, capsys):
+def test_check_with_zeros(tmp_path, monkeypatch, capsys):
+    seen = []
+    real = zeros.zero_sum
+
+    def recording(zset, x, T, k=1):
+        seen.append((x, T, k))
+        return real(zset, x, T, k)
+
+    monkeypatch.setattr(zeros, "zero_sum", recording)
     zpath = tmp_path / "z.txt"
     zpath.write_text("14.134725142\n21.022039639\n")
     code, out, _ = run(["check", "--n-max", "2000", "--zeros", str(zpath)], capsys)
     assert code == 0
     assert "PASS zero-sums" in out
+    assert seen == [(100.0, 14.134725142, 1)]  # the single-term sum at gamma_1
 
 
 def test_cache_roundtrip_via_cli(tmp_path, capsys):

@@ -203,16 +203,27 @@ def test_gap_matches_quadrature_oracle(k, side, monkeypatch):
     # the float panel quadrature is capped at 2^11 panels to keep this fast;
     # where it does not converge by then it is not compared
     monkeypatch.setattr(oracles, "_MAX_PANELS", 1 << 11)
+    evaluations = []
+    real = perron._excess
+
+    def recording(*args):
+        evaluations.append(real(*args))
+        return evaluations[-1]
+
+    monkeypatch.setattr(perron, "_excess", recording)
     compared = 0
     for a, b, T in _kernel_grid(side):
+        evaluations.clear()
         res = perron_integral(a, b, T, k)
-        excess = float(perron._excess(a, b, T, k, 0))
-        assert res.gap == abs(excess)
+        # the gap and its estimate come from the last pair of evaluations
+        excess, finer = evaluations[-2:]
+        assert res.gap == abs(float(excess))
+        assert res.quadrature_error_estimate == float(abs(excess - finer))
         try:
             want, _ = oracles.perron_quadrature(a, b, T, k)
         except oracles.QuadratureError:
             continue
-        assert abs(excess - want) <= 1e-6 * res.bound, (a, b, T)
+        assert abs(float(excess) - want) <= 1e-6 * res.bound, (a, b, T)
         compared += 1
     assert compared >= 15
 
@@ -233,6 +244,23 @@ def test_gap_matches_tricomi_oracle(a, b, T, k):
     want = perron_excess_hyperu(a, b, T, k, 128 + k * max(0, math.frexp(T)[1]))
     assert res.gap <= res.bound
     assert abs(res.gap - abs(want)) <= 1e-6 * res.bound
+
+
+@pytest.mark.parametrize(
+    "a, b, T, k",
+    [
+        (math.exp(-1.5), 3.0, 1e-100, 3),  # the gap read 3.7e-36, not 5.9e-105
+        (1.0 + 1e-12, 1e3, 1e-3, 2),
+        (1.0 + 1e-12, 1e3, 1e-3, 3),
+    ],
+)
+def test_gap_far_below_its_bound_holds_its_digits(a, b, T, k):
+    # the precision the bound sets leaves too few of the gap's own digits
+    # here, so the working bits grow until the gap settles
+    res = perron_integral(a, b, T, k)
+    want = abs(perron_excess_hyperu(a, b, T, k, 600))
+    assert res.gap == pytest.approx(want, rel=1e-12, abs=0)
+    assert res.quadrature_error_estimate <= 2.0**-40 * res.gap
 
 
 # -- finite Dirichlet polynomial check --------------------------------------

@@ -47,7 +47,7 @@ def test_parse_rejects_decreasing():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ZeroFormatError):
+    with pytest.raises(ZeroFormatError, match="^line 2: "):
         load_zeros(io.StringIO("14.1\nnot-a-number\n"))
     with pytest.raises(ZeroFormatError):
         load_zeros(io.StringIO("-3.0\n"))
