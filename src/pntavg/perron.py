@@ -11,7 +11,9 @@ in closed form and compares it with the residue main terms
     a = 1:  1/(pi*T)             (k = 1 only)
 
 against the error bound a^b * min(1/T, 1/(T^2 |log a|)) for a != 1 and the
-alternating-tail bound (3b^2 + 3b + 1)/(3 pi T^3) at a = 1.
+alternating-tail bound (3b^2 + 3b + 1)/(3 pi T^3) at a = 1.  The a > 1 main
+term is computed as ((a - 1)/a)^k: a - 1 is exact near a = 1 (Sterbenz), so
+it keeps its digits where the k + 1 residues would cancel.
 
 Partial fractions, k!/(s(s+1)...(s+k)) = sum_j (-1)^j C(k, j)/(s + j),
 turn the integral into exponential integrals (DLMF 6.2; Abramowitz and
@@ -58,19 +60,6 @@ class PerronResult:
     bound: float
     gap: float
     quadrature_error_estimate: float
-
-
-def residue_main_term(a: float, k: int) -> float:
-    """Sum of residues of k! a^s / prod_{j=0}^k (s+j) at s = 0..-k, a > 1.
-
-    Residue at s = -j is (-1)^j C(k, j) a^(-j); the sum telescopes to
-    (1 - 1/a)^k.  Computed term by term from the integer coefficients,
-    which convert to float exactly.
-    """
-    acc = 0.0
-    for j in range(k + 1):
-        acc += float((-1) ** j * comb(k, j)) * a ** (-j)
-    return acc
 
 
 def lemma1_error_bound(a: float, b: float, T: float) -> float:
@@ -122,7 +111,8 @@ def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
             raise ValueError("closed form at a = 1 is only available for k = 1")
         main = 1.0 / (math.pi * T)
     else:
-        main = residue_main_term(a, k) if a > 1.0 else 0.0
+        # int(k): a numpy k would make main and numeric numpy floats
+        main = ((a - 1.0) / a) ** int(k) if a > 1.0 else 0.0
     try:
         bound = _a1_bound(b, T) if a == 1.0 else lemma1_error_bound(a, b, T)
     except ArithmeticError:  # a**b overflows, T**2 or T**3 underflows
@@ -151,6 +141,11 @@ def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
     )
 
 
+def _complex_sum(terms: list) -> complex:
+    """Compensated sums of the real and the imaginary parts of terms."""
+    return complex(neumaier_sum(t.real for t in terms), neumaier_sum(t.imag for t in terms))
+
+
 def dirichlet_perron_check(
     coeffs: dict[int, float],
     s0: complex,
@@ -172,17 +167,10 @@ def dirichlet_perron_check(
         check_int("coefficient index", n, 1)
     xbar = x + 1
 
+    items = sorted(coeffs.items())
     # lhs: a(m) m^{-s0} counted once per n in [m, x], i.e. (xbar - m) times
-    terms = [c * (m ** (-s0)) * (xbar - m) for m, c in sorted(coeffs.items()) if m <= x]
-    lhs = complex(neumaier_sum(t.real for t in terms), neumaier_sum(t.imag for t in terms))
-
-    re_parts = []
-    im_parts = []
-    for n, c in sorted(coeffs.items()):
-        a_ratio = xbar / n
-        res = perron_integral(a_ratio, b, T, k=1)
-        term = xbar * c * (n ** (-s0)) * res.numeric
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-    rhs = complex(neumaier_sum(re_parts), neumaier_sum(im_parts))
+    lhs = _complex_sum([c * (m ** (-s0)) * (xbar - m) for m, c in items if m <= x])
+    rhs = _complex_sum(
+        [xbar * c * (n ** (-s0)) * perron_integral(xbar / n, b, T, k=1).numeric for n, c in items]
+    )
     return lhs, rhs, abs(lhs - rhs)

@@ -143,7 +143,12 @@ def atomic_open(path, mode: str, **kwargs):
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, **kwargs) as f:
+        f = open(tmp, mode, **kwargs)
+    except OSError as exc:  # name the path asked for, not the temporary
+        exc.filename = str(path)
+        raise
+    try:
+        with f:
             with contextlib.suppress(FileNotFoundError):
                 os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
             yield f

@@ -164,6 +164,14 @@ def test_perron_row(capsys):
     assert float(fields[7]) <= float(fields[6])  # gap <= bound
 
 
+@pytest.mark.parametrize("a", ["1.000001", "1.0000000000000002"])
+def test_perron_row_shows_a_exactly(a, capsys):
+    # rounded to 6 digits, both would read 1: the a = 1 regime, which rejects k = 3
+    code, out, _ = run(["perron", "--a", a, "--T", "100", "--k", "3"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].startswith(f"{a},1,100,3,")
+
+
 @pytest.mark.parametrize("argv", ["--T 3223", "--T 9749", "--b 1e100 --T 100"])
 def test_perron_a1_within_bound(argv, capsys):
     # formed as 1/(pi T) - I(T), the gap exceeds the bound at T = 3223 and 9749
@@ -239,6 +247,13 @@ def test_zerosum_row(tmp_path, capsys):
     header, row = out.strip().splitlines()
     assert header == "x,T,k,value,count_used"
     assert row.split(",")[4] == "2"
+
+
+def test_zerosum_row_shows_x_exactly(capsys):
+    argv = ["zerosum", "--zeros", str(ZEROS), "--x", "1234567", "--T", "500"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[1].startswith("1234567,500,1,")  # not 1.23457e+06
 
 
 @pytest.mark.parametrize("flags", ["--x nan --T 100", "--x inf --T 100", "--x 100 --T nan"])
@@ -363,6 +378,14 @@ def test_output_unwritable(capsys):
     assert "error" in err.lower()
 
 
+def test_output_into_missing_directory_names_the_path(tmp_path, capsys):
+    dest = tmp_path / "missing" / "f.csv"
+    code, out, err = run(["errors", "--n-max", "5", "--output", str(dest)], capsys)
+    assert (code, out) == (cli.EXIT_FAILURE, "")
+    assert str(dest) in err and ".tmp" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_check_passes_without_zeros(capsys):
     code, out, _ = run(["check", "--n-max", "2000"], capsys)
     assert code == 0
@@ -389,6 +412,22 @@ def test_check_catches_perturbed_average(monkeypatch, capsys):
         "FAIL averaging-identities: weight-form rbar1(100) mismatch; "
         "weight-form rbar2(100) mismatch; weight-form rbar3(100) mismatch"
     )
+
+
+def test_check_compares_the_weight_form_at_every_n(monkeypatch, capsys):
+    """The weight-form leg compares every n <= 2000, so an error of 2e-9 in
+    psi_1 at n = 1500 fails it."""
+    real = averaging.weighted_psi_series
+
+    def perturbed(table, i, n_max):
+        out = real(table, i, n_max)
+        out[1500] += 2e-9 if i == 1 else 0.0
+        return out
+
+    monkeypatch.setattr(averaging, "weighted_psi_series", perturbed)
+    code, out, _ = run(["check", "--n-max", "2000"], capsys)
+    assert code == cli.EXIT_FAILURE
+    assert "FAIL averaging-identities: weight-form rbar1(1500) mismatch\n" in out
 
 
 def test_check_visits_the_perron_points(monkeypatch, capsys):

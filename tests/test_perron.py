@@ -3,16 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from pntavg import perron
-from pntavg.perron import (
-    dirichlet_perron_check,
-    lemma1_error_bound,
-    perron_integral,
-    residue_main_term,
-)
+from pntavg.perron import dirichlet_perron_check, lemma1_error_bound, perron_integral
 
 import oracles
 from oracles import perron_a1_gap, perron_excess_hyperu, perron_full_segment
@@ -35,9 +31,27 @@ def test_error_bound_values():
 
 
 def test_residue_main_terms():
-    assert residue_main_term(2.0, 1) == pytest.approx(0.5, rel=1e-14)
-    assert residue_main_term(2.0, 2) == pytest.approx(0.25, rel=1e-14)
-    assert residue_main_term(4.0, 3) == pytest.approx((3 / 4) ** 3, rel=1e-14)
+    assert perron_integral(2.0, 1.0, 100.0, 1).main_term == pytest.approx(0.5, rel=1e-14)
+    assert perron_integral(2.0, 1.0, 100.0, 2).main_term == pytest.approx(0.25, rel=1e-14)
+    assert perron_integral(4.0, 1.0, 100.0, 3).main_term == pytest.approx(
+        (3 / 4) ** 3, rel=1e-14
+    )
+
+
+@pytest.mark.parametrize(
+    "a, k", [(1 + 1e-6, 3), (1.001, 6), (1 + 1e-9, 2), (math.exp(1e-3), 3)]
+)
+def test_main_term_keeps_its_digits_near_one(a, k):
+    # the k + 1 residues (-1)^j C(k, j) a^-j cancel to (1 - 1/a)^k as a -> 1;
+    # summed one by one they keep no digits at (1 + 1e-9, 2)
+    with mpmath.workprec(200):
+        want = float((1 - 1 / mpmath.mpf(a)) ** k)
+    assert perron_integral(a, 1.0, 100.0, k).main_term == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_numpy_order_gives_python_floats():
+    res = perron_integral(2.0, 1.0, 100.0, np.int64(3))
+    assert type(res.main_term) is float and type(res.numeric) is float
 
 
 def test_kernel_a_above_one():
