@@ -71,20 +71,13 @@ def _folded_ratio(g: np.ndarray, folds: int, k: int) -> np.ndarray:
     return out
 
 
-def iterated_average(series: ErrorSeries, k: int, n_max: int | None = None) -> IteratedAverage:
-    """k-fold averaged error via k compensated prefix-sum passes; k = 0 is r.
-
-    Raises ValueError unless k is an integer in [0, MAX_ORDER] and n_max one in
-    [1, series.n_max].
-    """
+def iterated_average(series: ErrorSeries, k: int) -> IteratedAverage:
+    """rbar_k(n) for every n in the series via k compensated prefix-sum passes;
+    k = 0 is r.  Raises ValueError unless k is an integer in [0, MAX_ORDER]."""
     check_int("order k", k, 0, MAX_ORDER)
-    if n_max is None:
-        n_max = series.n_max
-    check_int("n_max", n_max, 1, series.n_max)
-
-    values = _folded_ratio(series.r[1 : n_max + 1], k, k)
+    values = _folded_ratio(series.r[1:], k, k)
     values.flags.writeable = False
-    return IteratedAverage(k, n_max, values)
+    return IteratedAverage(k, series.n_max, values)
 
 
 def average_via_weights(series: ErrorSeries, k: int, n: int) -> float:
@@ -92,9 +85,10 @@ def average_via_weights(series: ErrorSeries, k: int, n: int) -> float:
 
     The weighted numerator sum_{m <= n} C(n+k-m-1, k-1) r(m) is the k-fold
     prefix sum of r at n, so the binomial-weighted form and the series
-    agree.  Raises what iterated_average raises for n_max = n.
+    agree.  Raises ValueError unless n is an integer in [1, series.n_max].
     """
-    return float(iterated_average(series, k, n).values[n])
+    check_int("n", n, 1, series.n_max)
+    return float(iterated_average(series, k).values[n])
 
 
 # -- weighted Lambda sums ---------------------------------------------------
@@ -103,42 +97,40 @@ def average_via_weights(series: ErrorSeries, k: int, n: int) -> float:
 def weighted_psi(table: LambdaTable, i: int, x: int) -> float:
     """psi_i(x) = sum_{j <= x} a(i, x, j) Lambda(j); psi_0 = psi.
 
-    A view of weighted_psi_series at x, so it costs O(i * x), and raises
-    what that raises for n_max = x.
+    A view of weighted_psi_series at x, so it costs O(i * table.n_max), and
+    raises ValueError unless x is an integer in [1, table.n_max].
     """
-    return float(weighted_psi_series(table, i, x)[x])
+    check_int("x", x, 1, table.n_max)
+    return float(weighted_psi_series(table, i)[x])
 
 
-def weighted_psi_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:
-    """psi_i(n) for all n <= n_max in O(i * n), via prefix sums of Lambda.
+def weighted_psi_series(table: LambdaTable, i: int) -> np.ndarray:
+    """psi_i(n) for every n in the table in O(i * n), via prefix sums of Lambda.
 
     sum_j C(n+i-j, i) Lambda(j) is the (i+1)-fold prefix sum of Lambda, so
     the whole series costs i+1 compensated passes.  Index 0 unused.
     """
-    check_int("n_max", n_max, 1, table.n_max)
     check_int("order i", i, 0)
-    return _folded_ratio(table.lam[1 : n_max + 1], i + 1, i)
+    return _folded_ratio(table.lam[1:], i + 1, i)
 
 
-def weighted_psi_hat_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:
-    """psi-hat_i(n) for all n <= n_max: i-fold prefix sum of (j-1) Lambda(j)
+def weighted_psi_hat_series(table: LambdaTable, i: int) -> np.ndarray:
+    """psi-hat_i(n) for all n in the table: i-fold prefix sum of (j-1) Lambda(j)
     over C(n+i-1, i+1).  Index 1 is nan: C(i, i+1) = 0."""
-    check_int("n_max", n_max, 1, table.n_max)
     check_int("order i", i, 1)
     # the j = 1 term is 0, so folding from j = 2 gives the same sums, and
     # position m of the fold is n = m + 1
-    j = np.arange(2, n_max + 1, dtype=float)
-    out = np.full(n_max + 1, np.nan)
-    out[2:] = _folded_ratio((j - 1.0) * table.lam[2 : n_max + 1], i, i + 1)[1:]
+    j = np.arange(2, table.n_max + 1, dtype=float)
+    out = np.full(table.n_max + 1, np.nan)
+    out[2:] = _folded_ratio((j - 1.0) * table.lam[2:], i, i + 1)[1:]
     return out
 
 
-def weighted_psi_tilde_series(table: LambdaTable, i: int, n_max: int) -> np.ndarray:
-    """psi-tilde_i(n) for all n <= n_max: (i-1)-fold prefix sum of C(j,2) Lambda(j)."""
-    check_int("n_max", n_max, 1, table.n_max)
+def weighted_psi_tilde_series(table: LambdaTable, i: int) -> np.ndarray:
+    """psi-tilde_i(n) for all n in the table: (i-1)-fold prefix of C(j,2) Lambda(j)."""
     check_int("order i", i, 2)
-    j = np.arange(1, n_max + 1, dtype=float)
-    g = j * (j - 1.0) / 2.0 * table.lam[1 : n_max + 1]
+    j = np.arange(1, table.n_max + 1, dtype=float)
+    g = j * (j - 1.0) / 2.0 * table.lam[1:]
     # (i-1)-fold prefix of g gives sum_j C(n-j+i-2, i-2) g(j), exactly the
     # weighted numerator.
     return _folded_ratio(g, i - 1, i)

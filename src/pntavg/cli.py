@@ -81,7 +81,7 @@ def cmd_errors(args) -> int:
     for order in orders:
         _args.check_int("order", order, 0, averaging.MAX_ORDER)
     table = sieve.load_or_build_table(args.cache, args.n_max)
-    series = sieve.error_series(table, args.n_max)
+    series = sieve.error_series(table)
     with _out_stream(args) as out:
         for order in orders:
             if len(orders) > 1:
@@ -92,9 +92,10 @@ def cmd_errors(args) -> int:
     return EXIT_OK
 
 
-def _table_rows(table: sieve.LambdaTable, n_max: int):
-    """The four summary tables as (name, RangeSummary) rows."""
-    series = sieve.error_series(table, n_max)
+def _table_rows(table: sieve.LambdaTable):
+    """The four summary tables over the whole table as (name, RangeSummary) rows."""
+    n_max = table.n_max
+    series = sieve.error_series(table)
     avgs = {k: averaging.iterated_average(series, k) for k in range(1, 7)}
     rows = []
 
@@ -132,7 +133,7 @@ def cmd_tables(args) -> int:
             file=sys.stderr,
         )
     table = sieve.load_or_build_table(args.cache, args.n_max)
-    rows = _table_rows(table, args.n_max)
+    rows = _table_rows(table)
     with _out_stream(args) as out:
         if args.pretty:
             out.write(f"{'statistic':<10} {'range':<14} {'min':>14} {'max':>14}\n")
@@ -177,12 +178,12 @@ def cmd_perron(args) -> int:
 # -- check suites -----------------------------------------------------------
 
 
-def _check_sieve(table, n_max: int) -> list[str]:
+def _check_sieve(table) -> list[str]:
     import mpmath
 
     failures = []
     lcm = 1
-    for n in range(1, min(500, n_max) + 1):
+    for n in range(1, min(500, table.n_max) + 1):
         lcm = math.lcm(lcm, n)
         with mpmath.workprec(300):
             ref = float(mpmath.log(lcm))
@@ -192,23 +193,23 @@ def _check_sieve(table, n_max: int) -> list[str]:
     return failures
 
 
-def _check_averaging(table, n_max: int) -> list[str]:
+def _check_averaging(table) -> list[str]:
     failures = []
-    n_check = min(2000, n_max)
-    series = sieve.error_series(table, n_check)
+    series = sieve.error_series(table)
     for k in (1, 2, 3):
         avg = averaging.iterated_average(series, k)
         # the Lambda route: rbar_k(n) = psi_k(n) - (n + k)/(k + 1), at every n
-        psi_k = averaging.weighted_psi_series(table, k, n_check)
-        dev = np.abs(psi_k[1:] - (np.arange(1, n_check + 1) + k) / (k + 1) - avg.values[1:])
+        psi_k = averaging.weighted_psi_series(table, k)
+        dev = np.abs(psi_k[1:] - (np.arange(1, table.n_max + 1) + k) / (k + 1) - avg.values[1:])
         n = int(np.argmax(dev)) + 1  # a nan is the argmax, and fails the test below
         if not dev[n - 1] <= 1e-9:
             failures.append(f"weight-form rbar{k}({n}) mismatch")
         # identity: hat_r vs weighted form
-        psi_hat = averaging.weighted_psi_hat_series(table, k, n_check)
+        psi_hat = averaging.weighted_psi_hat_series(table, k)
         hat = averaging.hat_r_series(avg)
-        gap = np.nanmax(np.abs(hat[2:] - (psi_hat[2:] - 1.0)), initial=0.0)
-        if gap > 1e-8:
+        # np.max, not np.nanmax: a nan is the max, and fails the test below
+        gap = np.max(np.abs(hat[2:] - (psi_hat[2:] - 1.0)), initial=0.0)
+        if not gap <= 1e-8:
             failures.append(f"hat identity order {k} gap {gap:.2e}")
     return failures
 
@@ -224,8 +225,10 @@ def _check_perron() -> list[str]:
 
 
 def _check_zeros(path) -> list[str]:
-    failures = []
     zset = zeros.load_zeros(path)
+    if not len(zset):
+        return [f"{path} holds no zeros"]
+    failures = []
     t1 = gamma = float(zset.gammas[0])
     v = zeros.zero_sum(zset, 100.0, gamma, 1).value
     bound = 2.0 * math.sqrt(100.0) / (gamma * gamma)
@@ -240,8 +243,8 @@ def cmd_check(args) -> int:
     n_check = min(args.n_max, 10_000)
     table = sieve.load_or_build_table(args.cache, n_check)
     suites = [
-        ("sieve-psi-oracle", lambda: _check_sieve(table, n_check)),
-        ("averaging-identities", lambda: _check_averaging(table, n_check)),
+        ("sieve-psi-oracle", lambda: _check_sieve(table)),
+        ("averaging-identities", lambda: _check_averaging(table)),
         ("perron-envelope", _check_perron),
     ]
     if args.zeros:

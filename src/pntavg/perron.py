@@ -62,10 +62,16 @@ class PerronResult:
     quadrature_error_estimate: float
 
 
+def _check_positive(**values: float) -> None:
+    """Raise ValueError naming the first argument that is not finite and > 0."""
+    for name, v in values.items():
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
+
+
 def lemma1_error_bound(a: float, b: float, T: float) -> float:
     """a^b * min(1/T, 1/(T^2 |log a|)); the a = 1 regime is separate."""
-    if a <= 0:
-        raise ValueError(f"a must be > 0, got {a}")
+    _check_positive(a=a, b=b, T=T)
     if a == 1:
         raise ValueError("a = 1 has a T^-3 error regime; use perron_integral")
     la = abs(math.log(a))
@@ -101,9 +107,7 @@ def _excess(a: float, b: float, T: float, k: int, extra_bits: int):
 
 def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
     """The kernel integral in closed form, with its main term and bound."""
-    for name, v in (("a", a), ("b", b), ("T", T)):
-        if not 0 < v < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {v}")
+    _check_positive(a=a, b=b, T=T)
     check_int("k", k, 1, 6)
 
     if a == 1.0:
@@ -161,6 +165,7 @@ def dirichlet_perron_check(
     Returns (lhs, rhs, |lhs - rhs|); the gap shrinks like 1/T or faster.
     """
     check_int("x", x, 1)
+    _check_positive(b=b, T=T)
     if len(coeffs) > 1000:
         raise ValueError("finite check limited to 1000 coefficients")
     for n in coeffs:

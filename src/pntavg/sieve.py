@@ -115,13 +115,11 @@ def prime_pi(table: LambdaTable, x: int) -> int:
     return int(np.count_nonzero(table.is_prime[: x + 1]))
 
 
-def error_series(table: LambdaTable, n_max: int | None = None) -> ErrorSeries:
-    """Error series r[n] = psi(n) - n for n <= n_max (default: whole table)."""
-    if n_max is None:
-        n_max = table.n_max
-    check_int("n_max", n_max, 1, table.n_max)
+def error_series(table: LambdaTable) -> ErrorSeries:
+    """Error series r[n] = psi(n) - n for every n in the table."""
+    n_max = table.n_max
     r = np.zeros(n_max + 1)
-    r[1:] = table.psi_prefix[1 : n_max + 1] - np.arange(1, n_max + 1, dtype=float)
+    r[1:] = table.psi_prefix[1:] - np.arange(1, n_max + 1, dtype=float)
     r.flags.writeable = False
     return ErrorSeries(n_max, r)
 

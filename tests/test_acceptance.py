@@ -135,7 +135,7 @@ def test_criterion_05_oracle_equivalence(table_small, series_small):
     worst = 0.0
     for k in (1, 2, 3):
         avg = iterated_average(series_small, k)
-        psi_k = weighted_psi_series(table_small, k, 300)
+        psi_k = weighted_psi_series(table_small, k)
         layers = r_exact[1:]
         for _ in range(k):
             acc = Fraction(0)
@@ -215,7 +215,7 @@ def test_criterion_09_lemma2_convergence(table_small):
     assert shrink >= 5.0
 
 
-def test_criterion_10_explicit_formula_trend(table_full, zeros_2000):
+def test_criterion_10_explicit_formula_trend(zeros_2000):
     """Median |residual - M(x)| with 2000 zeros vs 20 zeros.
 
     The truncated residual rbar(x) + zero_sum(x, T, 1) tends, as T grows,
@@ -224,7 +224,7 @@ def test_criterion_10_explicit_formula_trend(table_full, zeros_2000):
     (oracles.explicit_formula_limit).  More zeros must bring the residual
     closer to that limit.
     """
-    series = sieve.error_series(table_full, 10_000)
+    series = sieve.error_series(sieve.build_lambda_table(10_000))
     avg = iterated_average(series, 1)
     xs = np.linspace(1_000, 10_000, 100).astype(int)
     limit = explicit_formula_limit(xs)

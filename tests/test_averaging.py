@@ -66,12 +66,13 @@ def test_average_matches_nested_sum_oracle(series_small):
 
 
 def test_average_via_weights_matches_prefix_form(series_small):
-    # a view of the series: bitwise its value, truncated at n or not
+    # a view of the series: bitwise its value, over this table or one that ends at n
     for k in (1, 2, 3):
         avg = iterated_average(series_small, k)
         for n in (1, 2, 17, 100, 1000):
             view = average_via_weights(series_small, k, n)
-            assert view == iterated_average(series_small, k, n).values[n] == avg.values[n]
+            upto_n = sieve.error_series(sieve.build_lambda_table(n))
+            assert view == iterated_average(upto_n, k).values[n] == avg.values[n]
 
 
 def test_average_via_weights_matches_rational_oracle(series_small):
@@ -100,18 +101,12 @@ def test_average_invalid_args(series_small):
     for k in (2.0, 1.5, np.float64(3.0)):  # non-integral orders, even integral floats
         with pytest.raises(ValueError, match=r"\[0, 8\]"):
             iterated_average(series_small, k)
-    with pytest.raises(ValueError):
-        iterated_average(series_small, 1, series_small.n_max + 1)
-    top = series_small.n_max
     for k in (2.0, True, 9):
         with pytest.raises(ValueError, match=r"^order k must be in \[0, 8\], got "):
             iterated_average(series_small, k)
-    for n_max in (50.0, True, top + 1):
-        with pytest.raises(ValueError, match=rf"^n_max must be in \[1, {top}\], got "):
-            iterated_average(series_small, 2, n_max)
     # a numpy integer gives the int's result, bit for bit
-    want = iterated_average(series_small, 3, 500).values.tobytes()
-    assert iterated_average(series_small, np.int64(3), np.int64(500)).values.tobytes() == want
+    want = iterated_average(series_small, 3).values.tobytes()
+    assert iterated_average(series_small, np.int64(3)).values.tobytes() == want
 
 
 # -- weighted Lambda sums ---------------------------------------------------
@@ -138,7 +133,7 @@ def test_weighted_psi_identity(table_small, series_small):
 
 def test_weighted_psi_series_matches_pointwise(table_small):
     for i in (1, 2, 3):
-        batch = weighted_psi_series(table_small, i, 500)
+        batch = weighted_psi_series(table_small, i)
         for n in (1, 2, 33, 500):
             assert batch[n] == pytest.approx(
                 exact_weighted_sum(table_small, WeightFamily.A, i, n), abs=1e-9
@@ -148,7 +143,7 @@ def test_weighted_psi_series_matches_pointwise(table_small):
 
 def test_weighted_psi_hat_series_matches_pointwise(table_small):
     for i in (1, 2, 4):
-        batch = weighted_psi_hat_series(table_small, i, 500)
+        batch = weighted_psi_hat_series(table_small, i)
         for n in (2, 3, 33, 500):
             assert batch[n] == pytest.approx(
                 exact_weighted_sum(table_small, WeightFamily.B, i, n), abs=1e-9
@@ -158,7 +153,7 @@ def test_weighted_psi_hat_series_matches_pointwise(table_small):
 
 def test_weighted_psi_tilde_series_matches_pointwise(table_small):
     for i in (2, 3, 5):
-        batch = weighted_psi_tilde_series(table_small, i, 500)
+        batch = weighted_psi_tilde_series(table_small, i)
         for n in (1, 2, 33, 500):
             assert batch[n] == pytest.approx(
                 exact_weighted_sum(table_small, WeightFamily.H, i, n), abs=1e-8
@@ -169,19 +164,55 @@ def test_weighted_psi_tilde_series_matches_pointwise(table_small):
     "series_fn", [weighted_psi_series, weighted_psi_hat_series, weighted_psi_tilde_series]
 )
 def test_weighted_series_range_checked(table_small, series_fn):
-    top = table_small.n_max
     least = {weighted_psi_series: 0, weighted_psi_hat_series: 1}.get(series_fn, 2)
-    with pytest.raises(ValueError, match=rf"^n_max must be in \[1, {top}\], got {top + 1}$"):
-        series_fn(table_small, 2, table_small.n_max + 1)
     for i in (2.0, 2.5, True, least - 1):
         with pytest.raises(ValueError, match=f"^order i must be >= {least}, got "):
-            series_fn(table_small, i, 100)
-    for n_max in (50.0, True, 0):
-        with pytest.raises(ValueError, match=rf"^n_max must be in \[1, {top}\], got "):
-            series_fn(table_small, 2, n_max)
+            series_fn(table_small, i)
     # a numpy integer gives the int's result, bit for bit
-    want = series_fn(table_small, 2, 100).tobytes()
-    assert series_fn(table_small, np.int64(2), np.int64(100)).tobytes() == want
+    want = series_fn(table_small, 2).tobytes()
+    assert series_fn(table_small, np.int64(2)).tobytes() == want
+
+
+def test_scalar_views_check_their_index(table_small, series_small):
+    # index 0 of every series is a placeholder, so the views refuse it too
+    top = table_small.n_max
+    for n in (0, top + 1, 5.0, True):
+        with pytest.raises(ValueError, match=rf"^n must be in \[1, {top}\], got "):
+            average_via_weights(series_small, 1, n)
+        with pytest.raises(ValueError, match=rf"^x must be in \[1, {top}\], got "):
+            weighted_psi(table_small, 1, n)
+
+
+def _every_series(table):
+    """Each series of the table, for every order, keyed by (name, order)."""
+    series = sieve.error_series(table)
+    out = {("r", None): series.r}
+    out.update({("rbar", k): iterated_average(series, k).values for k in range(9)})
+    for fn, least in (
+        (weighted_psi_series, 0),
+        (weighted_psi_hat_series, 1),
+        (weighted_psi_tilde_series, 2),
+    ):
+        out.update({(fn.__name__, i): fn(table, i) for i in range(least, 7)})
+    return out
+
+
+@pytest.fixture(scope="module")
+def every_series_full(table_full):
+    return _every_series(table_full)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 500, 10_000, 16_384, 16_385, 40_000])
+def test_smaller_table_gives_a_prefix_of_every_series(every_series_full, m):
+    """Lambda does not depend on the table's size, the prefix passes run
+    left to right in blocks from index 0, and each binomial entry is formed
+    on its own: a table of size m gives the first m + 1 entries of every
+    series of the 1e5 table, bit for bit."""
+    small = _every_series(sieve.build_lambda_table(m))
+    assert small.keys() == every_series_full.keys()
+    for key, values in small.items():
+        assert len(values) == m + 1, key
+        assert values.tobytes() == every_series_full[key][: m + 1].tobytes(), key
 
 
 # -- differenced statistics -------------------------------------------------
@@ -208,7 +239,7 @@ def test_hat_identity_weighted_form(table_small, series_small):
     # hat_r(i, n) = psi-hat_i(n) - 1
     for i in (1, 2, 3, 4, 5):
         avg = iterated_average(series_small, i)
-        psi_hat = weighted_psi_hat_series(table_small, i, 2000)
+        psi_hat = weighted_psi_hat_series(table_small, i)
         hat = hat_r_series(avg)
         gap = np.max(np.abs(hat[2:] - (psi_hat[2:] - 1.0)))
         assert gap <= 1e-8, (i, gap)
@@ -231,7 +262,7 @@ def test_tilde_identity_weighted_form(table_small, series_small):
     # tilde_r(i, n) = psi-tilde_i(n) - (n-1)/(i+1)
     for i in (2, 3, 4, 5, 6):
         avg = iterated_average(series_small, i)
-        psi_tilde = weighted_psi_tilde_series(table_small, i, 2000)
+        psi_tilde = weighted_psi_tilde_series(table_small, i)
         tilde = tilde_r_series(avg)
         n = np.arange(3, 2001, dtype=float)
         gap = np.max(np.abs(tilde[3:] - (psi_tilde[3:] - (n - 1) / (i + 1))))

@@ -304,11 +304,11 @@ def test_failed_output_leaves_no_partial_file(tmp_path, capsys, monkeypatch, bef
     iterated_average = averaging.iterated_average
     orders_seen = []
 
-    def fail_on_order_2(series, k, n_max=None):
+    def fail_on_order_2(series, k):
         orders_seen.append(k)
         if k == 2:
             raise ValueError("order 2 failed midway")
-        return iterated_average(series, k, n_max)
+        return iterated_average(series, k)
 
     monkeypatch.setattr(averaging, "iterated_average", fail_on_order_2)
     dest = tmp_path / "f.csv"
@@ -398,8 +398,8 @@ def test_check_catches_perturbed_average(monkeypatch, capsys):
     against the Lambda route, so an error of 2e-9 at n = 100 fails it."""
     real = averaging.iterated_average
 
-    def perturbed(series, k, n_max=None):
-        avg = real(series, k, n_max)
+    def perturbed(series, k):
+        avg = real(series, k)
         values = avg.values.copy()
         values[100] += 2e-9
         return averaging.IteratedAverage(avg.order, avg.n_max, values)
@@ -419,8 +419,8 @@ def test_check_compares_the_weight_form_at_every_n(monkeypatch, capsys):
     psi_1 at n = 1500 fails it."""
     real = averaging.weighted_psi_series
 
-    def perturbed(table, i, n_max):
-        out = real(table, i, n_max)
+    def perturbed(table, i):
+        out = real(table, i)
         out[1500] += 2e-9 if i == 1 else 0.0
         return out
 
@@ -428,6 +428,38 @@ def test_check_compares_the_weight_form_at_every_n(monkeypatch, capsys):
     code, out, _ = run(["check", "--n-max", "2000"], capsys)
     assert code == cli.EXIT_FAILURE
     assert "FAIL averaging-identities: weight-form rbar1(1500) mismatch\n" in out
+
+
+def test_check_compares_every_sieved_n(monkeypatch, capsys):
+    """check sieves min(--n-max, 10,000) and the averaging suite looks at
+    every n it sieved, so an error of 2e-9 in psi_1 at n = 8000 fails it."""
+    real = averaging.weighted_psi_series
+
+    def perturbed(table, i):
+        out = real(table, i)
+        out[8000] += 2e-9 if i == 1 else 0.0
+        return out
+
+    monkeypatch.setattr(averaging, "weighted_psi_series", perturbed)
+    code, out, _ = run(["check", "--n-max", "10000"], capsys)
+    assert code == cli.EXIT_FAILURE
+    assert "FAIL averaging-identities: weight-form rbar1(8000) mismatch\n" in out
+
+
+def test_check_fails_on_a_nan_in_the_hat_leg(monkeypatch, capsys):
+    """A nan in psi-hat_1 at n = 500 fails the hat identity: the largest
+    gap is taken with np.max, which a nan does not skip."""
+    real = averaging.weighted_psi_hat_series
+
+    def with_nan(table, i):
+        out = real(table, i)
+        out[500] = math.nan if i == 1 else out[500]
+        return out
+
+    monkeypatch.setattr(averaging, "weighted_psi_hat_series", with_nan)
+    code, out, _ = run(["check", "--n-max", "2000"], capsys)
+    assert code == cli.EXIT_FAILURE
+    assert "FAIL averaging-identities: hat identity order 1 gap nan\n" in out
 
 
 def test_check_visits_the_perron_points(monkeypatch, capsys):
@@ -537,6 +569,16 @@ def test_corrupted_cache_reported(tmp_path, capsys):
     code, _, err = run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)
     assert code == cli.EXIT_FAILURE
     assert "integrity" in err
+
+
+@pytest.mark.parametrize("text", ["", "# comments only\n\n"], ids=["empty", "comments"])
+def test_check_with_no_zeros_fails_the_zero_suite(tmp_path, capsys, text):
+    path = tmp_path / "zeros.txt"
+    path.write_text(text)
+    code, out, err = run(["check", "--n-max", "100", "--zeros", str(path)], capsys)
+    assert code == cli.EXIT_FAILURE
+    assert out.splitlines()[-1] == f"FAIL zero-sums: {path} holds no zeros"
+    assert err == ""
 
 
 def test_check_with_corrupted_cache_is_one_line_error(tmp_path, capsys):

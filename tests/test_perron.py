@@ -30,6 +30,32 @@ def test_error_bound_values():
         lemma1_error_bound(-2.0, 1.0, 10.0)
 
 
+@pytest.mark.parametrize(
+    "a, b, T",
+    [
+        (2, 1, -1),
+        (2, 1, 0),
+        (math.inf, 1, 10),
+        (2, math.nan, 10),
+        (0, 1, 10),
+        (2, -1.0, -5.0),
+    ],
+)
+def test_bound_and_check_refuse_what_perron_integral_refuses(a, b, T):
+    """One check of (a, b, T): the bound, the integral and the Dirichlet
+    check each refuse an argument that is not finite and > 0, by name, the
+    check even with no coefficients."""
+    name, v = next((n, v) for n, v in zip("abT", (a, b, T)) if not 0 < v < math.inf)
+    msg = rf"^{name} must be finite and > 0, got {v}$"
+    with pytest.raises(ValueError, match=msg):
+        lemma1_error_bound(a, b, T)
+    with pytest.raises(ValueError, match=msg):
+        perron_integral(a, b, T)
+    if name != "a":
+        with pytest.raises(ValueError, match=msg):
+            dirichlet_perron_check({}, 0j, b, T, 3)
+
+
 def test_residue_main_terms():
     assert perron_integral(2.0, 1.0, 100.0, 1).main_term == pytest.approx(0.5, rel=1e-14)
     assert perron_integral(2.0, 1.0, 100.0, 2).main_term == pytest.approx(0.25, rel=1e-14)

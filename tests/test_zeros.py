@@ -211,10 +211,10 @@ def test_residual_validation(zeros_2000, series_small):
         explicit_formula_residual(avg1, zeros_2000, "100", 50.0)
 
 
-def test_residual_spread_shrinks_with_more_zeros(table_full, zeros_2000):
+def test_residual_spread_shrinks_with_more_zeros(zeros_2000):
     """Convergence of the truncated formula: the residual's dispersion
     around its limit collapses as the zero cutoff grows."""
-    series = sieve.error_series(table_full, 10_000)
+    series = sieve.error_series(sieve.build_lambda_table(10_000))
     avg = averaging.iterated_average(series, 1)
     xs = np.linspace(1000, 10_000, 100).astype(int)
     spreads = []
@@ -227,14 +227,14 @@ def test_residual_spread_shrinks_with_more_zeros(table_full, zeros_2000):
     assert spreads[1] < spreads[0] / 5
 
 
-def test_residual_limit_matches_explicit_formula(table_full, zeros_2000):
+def test_residual_limit_matches_explicit_formula(zeros_2000):
     """At T = gamma_2000 the residual sits on its limit M(x).
 
     The median of residual - M(x) is about 4e-5.  Without the
     (zeta'/zeta)(-1)/x term of M(x) it is about 6e-4, and without
     1/2 - log(2*pi) about 1.34, so the 2e-4 bound pins both terms.
     """
-    series = sieve.error_series(table_full, 10_000)
+    series = sieve.error_series(sieve.build_lambda_table(10_000))
     avg = averaging.iterated_average(series, 1)
     xs = np.linspace(1000, 10_000, 100).astype(int)
     T = float(zeros_2000.gammas[-1])
