@@ -4,23 +4,12 @@ Submodules:
 
     sieve      von Mangoldt sieve, psi/theta/pi, error series, binary cache
     averaging  iterated averages, weighted Lambda sums, differenced statistics
-    weights    exact rational binomial weight families
     zeros      Riemann-zero ingestion and truncated explicit-formula sums
     perron     Perron kernel integral in closed form against its main term and bound
     cli        command-line interface
 """
 
-from .averaging import (
-    IteratedAverage,
-    RangeSummary,
-    average_via_weights,
-    hat_prime_r,
-    hat_r,
-    iterated_average,
-    range_summary,
-    tilde_r,
-    weighted_psi,
-)
+from .averaging import IteratedAverage, RangeSummary, iterated_average, range_summary
 from .perron import PerronResult, dirichlet_perron_check, lemma1_error_bound, perron_integral
 from .sieve import (
     ErrorSeries,
@@ -31,13 +20,11 @@ from .sieve import (
     psi,
     theta,
 )
-from .weights import WeightFamily, WeightScheme, weight
 from .zeros import (
     ZeroSet,
     ZeroSumResult,
     explicit_formula_residual,
     gamma_square_tail,
-    lambda_factor,
     load_zeros,
     zero_sum,
 )
@@ -47,13 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "IteratedAverage",
     "RangeSummary",
-    "average_via_weights",
-    "hat_prime_r",
-    "hat_r",
     "iterated_average",
     "range_summary",
-    "tilde_r",
-    "weighted_psi",
     "PerronResult",
     "dirichlet_perron_check",
     "lemma1_error_bound",
@@ -65,14 +47,10 @@ __all__ = [
     "prime_pi",
     "psi",
     "theta",
-    "WeightFamily",
-    "WeightScheme",
-    "weight",
     "ZeroSet",
     "ZeroSumResult",
     "explicit_formula_residual",
     "gamma_square_tail",
-    "lambda_factor",
     "load_zeros",
     "zero_sum",
 ]

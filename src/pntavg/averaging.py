@@ -17,9 +17,6 @@ Every series comes from _folded_ratio: compensated prefix passes over a
 sequence g, divided by an exact binomial column.  g is r for rbar_k, and
 Lambda, (j-1) Lambda(j) or C(j, 2) Lambda(j) for the weighted series psi_i,
 psi-hat_i and psi-tilde_i, a data path disjoint from the prefix sums of r.
-The scalar forms average_via_weights, weighted_psi, hat_r, hat_prime_r and
-tilde_r are views of their series at one point.  The tests check all of these
-against the exact weights of pntavg.weights.
 """
 
 from __future__ import annotations
@@ -80,35 +77,15 @@ def iterated_average(series: ErrorSeries, k: int) -> IteratedAverage:
     return IteratedAverage(k, series.n_max, values)
 
 
-def average_via_weights(series: ErrorSeries, k: int, n: int) -> float:
-    """Single-point rbar_k(n): a view of iterated_average at n.
-
-    The weighted numerator sum_{m <= n} C(n+k-m-1, k-1) r(m) is the k-fold
-    prefix sum of r at n, so the binomial-weighted form and the series
-    agree.  Raises ValueError unless n is an integer in [1, series.n_max].
-    """
-    check_int("n", n, 1, series.n_max)
-    return float(iterated_average(series, k).values[n])
-
-
 # -- weighted Lambda sums ---------------------------------------------------
 
 
-def weighted_psi(table: LambdaTable, i: int, x: int) -> float:
-    """psi_i(x) = sum_{j <= x} a(i, x, j) Lambda(j); psi_0 = psi.
-
-    A view of weighted_psi_series at x, so it costs O(i * table.n_max), and
-    raises ValueError unless x is an integer in [1, table.n_max].
-    """
-    check_int("x", x, 1, table.n_max)
-    return float(weighted_psi_series(table, i)[x])
-
-
 def weighted_psi_series(table: LambdaTable, i: int) -> np.ndarray:
-    """psi_i(n) for every n in the table in O(i * n), via prefix sums of Lambda.
+    """psi_i(n) = sum_{j <= n} C(n+i-j, i) Lambda(j) / C(n+i-1, i) for every n
+    in the table in O(i * n); psi_0 = psi.
 
-    sum_j C(n+i-j, i) Lambda(j) is the (i+1)-fold prefix sum of Lambda, so
-    the whole series costs i+1 compensated passes.  Index 0 unused.
+    The numerator is the (i+1)-fold prefix sum of Lambda, so the whole
+    series costs i+1 compensated passes.  Index 0 unused.
     """
     check_int("order i", i, 0)
     return _folded_ratio(table.lam[1:], i + 1, i)
@@ -137,26 +114,6 @@ def weighted_psi_tilde_series(table: LambdaTable, i: int) -> np.ndarray:
 
 
 # -- differenced statistics -------------------------------------------------
-
-
-def hat_r(avg: IteratedAverage, n: int) -> float:
-    """(i+1) * (rbar_i(n) - rbar_i(n-1)); needs n >= 2.  A view of hat_r_series."""
-    check_int("n", n, 2, avg.n_max)
-    return float(hat_r_series(avg)[n])
-
-
-def hat_prime_r(avg: IteratedAverage, n: int) -> float:
-    """(n-1) * (rbar_i(n) - rbar_i(n-1)); needs n >= 2.  A view of
-    hat_prime_r_series."""
-    check_int("n", n, 2, avg.n_max)
-    return float(hat_prime_r_series(avg)[n])
-
-
-def tilde_r(avg: IteratedAverage, n: int) -> float:
-    """Second difference statistic; needs n >= 3 and order >= 2.  A view of
-    tilde_r_series."""
-    check_int("n", n, 3, avg.n_max)
-    return float(tilde_r_series(avg)[n])
 
 
 def hat_r_series(avg: IteratedAverage) -> np.ndarray:

@@ -117,9 +117,6 @@ def _table_rows(table: sieve.LambdaTable):
 
 
 def cmd_tables(args) -> int:
-    if args.n_max < 3:
-        print(f"error: tables needs --n-max >= 3, got {args.n_max}", file=sys.stderr)
-        return EXIT_USAGE
     if args.n_max < DEFAULT_N_MAX:
         if not args.allow_partial:
             print(
@@ -272,9 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, least_n_max=1):
         sp.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
         sp.add_argument("--cache", type=str, default=None)
+        sp.set_defaults(least_n_max=least_n_max)
 
     sp = sub.add_parser("sieve", help="build the Lambda table")
     common(sp)
@@ -287,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_errors)
 
     sp = sub.add_parser("tables", help="reproduce the four summary tables")
-    common(sp)
+    common(sp, least_n_max=3)  # rtilde starts at n = 3
     sp.add_argument("--output", type=str, default=None)
     sp.add_argument("--allow-partial", action="store_true")
     sp.add_argument("--pretty", action="store_true")
@@ -320,6 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "n_max", 1) < getattr(args, "least_n_max", 1):
+        print(
+            f"error: {args.command} needs --n-max >= {args.least_n_max}, got {args.n_max}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:

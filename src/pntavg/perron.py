@@ -69,19 +69,35 @@ def _check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
+def _finite_bound(a: float, b: float, T: float, form) -> float:
+    """form(), or ValueError naming a, b and T unless it is finite and > 0."""
+    try:
+        bound = form()
+    except ArithmeticError:  # a**b overflows, T**2 or T**3 underflows
+        bound = math.nan
+    if not 0 < bound < math.inf:
+        raise ValueError(
+            f"error bound at a = {a}, b = {b}, T = {T} is not positive and finite"
+        )
+    return bound
+
+
 def lemma1_error_bound(a: float, b: float, T: float) -> float:
-    """a^b * min(1/T, 1/(T^2 |log a|)); the a = 1 regime is separate."""
+    """a^b * min(1/T, 1/(T^2 |log a|)); the a = 1 regime is separate.
+    Raises ValueError where the bound is not a positive finite float."""
     _check_positive(a=a, b=b, T=T)
     if a == 1:
         raise ValueError("a = 1 has a T^-3 error regime; use perron_integral")
     la = abs(math.log(a))
-    return a**b * min(1.0 / T, 1.0 / (T * T * la))
+    return _finite_bound(a, b, T, lambda: a**b * min(1.0 / T, 1.0 / (T * T * la)))
 
 
 def _a1_bound(b: float, T: float) -> float:
     # leading term of the alternating arctan tail; (b + 1)^3 - b^3 expanded,
     # since the difference cancels to 0 for b >= 2^53
-    return (3.0 * b * b + 3.0 * b + 1.0) / (3.0 * math.pi * T**3)
+    return _finite_bound(
+        1.0, b, T, lambda: (3.0 * b * b + 3.0 * b + 1.0) / (3.0 * math.pi * T**3)
+    )
 
 
 def _excess(a: float, b: float, T: float, k: int, extra_bits: int):
@@ -117,14 +133,7 @@ def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
     else:
         # int(k): a numpy k would make main and numeric numpy floats
         main = ((a - 1.0) / a) ** int(k) if a > 1.0 else 0.0
-    try:
-        bound = _a1_bound(b, T) if a == 1.0 else lemma1_error_bound(a, b, T)
-    except ArithmeticError:  # a**b overflows, T**2 or T**3 underflows
-        bound = math.nan
-    if not 0 < bound < math.inf:
-        raise ValueError(
-            f"error bound at a = {a}, b = {b}, T = {T} is not positive and finite"
-        )
+    bound = _a1_bound(b, T) if a == 1.0 else lemma1_error_bound(a, b, T)
 
     extra = 0
     excess, finer = _excess(a, b, T, k, 0), _excess(a, b, T, k, 32)

@@ -131,12 +131,6 @@ def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
     return ZeroSumResult(x=x, T=T, k=k, value=neumaier_sum(2.0 * qr), count_used=len(gs))
 
 
-def lambda_factor(zeros: ZeroSet, x: float, T: float, i: int) -> float:
-    """Normalized factor lambda_i = zero_sum(x, T, i).value / sqrt(x)."""
-    check_int("i", i, 1, 3)
-    return zero_sum(zeros, x, T, i).value / math.sqrt(x)
-
-
 def explicit_formula_residual(
     avg: IteratedAverage, zeros: ZeroSet, x: int, T: float
 ) -> float:

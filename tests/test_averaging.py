@@ -7,33 +7,34 @@ import pytest
 
 from pntavg import averaging, sieve
 from pntavg.averaging import (
-    average_via_weights,
-    hat_prime_r,
-    hat_r,
     hat_r_series,
     hat_prime_r_series,
     iterated_average,
     range_summary,
-    tilde_r,
     tilde_r_series,
-    weighted_psi,
     weighted_psi_hat_series,
     weighted_psi_series,
     weighted_psi_tilde_series,
 )
-from pntavg.weights import WeightFamily, WeightScheme, weight
 
-from oracles import binom_column_comb, binom_weight_average, nested_average, psi_lcm
+from oracles import (
+    binom_column_comb,
+    binom_weight_average,
+    nested_average,
+    psi_lcm,
+    weight_a,
+    weight_b,
+    weight_h,
+)
 
 LOG2 = math.log(2)
 
 
-def exact_weighted_sum(table, family, i, n, scale=1):
-    """sum_j w(i, n, j) Lambda(j) with the exact weights of pntavg.weights,
-    each times scale and rounded once, summed by math.fsum."""
-    scheme = WeightScheme(family, i)
+def exact_weighted_sum(table, weight_fn, i, n, scale=1):
+    """sum_j w(i, n, j) Lambda(j) with the exact weights weight_fn of the
+    oracle, each times scale and rounded once, summed by math.fsum."""
     return math.fsum(
-        float(weight(scheme, n, j) * scale) * table.lam[j] for j in range(1, n + 1)
+        float(weight_fn(i, n, j) * scale) * table.lam[j] for j in range(1, n + 1)
     )
 
 
@@ -65,23 +66,12 @@ def test_average_matches_nested_sum_oracle(series_small):
             assert abs(avg.values[n] - nested_average(r, k, n)) <= 1e-9, (k, n)
 
 
-def test_average_via_weights_matches_prefix_form(series_small):
-    # a view of the series: bitwise its value, over this table or one that ends at n
-    for k in (1, 2, 3):
-        avg = iterated_average(series_small, k)
-        for n in (1, 2, 17, 100, 1000):
-            view = average_via_weights(series_small, k, n)
-            upto_n = sieve.error_series(sieve.build_lambda_table(n))
-            assert view == iterated_average(upto_n, k).values[n] == avg.values[n]
-
-
 def test_average_via_weights_matches_rational_oracle(series_small):
     r = series_small.r
     for k in (1, 2, 3):
+        avg = iterated_average(series_small, k)
         for n in (2, 30, 300):
-            assert average_via_weights(series_small, k, n) == pytest.approx(
-                binom_weight_average(r, k, n), abs=1e-10
-            )
+            assert avg.values[n] == pytest.approx(binom_weight_average(r, k, n), abs=1e-10)
 
 
 def test_order_zero_is_r(series_small):
@@ -89,8 +79,6 @@ def test_order_zero_is_r(series_small):
     avg = iterated_average(series_small, 0)
     assert avg.order == 0
     assert avg.values.tobytes() == series_small.r.tobytes()
-    for n in (1, 2, 17, 100, series_small.n_max):
-        assert average_via_weights(series_small, 0, n) == series_small.r[n]
 
 
 def test_average_invalid_args(series_small):
@@ -113,21 +101,23 @@ def test_average_invalid_args(series_small):
 
 
 def test_weighted_psi_order_zero(table_small):
-    assert weighted_psi(table_small, 0, 10) == pytest.approx(psi_lcm(10), abs=1e-9)
-    assert weighted_psi(table_small, 0, 10) == sieve.psi(table_small, 10)
+    psi_0 = weighted_psi_series(table_small, 0)
+    assert psi_0[10] == pytest.approx(psi_lcm(10), abs=1e-9)
+    assert psi_0[10] == sieve.psi(table_small, 10)
 
 
 def test_weighted_psi_trivial(table_small):
-    assert weighted_psi(table_small, 1, 1) == 0.0
+    assert weighted_psi_series(table_small, 1)[1] == 0.0
 
 
 def test_weighted_psi_identity(table_small, series_small):
     # rbar_i(n) = psi_i(n) - (n + i)/(i + 1)
     for i in (1, 2, 3):
         avg = iterated_average(series_small, i)
+        psi_i = weighted_psi_series(table_small, i)
         for n in (1, 2, 100, 1000, 2000):
             lhs = avg.values[n]
-            rhs = weighted_psi(table_small, i, n) - (n + i) / (i + 1)
+            rhs = psi_i[n] - (n + i) / (i + 1)
             assert lhs == pytest.approx(rhs, abs=1e-8), (i, n)
 
 
@@ -136,9 +126,8 @@ def test_weighted_psi_series_matches_pointwise(table_small):
         batch = weighted_psi_series(table_small, i)
         for n in (1, 2, 33, 500):
             assert batch[n] == pytest.approx(
-                exact_weighted_sum(table_small, WeightFamily.A, i, n), abs=1e-9
+                exact_weighted_sum(table_small, weight_a, i, n), abs=1e-9
             )
-            assert weighted_psi(table_small, i, n) == batch[n]
 
 
 def test_weighted_psi_hat_series_matches_pointwise(table_small):
@@ -146,7 +135,7 @@ def test_weighted_psi_hat_series_matches_pointwise(table_small):
         batch = weighted_psi_hat_series(table_small, i)
         for n in (2, 3, 33, 500):
             assert batch[n] == pytest.approx(
-                exact_weighted_sum(table_small, WeightFamily.B, i, n), abs=1e-9
+                exact_weighted_sum(table_small, weight_b, i, n), abs=1e-9
             )
         assert np.isnan(batch[1])
 
@@ -156,7 +145,7 @@ def test_weighted_psi_tilde_series_matches_pointwise(table_small):
         batch = weighted_psi_tilde_series(table_small, i)
         for n in (1, 2, 33, 500):
             assert batch[n] == pytest.approx(
-                exact_weighted_sum(table_small, WeightFamily.H, i, n), abs=1e-8
+                exact_weighted_sum(table_small, weight_h, i, n), abs=1e-8
             )
 
 
@@ -171,16 +160,6 @@ def test_weighted_series_range_checked(table_small, series_fn):
     # a numpy integer gives the int's result, bit for bit
     want = series_fn(table_small, 2).tobytes()
     assert series_fn(table_small, np.int64(2)).tobytes() == want
-
-
-def test_scalar_views_check_their_index(table_small, series_small):
-    # index 0 of every series is a placeholder, so the views refuse it too
-    top = table_small.n_max
-    for n in (0, top + 1, 5.0, True):
-        with pytest.raises(ValueError, match=rf"^n must be in \[1, {top}\], got "):
-            average_via_weights(series_small, 1, n)
-        with pytest.raises(ValueError, match=rf"^x must be in \[1, {top}\], got "):
-            weighted_psi(table_small, 1, n)
 
 
 def _every_series(table):
@@ -221,18 +200,17 @@ def test_smaller_table_gives_a_prefix_of_every_series(every_series_full, m):
 def test_hat_r_hand_value(series_small):
     avg = iterated_average(series_small, 1)
     # 2*(rbar(2) - rbar(1)) = log 2 - 1 = Lambda(2) - 1
-    assert hat_r(avg, 2) == pytest.approx(LOG2 - 1, abs=1e-12)
+    assert hat_r_series(avg)[2] == pytest.approx(LOG2 - 1, abs=1e-12)
 
 
 def test_hat_prime_scaling(series_small):
     # (i+1) * hat_prime = (n-1) * hat
     for i in (1, 2, 3):
         avg = iterated_average(series_small, i)
+        hat, hat_prime = hat_r_series(avg), hat_prime_r_series(avg)
         for n in (2, 10, 500, 2000):
-            assert hat_prime_r(avg, n) * (i + 1) == pytest.approx(
-                hat_r(avg, n) * (n - 1), abs=1e-9
-            )
-        assert hat_prime_r(avg, 2) == pytest.approx(hat_r(avg, 2) / (i + 1), abs=1e-12)
+            assert hat_prime[n] * (i + 1) == pytest.approx(hat[n] * (n - 1), abs=1e-9)
+        assert hat_prime[2] == pytest.approx(hat[2] / (i + 1), abs=1e-12)
 
 
 def test_hat_identity_weighted_form(table_small, series_small):
@@ -253,7 +231,7 @@ def test_hat_prime_identity_weighted_form(table_small, series_small):
         for n in (2, 3, 50, 777, 2000):
             # psi-hat'_i(n) = (n-1)/(i+1) psi-hat_i(n)
             scale = Fraction(n - 1, i + 1)
-            psi_hat_prime = exact_weighted_sum(table_small, WeightFamily.B, i, n, scale)
+            psi_hat_prime = exact_weighted_sum(table_small, weight_b, i, n, scale)
             rhs = psi_hat_prime - (n - 1) / (i + 1)
             assert hp[n] == pytest.approx(rhs, abs=1e-7), (i, n)
 
@@ -271,49 +249,32 @@ def test_tilde_identity_weighted_form(table_small, series_small):
 
 def test_tilde_small_n_both_sides(table_small, series_small):
     avg = iterated_average(series_small, 2)
-    lhs = tilde_r(avg, 3)
-    rhs = exact_weighted_sum(table_small, WeightFamily.H, 2, 3) - (3 - 1) / (2 + 1)
+    lhs = tilde_r_series(avg)[3]
+    rhs = exact_weighted_sum(table_small, weight_h, 2, 3) - (3 - 1) / (2 + 1)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_scalar_differences_equal_the_difference_formulas(series_small):
-    """hat_r, hat_prime_r and tilde_r give, bit for bit, the literal
-    differences of rbar_i at n, for every order and every n."""
+    """hat_r_series, hat_prime_r_series and tilde_r_series give, bit for bit,
+    the literal differences of rbar_i at n, for every order and every n."""
     for i in range(1, 9):
         avg = iterated_average(series_small, i)
         v = [float(x) for x in avg.values]
+        hat, hat_prime = hat_r_series(avg), hat_prime_r_series(avg)
+        tilde = tilde_r_series(avg) if i >= 2 else None
         for n in range(2, avg.n_max + 1):
             step = v[n] - v[n - 1]
-            assert hat_r(avg, n) == (i + 1) * step, (i, n)
-            assert hat_prime_r(avg, n) == (n - 1) * step, (i, n)
-            if i >= 2 and n >= 3:
+            assert hat[n] == (i + 1) * step, (i, n)
+            assert hat_prime[n] == (n - 1) * step, (i, n)
+            if tilde is not None and n >= 3:
                 fr = n * (n - 1) * step - (n - 1) * (n - 2) * (v[n - 1] - v[n - 2])
-                assert tilde_r(avg, n) == fr / 2.0, (i, n)
-        for fn in (hat_r, hat_prime_r, tilde_r):
-            if fn is tilde_r and i < 2:
-                continue
-            top = avg.n_max
-            with pytest.raises(ValueError, match=rf"^n must be in \[\d, {top}\], got {top + 1}$"):
-                fn(avg, avg.n_max + 1)
+                assert tilde[n] == fr / 2.0, (i, n)
 
 
 def test_differences_invalid_args(series_small):
-    avg1 = iterated_average(series_small, 1)
     avg2 = iterated_average(series_small, 2)
     with pytest.raises(ValueError):
-        hat_r(avg1, 1)
-    with pytest.raises(ValueError):
-        hat_prime_r(avg1, 1)
-    with pytest.raises(ValueError):
-        tilde_r(avg1, 5)  # order < 2
-    with pytest.raises(ValueError):
-        tilde_r(avg2, 2)  # n < 3
-    top = avg2.n_max
-    for fn, least in ((hat_r, 2), (hat_prime_r, 2), (tilde_r, 3)):
-        for n in (5.0, True, top + 1):
-            with pytest.raises(ValueError, match=rf"^n must be in \[{least}, {top}\], got "):
-                fn(avg2, n)
-        assert fn(avg2, np.int64(100)) == fn(avg2, 100)
+        tilde_r_series(iterated_average(series_small, 1))  # order < 2
     for order in (1, 2.0, True):
         with pytest.raises(ValueError, match="^average order must be >= 2, got "):
             tilde_r_series(dataclasses.replace(avg2, order=order))

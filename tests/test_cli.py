@@ -154,6 +154,23 @@ def test_errors_order_zero_is_raw_r(capsys):
     assert out.strip().splitlines()[1] == "1,-1.000000"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve", "--n-max", "0"],
+        ["errors", "--n-max", "0"],
+        ["check", "--n-max", "0"],
+        ["tables", "--n-max", "2", "--allow-partial"],
+    ],
+)
+def test_n_max_out_of_range_is_usage_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    least = 3 if argv[0] == "tables" else 1
+    assert err == f"error: {argv[0]} needs --n-max >= {least}, got {argv[2]}\n"
+
+
 def test_perron_row(capsys):
     code, out, _ = run(["perron", "--a", "2", "--b", "1", "--T", "1000"], capsys)
     assert code == 0

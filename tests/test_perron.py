@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -28,6 +29,17 @@ def test_error_bound_values():
         lemma1_error_bound(1.0, 1.0, 10.0)
     with pytest.raises(ValueError):
         lemma1_error_bound(-2.0, 1.0, 10.0)
+
+
+@pytest.mark.parametrize("a, b, T", [(2, 1, 1e-200), (2, 1e300, 100), (0.5, 1e300, 100)])
+def test_error_bound_refuses_what_is_not_positive_and_finite(a, b, T):
+    """T^2 underflows to 0, a^b overflows, a^b underflows to 0: the bound
+    called directly raises the ValueError that perron_integral raises."""
+    msg = re.escape(f"error bound at a = {a}, b = {b}, T = {T} is not positive and finite")
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        lemma1_error_bound(a, b, T)
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        perron_integral(a, b, T)
 
 
 @pytest.mark.parametrize(

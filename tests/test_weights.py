@@ -1,3 +1,6 @@
+"""The exact rational weight oracle of tests/oracles.py: hand values, the
+b rows summing to 1, and the argument checks of each weight family."""
+
 from fractions import Fraction
 from math import comb
 
@@ -6,15 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pntavg.weights import (
-    WeightFamily,
-    WeightScheme,
-    row_sum,
-    weight,
-    weight_a,
-    weight_b,
-    weight_h,
-)
+from oracles import row_sum, weight_a, weight_b, weight_h
 
 
 def test_a_examples():
@@ -28,7 +23,7 @@ def test_b_examples():
     assert weight_b(1, 3, 2) == Fraction(1, 3)
     assert weight_b(1, 3, 3) == Fraction(2, 3)
     assert weight_b(1, 3, 1) == 0
-    assert row_sum(WeightScheme(WeightFamily.B, 1), 3) == 1
+    assert row_sum(weight_b, 1, 3) == 1
 
 
 def test_matches_direct_binomials():
@@ -46,27 +41,15 @@ def test_matches_direct_binomials():
 def test_b_rows_sum_to_one_exactly():
     for i in range(1, 6):
         for n in (2, 3, 10, 57, 200, 500):
-            assert row_sum(WeightScheme(WeightFamily.B, i), n) == 1, (i, n)
+            assert row_sum(weight_b, i, n) == 1, (i, n)
 
 
-def test_weight_scheme_validation():
-    with pytest.raises(ValueError):
-        WeightScheme(WeightFamily.H, 1)
-    with pytest.raises(ValueError):
-        WeightScheme(WeightFamily.B, 0)
-    with pytest.raises(ValueError):
-        weight(WeightScheme(WeightFamily.A, 2), 5, 6)
-    with pytest.raises(ValueError):
-        weight(WeightScheme(WeightFamily.A, 2), 5, 0)
-    for family, least in ((WeightFamily.A, 0), (WeightFamily.B, 1), (WeightFamily.H, 2)):
-        for order in (2.0, True, least - 1):
-            with pytest.raises(ValueError, match=f"^order i must be >= {least}, got "):
-                WeightScheme(family, order)
+def test_weight_functions_check_their_arguments():
     for fn, least in ((weight_a, 0), (weight_b, 1), (weight_h, 2)):
         for i in (3.0, True, least - 1):
             with pytest.raises(ValueError, match=f"^order i must be >= {least}, got "):
                 fn(i, 5, 2)
-    # each family checks the row and column itself, called directly too
+    # each family checks the row and column itself
     for j in (6, 0):
         with pytest.raises(ValueError, match=rf"^j must be in \[1, 5\], got {j}$"):
             weight_a(2, 5, j)
@@ -77,25 +60,21 @@ def test_weight_scheme_validation():
             fn(i, 4, 5)
         with pytest.raises(ValueError, match="^n must be >= "):
             fn(i, 0, 1)
-    a2 = WeightScheme(WeightFamily.A, 2)
     for j in (1.5, True, 4):
         with pytest.raises(ValueError, match=r"^j must be in \[1, 3\], got "):
-            weight(a2, 3, j)
+            weight_a(2, 3, j)
     for n in (3.0, True, 0):
         with pytest.raises(ValueError, match="^n must be >= 1, got "):
-            weight(a2, n, 1)
-    # family B divides by C(n+i-1, i+1), which is 0 at n = 1
+            weight_a(2, n, 1)
+    # family b divides by C(n+i-1, i+1), which is 0 at n = 1
     for i in (1, 2, 5):
-        b = WeightScheme(WeightFamily.B, i)
         with pytest.raises(ValueError, match="^n must be >= 2, got 1"):
-            weight(b, 1, 1)
+            weight_b(i, 1, 1)
         with pytest.raises(ValueError, match="^n must be >= 2, got 1"):
-            row_sum(b, 1)
+            row_sum(weight_b, i, 1)
     # a numpy integer gives the int's exact weight, even past 2**63
-    b4 = WeightScheme(WeightFamily.B, 4)
-    assert weight(b4, np.int64(2_000_000), np.int64(30_000)) == weight(b4, 2_000_000, 30_000)
-    h3 = WeightScheme(WeightFamily.H, np.int64(3))
-    assert weight(h3, np.int64(50), np.int64(7)) == weight(WeightScheme(WeightFamily.H, 3), 50, 7)
+    assert weight_b(4, np.int64(2_000_000), np.int64(30_000)) == weight_b(4, 2_000_000, 30_000)
+    assert weight_h(np.int64(3), np.int64(50), np.int64(7)) == weight_h(3, 50, 7)
 
 
 @given(
@@ -118,7 +97,7 @@ def test_a_weights_in_unit_interval(i, n, j):
 )
 @settings(max_examples=60)
 def test_b_row_normalization(i, n):
-    assert row_sum(WeightScheme(WeightFamily.B, i), n) == 1
+    assert row_sum(weight_b, i, n) == 1
 
 
 @given(

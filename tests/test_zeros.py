@@ -11,7 +11,6 @@ from pntavg.zeros import (
     ZeroFormatError,
     explicit_formula_residual,
     gamma_square_tail,
-    lambda_factor,
     load_zeros,
     zero_sum,
 )
@@ -159,24 +158,15 @@ def test_zero_sum_validation(zeros_2000):
 
 
 def test_lambda_factor(zeros_2000):
+    """The normalized factor lambda_i = zero_sum(x, T, i) / sqrt(x) is at most
+    2 sum_gamma 1/|rho (rho+1) ... (rho+i)|, itself at most 2 sum 1/gamma^(i+1)."""
     x, T = 1e4, 200.0
-    for i in (1, 2, 3):
-        lf = lambda_factor(zeros_2000, x, T, i)
-        assert lf == pytest.approx(zero_sum(zeros_2000, x, T, i).value / math.sqrt(x))
     gs = zeros_2000.gammas[zeros_2000.gammas <= T]
     b1 = 2 * sum(1 / abs(complex(0.5, g) * complex(1.5, g)) for g in gs)
-    assert abs(lambda_factor(zeros_2000, x, T, 1)) <= b1
+    assert abs(zero_sum(zeros_2000, x, T, 1).value / math.sqrt(x)) <= b1
     b3 = 2 * sum(1 / g**4 for g in gs) * 1.3
-    assert abs(lambda_factor(zeros_2000, x, T, 3)) <= b3
-    with pytest.raises(ValueError):
-        lambda_factor(zeros_2000, x, T, 4)
-    with pytest.raises(ValueError, match=r"\[1, 3\]"):
-        lambda_factor(zeros_2000, x, T, 2.0)
-    for i in (2.0, True, 4):
-        with pytest.raises(ValueError, match=r"^i must be in \[1, 3\], got "):
-            lambda_factor(zeros_2000, x, T, i)
-    assert lambda_factor(zeros_2000, x, T, np.int64(2)) == lambda_factor(zeros_2000, x, T, 2)
-    assert lambda_factor(zeros.ZeroSet(np.array([])), x, T, 1) == 0.0
+    assert abs(zero_sum(zeros_2000, x, T, 3).value / math.sqrt(x)) <= b3
+    assert zero_sum(zeros.ZeroSet(np.array([])), x, T, 1).value == 0.0
 
 
 # -- explicit formula residual ---------------------------------------------
