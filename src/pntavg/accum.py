@@ -32,8 +32,6 @@ def neumaier_prefix_sum(values: np.ndarray) -> np.ndarray:
 
 
 def neumaier_sum(values) -> float:
-    """Sum of an iterable of floats with Neumaier compensation."""
-    if not isinstance(values, np.ndarray):
-        values = np.fromiter(values, dtype=float)
+    """Sum of an array or sequence of floats with Neumaier compensation."""
     prefix = neumaier_prefix_sum(values)
     return float(prefix[-1]) if len(prefix) else 0.0

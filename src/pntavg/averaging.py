@@ -87,14 +87,14 @@ def weighted_psi_series(table: LambdaTable, i: int) -> np.ndarray:
     The numerator is the (i+1)-fold prefix sum of Lambda, so the whole
     series costs i+1 compensated passes.  Index 0 unused.
     """
-    check_int("order i", i, 0)
+    check_int("order i", i, 0, MAX_ORDER)
     return _folded_ratio(table.lam[1:], i + 1, i)
 
 
 def weighted_psi_hat_series(table: LambdaTable, i: int) -> np.ndarray:
     """psi-hat_i(n) for all n in the table: i-fold prefix sum of (j-1) Lambda(j)
     over C(n+i-1, i+1).  Index 1 is nan: C(i, i+1) = 0."""
-    check_int("order i", i, 1)
+    check_int("order i", i, 1, MAX_ORDER)
     # the j = 1 term is 0, so folding from j = 2 gives the same sums, and
     # position m of the fold is n = m + 1
     j = np.arange(2, table.n_max + 1, dtype=float)
@@ -105,7 +105,7 @@ def weighted_psi_hat_series(table: LambdaTable, i: int) -> np.ndarray:
 
 def weighted_psi_tilde_series(table: LambdaTable, i: int) -> np.ndarray:
     """psi-tilde_i(n) for all n in the table: (i-1)-fold prefix of C(j,2) Lambda(j)."""
-    check_int("order i", i, 2)
+    check_int("order i", i, 2, MAX_ORDER)
     j = np.arange(1, table.n_max + 1, dtype=float)
     g = j * (j - 1.0) / 2.0 * table.lam[1:]
     # (i-1)-fold prefix of g gives sum_j C(n-j+i-2, i-2) g(j), exactly the

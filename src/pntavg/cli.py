@@ -129,8 +129,7 @@ def cmd_tables(args) -> int:
             f"warning: tables computed over reduced range n <= {args.n_max}",
             file=sys.stderr,
         )
-    table = sieve.load_or_build_table(args.cache, args.n_max)
-    rows = _table_rows(table)
+    rows = _table_rows(sieve.build_lambda_table(args.n_max))
     with _out_stream(args) as out:
         if args.pretty:
             out.write(f"{'statistic':<10} {'range':<14} {'min':>14} {'max':>14}\n")
@@ -237,8 +236,7 @@ def _check_zeros(path) -> list[str]:
 
 
 def cmd_check(args) -> int:
-    n_check = min(args.n_max, 10_000)
-    table = sieve.load_or_build_table(args.cache, n_check)
+    table = sieve.build_lambda_table(min(args.n_max, 10_000))
     suites = [
         ("sieve-psi-oracle", lambda: _check_sieve(table)),
         ("averaging-identities", lambda: _check_averaging(table)),
@@ -271,15 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, least_n_max=1):
         sp.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-        sp.add_argument("--cache", type=str, default=None)
         sp.set_defaults(least_n_max=least_n_max)
 
     sp = sub.add_parser("sieve", help="build the Lambda table")
     common(sp)
+    sp.add_argument("--cache", type=str, default=None)
     sp.set_defaults(fn=cmd_sieve)
 
     sp = sub.add_parser("errors", help="emit error series CSV")
     common(sp)
+    sp.add_argument("--cache", type=str, default=None)
     sp.add_argument("--output", type=str, default=None)
     sp.add_argument("--order", type=int, action="append", default=None)
     sp.set_defaults(fn=cmd_errors)
@@ -315,6 +314,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _settle_stdout() -> None:
+    """Flush stdout; if it cannot take the bytes, point fd 1 at os.devnull so
+    the flush at interpreter exit has nothing left to fail on (the idiom of
+    the SIGPIPE note in the signal module's docs).  A stdout without a file
+    descriptor, such as a test's capture, is left as it is."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        with contextlib.suppress(OSError):  # io.UnsupportedOperation: no fd
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -325,16 +339,18 @@ def main(argv=None) -> int:
         )
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a full stdout fails here, not at interpreter exit
+        return status
     except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        message, status = f"error: {exc}", EXIT_FAILURE
     except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        message, status = f"I/O error: {exc}", EXIT_FAILURE
     except MemoryError:
-        print("error: out of memory; try a smaller --n-max", file=sys.stderr)
-        return EXIT_USAGE
+        message, status = "error: out of memory; try a smaller --n-max", EXIT_USAGE
+    _settle_stdout()
+    print(message, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -156,7 +156,7 @@ def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
 
 def _complex_sum(terms: list) -> complex:
     """Compensated sums of the real and the imaginary parts of terms."""
-    return complex(neumaier_sum(t.real for t in terms), neumaier_sum(t.imag for t in terms))
+    return complex(neumaier_sum([t.real for t in terms]), neumaier_sum([t.imag for t in terms]))
 
 
 def dirichlet_perron_check(

@@ -136,10 +136,9 @@ def explicit_formula_residual(
 ) -> float:
     """rbar(x) + zero_sum(x, T, 1).value, the truncation residual.
 
-    Requires a first-order average (avg.order == 1) and an integral
-    x >= 2: an int, numpy integer, or integral float or numpy float, not a
-    string.  With T below the first ordinate the sum is empty and the
-    residual is just rbar(x).
+    Requires a first-order average (avg.order == 1) and an integer x in
+    [2, avg.n_max]: an int or a numpy integer.  With T below the first
+    ordinate the sum is empty and the residual is just rbar(x).
 
     As T grows the residual tends not to 0 but to the explicit formula's
     non-oscillatory part
@@ -154,10 +153,6 @@ def explicit_formula_residual(
     """
     if avg.order != 1:
         raise ValueError("explicit_formula_residual needs a k = 1 average")
-    if isinstance(x, (float, np.floating)):
-        if not float(x).is_integer():
-            raise ValueError(f"x must be an integer, got {x}")
-        x = int(x)
     check_int("x", x, 2, avg.n_max)
     return float(avg.values[x]) + zero_sum(zeros, float(x), T, 1).value
 

@@ -45,7 +45,7 @@ def test_prefix_sum_bitwise_equals_scalar_loop(length, seed, exponents, zero_sha
 def test_short_prefix_sum_bitwise_equals_scalar_loop(values):
     ref = neumaier_prefix_loop(values)
     assert np.array_equal(bits(neumaier_prefix_sum(values)), bits(ref))
-    assert np.array_equal(bits([neumaier_sum(iter(values))]), bits([ref[-1] if ref else 0.0]))
+    assert np.array_equal(bits([neumaier_sum(values)]), bits([ref[-1] if ref else 0.0]))
 
 
 def test_add_accumulate_is_sequential():
@@ -62,5 +62,5 @@ def test_add_accumulate_is_sequential():
 def test_neumaier_sum_is_last_prefix():
     x = mixed_values(1000, 2, [-3, 5], 0.1)
     assert neumaier_sum(x) == neumaier_prefix_sum(x)[-1]
-    assert neumaier_sum(v for v in x) == neumaier_prefix_sum(x)[-1]
+    assert neumaier_sum(list(x)) == neumaier_prefix_sum(x)[-1]
     assert neumaier_sum([]) == 0.0

@@ -154,8 +154,8 @@ def test_weighted_psi_tilde_series_matches_pointwise(table_small):
 )
 def test_weighted_series_range_checked(table_small, series_fn):
     least = {weighted_psi_series: 0, weighted_psi_hat_series: 1}.get(series_fn, 2)
-    for i in (2.0, 2.5, True, least - 1):
-        with pytest.raises(ValueError, match=f"^order i must be >= {least}, got "):
+    for i in (2.0, 2.5, True, least - 1, averaging.MAX_ORDER + 1):
+        with pytest.raises(ValueError, match=rf"^order i must be in \[{least}, 8\], got "):
             series_fn(table_small, i)
     # a numpy integer gives the int's result, bit for bit
     want = series_fn(table_small, 2).tobytes()

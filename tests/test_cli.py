@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -583,8 +584,10 @@ def test_corrupted_cache_reported(tmp_path, capsys):
     cache = tmp_path / "sieve.bin"
     run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)
     _corrupt(cache)
-    code, _, err = run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)
+    code, out, err = run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)
     assert code == cli.EXIT_FAILURE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "integrity" in err
 
 
@@ -596,17 +599,6 @@ def test_check_with_no_zeros_fails_the_zero_suite(tmp_path, capsys, text):
     assert code == cli.EXIT_FAILURE
     assert out.splitlines()[-1] == f"FAIL zero-sums: {path} holds no zeros"
     assert err == ""
-
-
-def test_check_with_corrupted_cache_is_one_line_error(tmp_path, capsys):
-    cache = tmp_path / "sieve.bin"
-    run(["sieve", "--n-max", "500", "--cache", str(cache)], capsys)
-    _corrupt(cache)
-    code, out, err = run(["check", "--n-max", "500", "--cache", str(cache)], capsys)
-    assert code == cli.EXIT_FAILURE
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "integrity" in err
 
 
 @pytest.mark.parametrize("cached, wanted", [(500, 5000), (5000, 500)], ids=["smaller", "larger"])
@@ -656,17 +648,40 @@ def test_bare_cache_name_is_relative_to_cwd(tmp_path, monkeypatch, capsys):
     assert os.listdir(elsewhere) == []
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_one_line_error():
+    # buffered stdout, as outside a test run, is written out only at
+    # interpreter exit unless the command flushes it itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pntavg.cli", "sieve", "--n-max", "100"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+    assert proc.returncode == cli.EXIT_FAILURE
+    assert proc.stderr.startswith("I/O error: ") and proc.stderr.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["tables", "--bogus-flag"])
     assert exc.value.code == cli.EXIT_USAGE
 
 
-@pytest.mark.parametrize("command", ["sieve", "check"])
-def test_output_refused_where_nothing_is_written(tmp_path, command):
-    # sieve and check print only to stdout, so --output is a usage error
+@pytest.mark.parametrize(
+    "command, flag",
+    [("sieve", "--output"), ("check", "--output"), ("tables", "--cache"), ("check", "--cache")],
+    ids=["sieve", "check", "tables-cache", "check-cache"],
+)
+def test_output_refused_where_nothing_is_written(tmp_path, command, flag):
+    # sieve and check print only to stdout, so --output is a usage error;
+    # tables and check always sieve afresh, so --cache is one too
     with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--n-max", "100", "--output", str(tmp_path / "o.txt")])
+        cli.main([command, "--n-max", "100", flag, str(tmp_path / "o.txt")])
     assert exc.value.code == cli.EXIT_USAGE
     assert os.listdir(tmp_path) == []
 
@@ -676,8 +691,6 @@ def test_output_refused_where_nothing_is_written(tmp_path, command):
     [
         ["sieve"],
         ["errors", "--order", "0", "--order", "2"],
-        ["tables", "--allow-partial"],
-        ["check"],
     ],
 )
 def test_larger_cache_does_not_change_output(tmp_path, capsys, argv):
