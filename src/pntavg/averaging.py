@@ -13,17 +13,21 @@ equivalent representation as a binomial-weighted sum over Lambda:
     tilde_r(i, n)     = (fr(n) - fr(n-1)) / 2,
                         fr(m) = m*(m-1)*(rbar_i(m) - rbar_i(m-1))  [weights h]
 
-Every series comes from _folded_ratio: compensated prefix passes over a
-sequence g, divided by an exact binomial column.  g is r for rbar_k, and
-Lambda, (j-1) Lambda(j) or C(j, 2) Lambda(j) for the weighted series psi_i,
-psi-hat_i and psi-tilde_i, a data path disjoint from the prefix sums of r.
+Every series is one fold chain over a sequence g, divided by a binomial
+column.  The chain (_folds) makes compensated prefix passes, each over the
+one before; _over_column divides the sums by C(n+k-1, k) block by block.
+Each column entry is the exact integer, formed in 32-bit limbs and rounded
+once (_binom_column), so it is float(math.comb(n+k-1, k)) bit for bit.
+iterated_averages runs the chain over g = r and yields rbar_0..rbar_k, k
+passes in all.  g is Lambda, (j-1) Lambda(j) or C(j, 2) Lambda(j) for the
+weighted series psi_i, psi-hat_i and psi-tilde_i (_folded_ratio), a data
+path disjoint from the prefix sums of r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from math import comb
+from math import factorial, prod
 
 import numpy as np
 
@@ -32,6 +36,9 @@ from .accum import neumaier_prefix_sum
 from .sieve import ErrorSeries, LambdaTable
 
 MAX_ORDER = 8
+_BLOCK = 1 << 12  # n per binomial column block; bounds the limb work arrays
+_MASK = np.uint64(0xFFFF_FFFF)  # one 32-bit limb
+_POWERS_OF_2 = np.array([1 << b for b in range(33)], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -53,28 +60,179 @@ class RangeSummary:
     argmax: int
 
 
-def _binom_column(n_max: int, k: int) -> np.ndarray:
-    """float C(n+k-1, k) for n = 1..n_max, exact integers rounded once."""
-    return np.fromiter(map(comb, range(k, n_max + k), repeat(k)), float, n_max)
+def _limbs_to_float(limbs: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """out[m] = the integer sum_i limbs[i, m] * 2^(32 i), rounded once to the
+    nearest float, ties to even.
+
+    limbs holds 32-bit limbs in uint64, at least two of them, and its values
+    must ascend with m: then the index of the top non-zero limb, and the bit
+    length b of that limb, each change on a few contiguous runs.  Values
+    below 2^64 convert directly.  On a run of bit length B > 64 the 64-bit
+    window at shift B - 64 takes a sticky bit in bit 0 when any bit below it
+    is set, which decides the tie exactly; the uint64 -> float64 cast then
+    rounds half to even and ldexp restores the scale.  work is a (2, m)
+    uint64 scratch array.
+    """
+    x, low = work
+    end = limbs.shape[1]
+    for t in range(len(limbs) - 1, 1, -1):
+        top = limbs[t, :end]  # ascends: the values here lie below 2^(32 (t + 1))
+        start = int(np.searchsorted(top, 1))
+        edges = (start + np.searchsorted(top[start:], _POWERS_OF_2)).tolist()
+        for b in range(1, 33):
+            if edges[b] > edges[b - 1]:
+                _round_window(limbs, 32 * t + b - 64, slice(edges[b - 1], edges[b]), out, x, low)
+        end = start
+    np.left_shift(limbs[1, :end], 32, out=x[:end])
+    np.bitwise_or(x[:end], limbs[0, :end], out=x[:end])
+    out[:end] = x[:end]
+
+
+def _round_window(limbs, s, run, out, x, low) -> None:
+    """out[run] = the limb values in run, whose bit length is s + 64, rounded
+    once through the window of bits s .. s + 63 and a sticky bit 0."""
+    q, r = divmod(s, 32)
+    x, low = x[run], low[run]
+    np.right_shift(limbs[q, run], r, out=x)
+    np.left_shift(limbs[q + 1, run], 32 - r, out=low)
+    np.bitwise_or(x, low, out=x)
+    if r:
+        np.left_shift(limbs[q + 2, run], 64 - r, out=low)
+        np.bitwise_or(x, low, out=x)
+        np.left_shift(limbs[q, run], 64 - r, out=low)  # limb q's bits below the window
+    else:
+        low.fill(0)
+    for i in range(q):
+        np.bitwise_or(low, limbs[i, run], out=low)
+    np.minimum(low, 1, out=low)
+    np.bitwise_or(x, low, out=x)
+    o = out[run]
+    o[...] = x
+    np.ldexp(o, s, out=o)
+
+
+def _limb_count(v: int) -> int:
+    """The number of 32-bit limbs that hold v."""
+    return -(-v.bit_length() // 32)
+
+
+def _product(n: int, k: int) -> int:
+    """n (n+1) ... (n+k-1), exactly."""
+    return prod(range(n, n + k))
+
+
+def _binom_column(k: int, lo: int, hi: int):
+    """Yield (n0, col), col[m] = float C(n0 + m + k - 1, k), over n in
+    [lo, hi) in consecutive blocks of at most _BLOCK entries.  col is one
+    buffer, overwritten by the next block.
+
+    Each entry is exact before its one rounding: n (n+1) ... (n+k-1) is
+    formed in 32-bit limbs by k - 1 limb multiplies, divided exactly by k!
+    from the top limb down, and rounded once by _limbs_to_float, so col is
+    bitwise float(math.comb(n + k - 1, k)) (Knuth, TAOCP vol. 2, 4.3.1).
+    Raises ValueError unless every factor n + j lies below 2^32, which
+    keeps every limb product below 2^64.
+    """
+    k = int(k)
+    if hi + k - 2 >= 1 << 32:
+        raise ValueError(f"C(n+k-1, k) needs n + k - 1 < 2^32, got n = {hi - 1}, k = {k}")
+    d = factorial(k)
+    block = min(_BLOCK, max(hi - lo, 0))
+    # one allocation for every block: the limbs, then rows for n, the factor
+    # n + j, the limb product t and its carry c
+    work = np.zeros((max(2, _limb_count(_product(hi - 1, k))) + 4, block), np.uint64)
+    col = np.empty(block)
+    work[-4] = np.arange(lo, lo + block, dtype=np.uint64)
+    for n0 in range(lo, hi, _BLOCK):
+        m = min(_BLOCK, hi - n0)
+        limbs, (n, f, t, c) = work[:-4, :m], work[-4:, :m]
+        if k:
+            limbs[0] = n
+        else:
+            limbs[0].fill(1)
+        # limb counts after each factor, at the largest n of the block
+        used = [_limb_count(_product(n0 + m - 1, j)) for j in range(k + 1)]
+        for j in range(1, k):
+            np.add(n, j, out=f)
+            np.multiply(limbs[0], f, out=t)
+            for i in range(1, used[j]):
+                np.right_shift(t, 32, out=c)
+                np.bitwise_and(t, _MASK, out=limbs[i - 1])
+                np.multiply(limbs[i], f, out=t)
+                np.add(t, c, out=t)
+            if used[j + 1] > used[j]:
+                np.right_shift(t, 32, out=limbs[used[j]])
+            np.bitwise_and(t, _MASK, out=limbs[used[j] - 1])
+        if d > 1:
+            c.fill(0)  # the remainder, carried down the limbs
+            for i in range(used[k] - 1, -1, -1):
+                np.left_shift(c, 32, out=t)
+                np.bitwise_or(t, limbs[i], out=t)
+                np.floor_divide(t, d, out=limbs[i])
+                if i:
+                    np.multiply(limbs[i], d, out=c)
+                    np.subtract(t, c, out=c)
+        quotient = max(2, _limb_count(_product(n0 + m - 1, k) // d))
+        _limbs_to_float(limbs[:quotient], col[:m], work[-2:, :m])
+        yield n0, col[:m]
+        np.add(n, _BLOCK, out=n)
+
+
+def _over_column(sums: np.ndarray, k: int) -> np.ndarray:
+    """out[n] = sums[n-1] / C(n+k-1, k) for n = 1..len(sums); out[0] = 0.
+    The column is divided in block by block, never built whole."""
+    out = np.empty(len(sums) + 1)
+    out[0] = 0.0
+    for n0, col in _binom_column(k, 1, len(sums) + 1):
+        np.divide(sums[n0 - 1 : n0 - 1 + len(col)], col, out=out[n0 : n0 + len(col)])
+    return out
+
+
+def _folds(g: np.ndarray, count: int):
+    """Yield g and then its first count compensated prefix sums, each one
+    neumaier_prefix_sum pass over the one before."""
+    yield g
+    for _ in range(count):
+        g = neumaier_prefix_sum(g)
+        yield g
 
 
 def _folded_ratio(g: np.ndarray, folds: int, k: int) -> np.ndarray:
     """out[n] = (folds-fold compensated prefix sum of g)(n) / C(n+k-1, k)
     for n = 1..len(g); out[0] = 0."""
-    for _ in range(folds):
-        g = neumaier_prefix_sum(g)
-    out = np.zeros(len(g) + 1)
-    out[1:] = g / _binom_column(len(g), k)
-    return out
+    for sums in _folds(g, folds):
+        pass
+    return _over_column(sums, k)
+
+
+def _average(series: ErrorSeries, k: int, sums: np.ndarray) -> IteratedAverage:
+    """rbar_k from its k-fold sums; rbar_0 is r itself, zero folds over
+    C(n-1, 0) = 1, so it takes no copy."""
+    if not k:
+        return IteratedAverage(0, series.n_max, series.r)
+    values = _over_column(sums, k)
+    values.flags.writeable = False
+    return IteratedAverage(k, series.n_max, values)
+
+
+def iterated_averages(series: ErrorSeries, k_max: int):
+    """An iterator over rbar_0, rbar_1, ..., rbar_k_max as IteratedAverage,
+    each formed when it is drawn.  They come from one chain: order k's fold
+    sums are one compensated prefix pass over order k-1's, so the orders up
+    to k_max cost k_max passes.  Raises ValueError, before any work, unless
+    k_max is an integer in [0, MAX_ORDER]."""
+    check_int("order k", k_max, 0, MAX_ORDER)
+    chain = enumerate(_folds(series.r[1:], int(k_max)))
+    return (_average(series, k, sums) for k, sums in chain)
 
 
 def iterated_average(series: ErrorSeries, k: int) -> IteratedAverage:
-    """rbar_k(n) for every n in the series via k compensated prefix-sum passes;
-    k = 0 is r.  Raises ValueError unless k is an integer in [0, MAX_ORDER]."""
-    check_int("order k", k, 0, MAX_ORDER)
-    values = _folded_ratio(series.r[1:], k, k)
-    values.flags.writeable = False
-    return IteratedAverage(k, series.n_max, values)
+    """rbar_k(n) for every n in the series, the last average of the chain
+    to k; k = 0 is r.  Raises ValueError unless k is an integer in
+    [0, MAX_ORDER]."""
+    for avg in iterated_averages(series, k):
+        pass
+    return avg
 
 
 # -- weighted Lambda sums ---------------------------------------------------

@@ -20,7 +20,7 @@ import contextlib
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -83,37 +83,42 @@ def cmd_errors(args) -> int:
     table = sieve.load_or_build_table(args.cache, args.n_max)
     series = sieve.error_series(table)
     with _out_stream(args) as out:
+        held = None  # the one order in memory, the chain's last
         for order in orders:
             if len(orders) > 1:
                 out.write(f"# order={order}\n")
-            values = averaging.iterated_average(series, order).values
+            if held is None or held.order != order:
+                if held is None or order < held.order:  # (re)start the chain at rbar_0
+                    averages = averaging.iterated_averages(series, max(orders))
+                held = None  # dropped before the next order is formed
+                held = next(avg for avg in averages if avg.order == order)
             out.write("n,value\n")
-            _write_rows(out, values[1:])
+            _write_rows(out, held.values[1:])
     return EXIT_OK
 
 
 def _table_rows(table: sieve.LambdaTable):
-    """The four summary tables over the whole table as (name, RangeSummary) rows."""
+    """The four summary tables over the whole table as (name, RangeSummary)
+    rows.  One chain gives rbar_1..6; each order is summarised as it comes
+    and dropped before the next is formed."""
     n_max = table.n_max
-    series = sieve.error_series(table)
-    avgs = {k: averaging.iterated_average(series, k) for k in range(1, 7)}
-    rows = []
-
-    rows.append(("r", averaging.range_summary(series.r, 1, n_max)))
-    for k in (1, 2, 3):
-        rows.append((f"rbar{k}", averaging.range_summary(avgs[k].values, 1, n_max)))
-
     lo2 = min(100, n_max)
-    for i in range(1, 6):
-        s = averaging.hat_r_series(avgs[i])
-        rows.append((f"rhat{i}", averaging.range_summary(s, lo2, n_max)))
-    for i in range(1, 6):
-        s = averaging.hat_prime_r_series(avgs[i])
-        rows.append((f"rhatp{i}", averaging.range_summary(s, 2, n_max)))
-    for i in range(2, 7):
-        s = averaging.tilde_r_series(avgs[i])
-        rows.append((f"rtilde{i}", averaging.range_summary(s, 3, n_max)))
-    return rows
+
+    def summary(name, values, lo):
+        return name, averaging.range_summary(values, lo, n_max)
+
+    series = sieve.error_series(table)
+    rbar, rhat, rhatp, rtilde = [], [], [], []
+    for avg in averaging.iterated_averages(series, 6):
+        k = avg.order
+        if 1 <= k <= 3:
+            rbar.append(summary(f"rbar{k}", avg.values, 1))
+        if 1 <= k <= 5:
+            rhat.append(summary(f"rhat{k}", averaging.hat_r_series(avg), lo2))
+            rhatp.append(summary(f"rhatp{k}", averaging.hat_prime_r_series(avg), 2))
+        if k >= 2:
+            rtilde.append(summary(f"rtilde{k}", averaging.tilde_r_series(avg), 3))
+    return [summary("r", series.r, 1), *rbar, *rhat, *rhatp, *rtilde]
 
 
 def cmd_tables(args) -> int:
@@ -192,8 +197,8 @@ def _check_sieve(table) -> list[str]:
 def _check_averaging(table) -> list[str]:
     failures = []
     series = sieve.error_series(table)
-    for k in (1, 2, 3):
-        avg = averaging.iterated_average(series, k)
+    for avg in islice(averaging.iterated_averages(series, 3), 1, None):  # rbar_1..3
+        k = avg.order
         # the Lambda route: rbar_k(n) = psi_k(n) - (n + k)/(k + 1), at every n
         psi_k = averaging.weighted_psi_series(table, k)
         dev = np.abs(psi_k[1:] - (np.arange(1, table.n_max + 1) + k) / (k + 1) - avg.values[1:])

@@ -247,10 +247,10 @@ def fmt6_dragon4(v: float) -> str:
     )
 
 
-def binom_column_comb(n_max: int, k: int) -> np.ndarray:
-    """float(C(n+k-1, k)) for n = 1..n_max, one list comprehension of exact
+def binom_column_comb(n_max: int, k: int, lo: int = 1) -> np.ndarray:
+    """float(C(n+k-1, k)) for n = lo..n_max, one list comprehension of exact
     integers."""
-    return np.array([float(math.comb(n + k - 1, k)) for n in range(1, n_max + 1)])
+    return np.array([float(math.comb(n + k - 1, k)) for n in range(lo, n_max + 1)])
 
 
 def perron_full_segment(a: float, b: float, T: float, k: int) -> complex:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from pntavg import averaging, sieve
+from pntavg.accum import neumaier_prefix_sum
 from pntavg.averaging import (
     hat_r_series,
     hat_prime_r_series,
     iterated_average,
+    iterated_averages,
     range_summary,
     tilde_r_series,
     weighted_psi_hat_series,
@@ -38,12 +40,89 @@ def exact_weighted_sum(table, weight_fn, i, n, scale=1):
     )
 
 
+def binom_column(k, lo, hi):
+    """The library's column C(n+k-1, k) for n in [lo, hi), its blocks joined."""
+    blocks = [col.copy() for _, col in averaging._binom_column(k, lo, hi)]
+    return np.concatenate([np.empty(0), *blocks])
+
+
+def assert_same_bits(got, want, context):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), context
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_binom_column_bitwise_equals_comb(k):
     for n_max in [*range(51), 100_000]:
-        col = averaging._binom_column(n_max, k)
-        ref = binom_column_comb(n_max, k)
-        assert col.dtype == ref.dtype and col.tobytes() == ref.tobytes(), (n_max, k)
+        assert_same_bits(binom_column(k, 1, n_max + 1), binom_column_comb(n_max, k), n_max)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_binom_column_up_to_the_largest_factor(k):
+    """Every factor n + j is one limb: the column runs up to n + k - 1 =
+    2^32 - 1, bitwise math.comb there, and refuses one n more."""
+    hi = (1 << 32) - k + 1
+    assert_same_bits(binom_column(k, hi - 4, hi), binom_column_comb(hi - 1, k, hi - 4), k)
+    with pytest.raises(ValueError, match=r"n \+ k - 1 < 2\^32"):
+        binom_column(k, hi - 4, hi + 1)
+
+
+def _limbs(values, count):
+    """values as count rows of 32-bit limbs in uint64, lowest limb first."""
+    rows = [[(v >> (32 * i)) & 0xFFFF_FFFF for v in values] for i in range(count)]
+    return np.array(rows, dtype=np.uint64)
+
+
+def test_limbs_round_once_to_nearest_even():
+    """Every bit length up to 161, so every shift of the 64-bit window
+    within its limb; at each, mantissas even and odd with an exact halfway
+    tail, the tie +- 1, and the tie plus a bit set only in the lowest limb,
+    where the sticky bit alone rounds up; then random integers below 2^160."""
+    cases = set()
+    for bits in range(1, 162):
+        least = 1 << (bits - 1)
+        cases.update({least, least + 1, 2 * least - 1})
+        if bits > 54:
+            ulp = 1 << (bits - 53)
+            for m in (least, least + ulp, 2 * least - 2 * ulp, 2 * least - ulp):
+                tie = m + ulp // 2
+                cases.update({tie - 1, tie, tie + 1, tie + ulp // 4})
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        cases.add(int.from_bytes(rng.bytes(20), "big") >> int(rng.integers(160)))
+    values = sorted(cases)  # the helper needs ascending values
+    assert values[-1] < 1 << 161
+    got = np.empty(len(values))
+    averaging._limbs_to_float(_limbs(values, 6), got, np.empty((2, len(values)), np.uint64))
+    assert_same_bits(got, np.array([float(v) for v in values]), "crafted")
+
+
+def _crossings(k, limit):
+    """Each least n <= limit with C(n+k-1, k) >= 2^e, e in (32, 53, 64, 96)."""
+    out = []
+    for e in (32, 53, 64, 96):
+        lo, hi = 1, limit + 1
+        while lo < hi:  # least n in [1, limit] whose entry reaches 2^e, or limit + 1
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if math.comb(mid + k - 1, k) < 1 << e else (lo, mid)
+        if lo <= limit:
+            out.append(lo)
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_binom_column_at_the_limb_and_float_boundaries(k):
+    """Blocks that start anywhere agree with math.comb within +-3 of every n
+    where the column crosses 2^32, 2^53, 2^64 or 2^96, up to n = 1e7, and
+    over two blocks at 1e7; a numpy integer order gives the int's bits."""
+    crossings = _crossings(k, 10**7)
+    assert crossings or k == 1  # C(n, 1) = n stays below 2^32 here
+    for n in crossings:
+        lo = max(1, n - 3)
+        assert_same_bits(binom_column(k, lo, n + 4), binom_column_comb(n + 3, k, lo), (k, n))
+    lo, hi = 10**7 - 3000, 10**7 + averaging._BLOCK
+    want = binom_column_comb(hi - 1, k, lo)
+    assert_same_bits(binom_column(k, lo, hi), want, k)
+    assert_same_bits(binom_column(np.int64(k), lo, hi), want, k)
 
 
 # -- iterated averages ------------------------------------------------------
@@ -72,6 +151,31 @@ def test_average_via_weights_matches_rational_oracle(series_small):
         avg = iterated_average(series_small, k)
         for n in (2, 30, 300):
             assert avg.values[n] == pytest.approx(binom_weight_average(r, k, n), abs=1e-10)
+
+
+def test_chain_order_k_is_k_passes_over_the_comb_column(series_full):
+    """Order k of the chain is k neumaier_prefix_sum passes over r, divided
+    by the math.comb column, bit for bit, for k = 0..8; iterated_average(k)
+    is the chain's order k."""
+    sums = series_full.r[1:]
+    for k, avg in enumerate(iterated_averages(series_full, 8)):
+        if k:
+            sums = neumaier_prefix_sum(sums)
+        want = np.concatenate(([0.0], sums / binom_column_comb(series_full.n_max, k)))
+        assert avg.order == k and avg.n_max == series_full.n_max
+        assert_same_bits(avg.values, want, k)
+        assert not avg.values.flags.writeable
+        if k in (0, 5):
+            assert_same_bits(iterated_average(series_full, k).values, want, k)
+    assert k == 8
+
+
+def test_chain_checks_its_order_before_any_work(series_small):
+    for k_max in (-1, 9, 2.0, True):
+        with pytest.raises(ValueError, match=r"^order k must be in \[0, 8\], got "):
+            iterated_averages(series_small, k_max)
+    want = [avg.values.tobytes() for avg in iterated_averages(series_small, 3)]
+    assert [avg.values.tobytes() for avg in iterated_averages(series_small, np.int64(3))] == want
 
 
 def test_order_zero_is_r(series_small):

@@ -318,30 +318,73 @@ def test_output_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("before", [None, b"previous bytes\n"], ids=["new", "existing"])
 def test_failed_output_leaves_no_partial_file(tmp_path, capsys, monkeypatch, before):
-    # order 2 fails only after order 1's rows have gone to the output
-    iterated_average = averaging.iterated_average
+    # the chain fails at order 2, after order 1's rows have gone to the output
+    chain = averaging.iterated_averages
     orders_seen = []
 
-    def fail_on_order_2(series, k):
-        orders_seen.append(k)
-        if k == 2:
-            raise ValueError("order 2 failed midway")
-        return iterated_average(series, k)
+    def fail_at_order_2(series, k_max):
+        for avg in chain(series, k_max):
+            if avg.order == 2:
+                raise ValueError("order 2 failed midway")
+            orders_seen.append(avg.order)
+            yield avg
 
-    monkeypatch.setattr(averaging, "iterated_average", fail_on_order_2)
+    monkeypatch.setattr(averaging, "iterated_averages", fail_at_order_2)
     dest = tmp_path / "f.csv"
     if before is not None:
         dest.write_bytes(before)
     argv = ["errors", "--n-max", "5", "--order", "1", "--order", "2"]
     code, out, err = run(argv + ["--output", str(dest)], capsys)
     assert code == cli.EXIT_FAILURE
-    assert orders_seen == [1, 2]
+    assert orders_seen == [0, 1]
     assert "order 2 failed midway" in err
     assert os.listdir(tmp_path) == ([] if before is None else ["f.csv"])
     if before is not None:
         assert dest.read_bytes() == before
 
 
+def test_errors_orders_out_of_order_and_repeated(capsys):
+    """Orders given out of order or repeated print exactly the single-order
+    outputs, each under its "# order=" header."""
+    orders = ["6", "0", "3", "3"]
+    argv = ["errors", "--n-max", "3000"]
+    code, out, _ = run(argv + [a for o in orders for a in ("--order", o)], capsys)
+    singles = [run(argv + ["--order", o], capsys) for o in orders]
+    assert code == 0 and all(single[0] == 0 for single in singles)
+    assert out == "".join(f"# order={o}\n{single[1]}" for o, single in zip(orders, singles))
+
+
+def count_prefix_passes(monkeypatch):
+    """The length of each compensated prefix pass the averaging layer makes."""
+    passes = []
+    real = averaging.neumaier_prefix_sum
+
+    def counting(values):
+        passes.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(averaging, "neumaier_prefix_sum", counting)
+    return passes
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["tables", "--allow-partial"], 6),  # rbar_1..6 from one chain
+        (["errors"] + [a for k in range(1, 7) for a in ("--order", str(k))], 6),
+        # 6 passes to order 6, then the chain restarts for 0 and runs to 3
+        (["errors", "--order", "6", "--order", "0", "--order", "3", "--order", "3"], 9),
+        # rbar_1..3 from one chain (3), psi_1..3 (2 + 3 + 4) and psi-hat_1..3 (1 + 2 + 3)
+        (["check"], 18),
+    ],
+)
+def test_one_fold_chain_per_command(monkeypatch, capsys, argv, want):
+    passes = count_prefix_passes(monkeypatch)
+    assert run(argv + ["--n-max", "500"], capsys)[0] == 0
+    assert len(passes) == want
+
+
+ERRORS_20 = ["errors", "--order", "1", "--n-max", "20", "--output"]
 ERRORS_20 = ["errors", "--order", "1", "--n-max", "20", "--output"]
 
 
@@ -412,17 +455,17 @@ def test_check_passes_without_zeros(capsys):
 
 
 def test_check_catches_perturbed_average(monkeypatch, capsys):
-    """The weight-form leg of the averaging suite checks iterated_average
+    """The weight-form leg of the averaging suite checks the chain's averages
     against the Lambda route, so an error of 2e-9 at n = 100 fails it."""
-    real = averaging.iterated_average
+    real = averaging.iterated_averages
 
-    def perturbed(series, k):
-        avg = real(series, k)
-        values = avg.values.copy()
-        values[100] += 2e-9
-        return averaging.IteratedAverage(avg.order, avg.n_max, values)
+    def perturbed(series, k_max):
+        for avg in real(series, k_max):
+            values = avg.values.copy()
+            values[100] += 2e-9
+            yield averaging.IteratedAverage(avg.order, avg.n_max, values)
 
-    monkeypatch.setattr(averaging, "iterated_average", perturbed)
+    monkeypatch.setattr(averaging, "iterated_averages", perturbed)
     code, out, _ = run(["check", "--n-max", "2000"], capsys)
     assert code == cli.EXIT_FAILURE
     fail = next(line for line in out.splitlines() if line.startswith("FAIL "))
