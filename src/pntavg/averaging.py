@@ -18,15 +18,17 @@ column.  The chain (_folds) makes compensated prefix passes, each over the
 one before; _over_column divides the sums by C(n+k-1, k) block by block.
 Each column entry is the exact integer, formed in 32-bit limbs and rounded
 once (_binom_column), so it is float(math.comb(n+k-1, k)) bit for bit.
-iterated_averages runs the chain over g = r and yields rbar_0..rbar_k, k
-passes in all.  g is Lambda, (j-1) Lambda(j) or C(j, 2) Lambda(j) for the
-weighted series psi_i, psi-hat_i and psi-tilde_i (_folded_ratio), a data
-path disjoint from the prefix sums of r.
+Every order up to a bound comes from one chain, one pass per order:
+iterated_averages runs it over g = r and yields rbar_0..rbar_k;
+weighted_psi_series runs it (_chain) over the psi prefix, Lambda's first
+pass, and weighted_psi_hat_series over (j-1) Lambda(j), a data path
+disjoint from the prefix sums of r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import factorial, prod
 
 import numpy as np
@@ -197,12 +199,11 @@ def _folds(g: np.ndarray, count: int):
         yield g
 
 
-def _folded_ratio(g: np.ndarray, folds: int, k: int) -> np.ndarray:
-    """out[n] = (folds-fold compensated prefix sum of g)(n) / C(n+k-1, k)
-    for n = 1..len(g); out[0] = 0."""
-    for sums in _folds(g, folds):
-        pass
-    return _over_column(sums, k)
+def _chain(g: np.ndarray, i_max: int, lift: int):
+    """Yield _over_column(k-fold compensated prefix sums of g, k + lift) for
+    k = 0..i_max, one pass per order."""
+    for k, sums in enumerate(_folds(g, i_max)):
+        yield _over_column(sums, k + lift)
 
 
 def _average(series: ErrorSeries, k: int, sums: np.ndarray) -> IteratedAverage:
@@ -238,37 +239,29 @@ def iterated_average(series: ErrorSeries, k: int) -> IteratedAverage:
 # -- weighted Lambda sums ---------------------------------------------------
 
 
-def weighted_psi_series(table: LambdaTable, i: int) -> np.ndarray:
-    """psi_i(n) = sum_{j <= n} C(n+i-j, i) Lambda(j) / C(n+i-1, i) for every n
-    in the table in O(i * n); psi_0 = psi.
+def weighted_psi_series(table: LambdaTable, i_max: int):
+    """An iterator over psi_0..psi_i_max, psi_i(n) = sum_{j <= n} C(n+i-j, i)
+    Lambda(j) / C(n+i-1, i) for every n in the table (index 0 unused);
+    psi_0 = psi.  The numerator is the (i+1)-fold prefix sum of Lambda, and
+    the table's psi prefix is its first, so the orders to i_max cost i_max
+    passes.  Raises ValueError, before any work, unless i_max is an integer
+    in [0, MAX_ORDER]."""
+    check_int("order i", i_max, 0, MAX_ORDER)
+    return _chain(table.psi_prefix[1:], int(i_max), 0)
 
-    The numerator is the (i+1)-fold prefix sum of Lambda, so the whole
-    series costs i+1 compensated passes.  Index 0 unused.
-    """
-    check_int("order i", i, 0, MAX_ORDER)
-    return _folded_ratio(table.lam[1:], i + 1, i)
 
-
-def weighted_psi_hat_series(table: LambdaTable, i: int) -> np.ndarray:
-    """psi-hat_i(n) for all n in the table: i-fold prefix sum of (j-1) Lambda(j)
-    over C(n+i-1, i+1).  Index 1 is nan: C(i, i+1) = 0."""
-    check_int("order i", i, 1, MAX_ORDER)
+def weighted_psi_hat_series(table: LambdaTable, i_max: int):
+    """An iterator over psi-hat_1..psi-hat_i_max for every n in the table:
+    the i-fold prefix sum of (j-1) Lambda(j) over C(n+i-1, i+1), i_max
+    passes in all.  Index 1 is nan: C(i, i+1) = 0.  Raises ValueError,
+    before any work, unless i_max is an integer in [1, MAX_ORDER]."""
+    check_int("order i", i_max, 1, MAX_ORDER)
     # the j = 1 term is 0, so folding from j = 2 gives the same sums, and
-    # position m of the fold is n = m + 1
+    # position m of the fold is n = m + 1; the chain's order 0, a division
+    # without a pass, is dropped
     j = np.arange(2, table.n_max + 1, dtype=float)
-    out = np.full(table.n_max + 1, np.nan)
-    out[2:] = _folded_ratio((j - 1.0) * table.lam[2:], i, i + 1)[1:]
-    return out
-
-
-def weighted_psi_tilde_series(table: LambdaTable, i: int) -> np.ndarray:
-    """psi-tilde_i(n) for all n in the table: (i-1)-fold prefix of C(j,2) Lambda(j)."""
-    check_int("order i", i, 2, MAX_ORDER)
-    j = np.arange(1, table.n_max + 1, dtype=float)
-    g = j * (j - 1.0) / 2.0 * table.lam[1:]
-    # (i-1)-fold prefix of g gives sum_j C(n-j+i-2, i-2) g(j), exactly the
-    # weighted numerator.
-    return _folded_ratio(g, i - 1, i)
+    chain = islice(_chain((j - 1.0) * table.lam[2:], int(i_max), 1), 1, None)
+    return (np.concatenate(([np.nan, np.nan], psi_hat[1:])) for psi_hat in chain)
 
 
 # -- differenced statistics -------------------------------------------------

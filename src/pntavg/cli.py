@@ -197,16 +197,19 @@ def _check_sieve(table) -> list[str]:
 def _check_averaging(table) -> list[str]:
     failures = []
     series = sieve.error_series(table)
-    for avg in islice(averaging.iterated_averages(series, 3), 1, None):  # rbar_1..3
+    chains = zip(  # orders 1..3 of the three chains, side by side
+        islice(averaging.iterated_averages(series, 3), 1, None),
+        islice(averaging.weighted_psi_series(table, 3), 1, None),
+        averaging.weighted_psi_hat_series(table, 3),
+    )
+    for avg, psi_k, psi_hat in chains:
         k = avg.order
         # the Lambda route: rbar_k(n) = psi_k(n) - (n + k)/(k + 1), at every n
-        psi_k = averaging.weighted_psi_series(table, k)
         dev = np.abs(psi_k[1:] - (np.arange(1, table.n_max + 1) + k) / (k + 1) - avg.values[1:])
         n = int(np.argmax(dev)) + 1  # a nan is the argmax, and fails the test below
         if not dev[n - 1] <= 1e-9:
             failures.append(f"weight-form rbar{k}({n}) mismatch")
         # identity: hat_r vs weighted form
-        psi_hat = averaging.weighted_psi_hat_series(table, k)
         hat = averaging.hat_r_series(avg)
         # np.max, not np.nanmax: a nan is the max, and fails the test below
         gap = np.max(np.abs(hat[2:] - (psi_hat[2:] - 1.0)), initial=0.0)

@@ -157,8 +157,9 @@ def atomic_open(path, mode: str, **kwargs):
 
 
 def write_cache(table: LambdaTable, path) -> None:
-    """Write the cache through atomic_open: a failed write keeps any old cache."""
-    with atomic_open(path, "wb") as f:
+    """Write the cache through atomic_open: a failed write keeps any old cache.
+    A symlink at path stays a link; the file it points to takes the cache."""
+    with atomic_open(os.path.realpath(path), "wb") as f:
         f.write(CACHE_MAGIC)
         f.write(struct.pack("<Q", table.n_max))
         f.write(table.lam[1:].astype("<f8", copy=False))

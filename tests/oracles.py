@@ -5,9 +5,10 @@ from big-integer lcm, primality from trial division or a linear
 smallest-prime-factor sieve, iterated averages from literal nested sums
 over the raw error values, the explicit-formula constants from mpmath's
 zeta, 6-decimal formatting from numpy's Dragon4, binomial columns from a
-list of exact integers, the binomial weights of the Lambda-weighted sums
-from exact Fractions, the Perron kernel integral from mpmath quadrature
-over the whole segment and from float Gauss-Legendre panels, its gap from
+list of exact integers, the series psi-tilde from scalar Neumaier passes
+over that column, the binomial weights of the Lambda-weighted sums from
+exact Fractions, the Perron kernel integral from mpmath quadrature over
+the whole segment and from float Gauss-Legendre panels, its gap from
 mpmath's Tricomi U (a != 1) and atan (a = 1), and the truncated zero sum
 from a scalar cmath loop.
 """
@@ -20,6 +21,7 @@ import mpmath
 import numpy as np
 
 from pntavg._args import check_int
+from pntavg.averaging import MAX_ORDER
 
 
 def psi_lcm_at(points) -> dict[int, float]:
@@ -251,6 +253,23 @@ def binom_column_comb(n_max: int, k: int, lo: int = 1) -> np.ndarray:
     """float(C(n+k-1, k)) for n = lo..n_max, one list comprehension of exact
     integers."""
     return np.array([float(math.comb(n + k - 1, k)) for n in range(lo, n_max + 1)])
+
+
+def weighted_psi_tilde_series(table, i_max: int):
+    """An iterator over psi-tilde_2..psi-tilde_i_max for every n in the table
+    (index 0 unused): order i is i - 1 scalar Neumaier passes over
+    C(j, 2) Lambda(j), the numerator sum_j C(n-j+i-2, i-2) C(j, 2) Lambda(j),
+    over the math.comb column C(n+i-1, i).  Raises ValueError, before any
+    work, unless i_max is an integer in [2, MAX_ORDER]."""
+    check_int("order i", i_max, 2, MAX_ORDER)
+
+    def chain(sums):
+        for i in range(2, int(i_max) + 1):
+            sums = np.array(neumaier_prefix_loop(sums))
+            yield np.concatenate(([0.0], sums / binom_column_comb(table.n_max, i)))
+
+    j = np.arange(1, table.n_max + 1, dtype=float)
+    return chain(j * (j - 1.0) / 2.0 * table.lam[1:])
 
 
 def perron_full_segment(a: float, b: float, T: float, k: int) -> complex:

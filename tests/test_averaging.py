@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from pntavg.averaging import (
     tilde_r_series,
     weighted_psi_hat_series,
     weighted_psi_series,
-    weighted_psi_tilde_series,
 )
 
 from oracles import (
@@ -27,6 +27,7 @@ from oracles import (
     weight_a,
     weight_b,
     weight_h,
+    weighted_psi_tilde_series,
 )
 
 LOG2 = math.log(2)
@@ -205,78 +206,95 @@ def test_average_invalid_args(series_small):
 
 
 def test_weighted_psi_order_zero(table_small):
-    psi_0 = weighted_psi_series(table_small, 0)
+    psi_0 = next(weighted_psi_series(table_small, 0))
     assert psi_0[10] == pytest.approx(psi_lcm(10), abs=1e-9)
     assert psi_0[10] == sieve.psi(table_small, 10)
 
 
 def test_weighted_psi_trivial(table_small):
-    assert weighted_psi_series(table_small, 1)[1] == 0.0
+    assert list(weighted_psi_series(table_small, 1))[1][1] == 0.0
 
 
 def test_weighted_psi_identity(table_small, series_small):
     # rbar_i(n) = psi_i(n) - (n + i)/(i + 1)
-    for i in (1, 2, 3):
-        avg = iterated_average(series_small, i)
-        psi_i = weighted_psi_series(table_small, i)
+    chains = zip(iterated_averages(series_small, 3), weighted_psi_series(table_small, 3))
+    for i, (avg, psi_i) in enumerate(chains):
         for n in (1, 2, 100, 1000, 2000):
             lhs = avg.values[n]
             rhs = psi_i[n] - (n + i) / (i + 1)
             assert lhs == pytest.approx(rhs, abs=1e-8), (i, n)
+    assert i == 3
 
 
 def test_weighted_psi_series_matches_pointwise(table_small):
-    for i in (1, 2, 3):
-        batch = weighted_psi_series(table_small, i)
+    for i, batch in enumerate(weighted_psi_series(table_small, 3)):
         for n in (1, 2, 33, 500):
             assert batch[n] == pytest.approx(
                 exact_weighted_sum(table_small, weight_a, i, n), abs=1e-9
             )
+    assert i == 3
 
 
 def test_weighted_psi_hat_series_matches_pointwise(table_small):
-    for i in (1, 2, 4):
-        batch = weighted_psi_hat_series(table_small, i)
+    for i, batch in enumerate(weighted_psi_hat_series(table_small, 4), start=1):
         for n in (2, 3, 33, 500):
             assert batch[n] == pytest.approx(
                 exact_weighted_sum(table_small, weight_b, i, n), abs=1e-9
             )
         assert np.isnan(batch[1])
+    assert i == 4
 
 
-def test_weighted_psi_tilde_series_matches_pointwise(table_small):
-    for i in (2, 3, 5):
-        batch = weighted_psi_tilde_series(table_small, i)
-        for n in (1, 2, 33, 500):
-            assert batch[n] == pytest.approx(
-                exact_weighted_sum(table_small, weight_h, i, n), abs=1e-8
-            )
+def test_psi_chain_order_i_is_i_plus_1_passes_over_the_comb_column(table_full):
+    """Order i of the psi chain is i + 1 neumaier_prefix_sum passes over
+    Lambda, divided by the math.comb column C(n+i-1, i), bit for bit, for
+    i = 0..8."""
+    sums = table_full.lam[1:]
+    for i, psi_i in enumerate(weighted_psi_series(table_full, 8)):
+        sums = neumaier_prefix_sum(sums)
+        want = np.concatenate(([0.0], sums / binom_column_comb(table_full.n_max, i)))
+        assert_same_bits(psi_i, want, i)
+    assert i == 8
+
+
+def test_psi_hat_chain_order_i_is_i_passes_over_the_comb_column(table_full):
+    """Order i of the psi-hat chain is i neumaier_prefix_sum passes over
+    (j-1) Lambda(j) from j = 2, divided by the math.comb column
+    C(n+i-1, i+1) for n = 2..n_max, bit for bit, for i = 1..8; n = 0, 1
+    are nan."""
+    n_max = table_full.n_max
+    sums = np.arange(1, n_max, dtype=float) * table_full.lam[2:]
+    for i, psi_hat in enumerate(weighted_psi_hat_series(table_full, 8), start=1):
+        sums = neumaier_prefix_sum(sums)
+        column = binom_column_comb(n_max - 1, i + 1)  # C(n+i-1, i+1) for n = 2..n_max
+        want = np.concatenate(([np.nan, np.nan], sums / column))
+        assert_same_bits(psi_hat, want, i)
+    assert i == 8
 
 
 @pytest.mark.parametrize(
     "series_fn", [weighted_psi_series, weighted_psi_hat_series, weighted_psi_tilde_series]
 )
 def test_weighted_series_range_checked(table_small, series_fn):
+    """Each chain checks its highest order before any work, like
+    iterated_averages; the psi-tilde oracle checks it too."""
     least = {weighted_psi_series: 0, weighted_psi_hat_series: 1}.get(series_fn, 2)
     for i in (2.0, 2.5, True, least - 1, averaging.MAX_ORDER + 1):
         with pytest.raises(ValueError, match=rf"^order i must be in \[{least}, 8\], got "):
             series_fn(table_small, i)
     # a numpy integer gives the int's result, bit for bit
-    want = series_fn(table_small, 2).tobytes()
-    assert series_fn(table_small, np.int64(2)).tobytes() == want
+    want = [values.tobytes() for values in series_fn(table_small, 3)]
+    assert len(want) == 4 - least
+    assert [values.tobytes() for values in series_fn(table_small, np.int64(3))] == want
 
 
 def _every_series(table):
     """Each series of the table, for every order, keyed by (name, order)."""
     series = sieve.error_series(table)
     out = {("r", None): series.r}
-    out.update({("rbar", k): iterated_average(series, k).values for k in range(9)})
-    for fn, least in (
-        (weighted_psi_series, 0),
-        (weighted_psi_hat_series, 1),
-        (weighted_psi_tilde_series, 2),
-    ):
-        out.update({(fn.__name__, i): fn(table, i) for i in range(least, 7)})
+    out.update({("rbar", k): avg.values for k, avg in enumerate(iterated_averages(series, 8))})
+    for fn, least in ((weighted_psi_series, 0), (weighted_psi_hat_series, 1)):
+        out.update({(fn.__name__, i): v for i, v in enumerate(fn(table, 8), start=least)})
     return out
 
 
@@ -319,12 +337,13 @@ def test_hat_prime_scaling(series_small):
 
 def test_hat_identity_weighted_form(table_small, series_small):
     # hat_r(i, n) = psi-hat_i(n) - 1
-    for i in (1, 2, 3, 4, 5):
-        avg = iterated_average(series_small, i)
-        psi_hat = weighted_psi_hat_series(table_small, i)
+    rbar = islice(iterated_averages(series_small, 5), 1, None)
+    chains = zip(rbar, weighted_psi_hat_series(table_small, 5))
+    for i, (avg, psi_hat) in enumerate(chains, start=1):
         hat = hat_r_series(avg)
         gap = np.max(np.abs(hat[2:] - (psi_hat[2:] - 1.0)))
-        assert gap <= 1e-8, (i, gap)
+        assert avg.order == i and gap <= 1e-8, (i, gap)
+    assert i == 5
 
 
 def test_hat_prime_identity_weighted_form(table_small, series_small):
@@ -342,13 +361,14 @@ def test_hat_prime_identity_weighted_form(table_small, series_small):
 
 def test_tilde_identity_weighted_form(table_small, series_small):
     # tilde_r(i, n) = psi-tilde_i(n) - (n-1)/(i+1)
-    for i in (2, 3, 4, 5, 6):
-        avg = iterated_average(series_small, i)
-        psi_tilde = weighted_psi_tilde_series(table_small, i)
+    rbar = islice(iterated_averages(series_small, 6), 2, None)
+    chains = zip(rbar, weighted_psi_tilde_series(table_small, 6))
+    for i, (avg, psi_tilde) in enumerate(chains, start=2):
         tilde = tilde_r_series(avg)
         n = np.arange(3, 2001, dtype=float)
         gap = np.max(np.abs(tilde[3:] - (psi_tilde[3:] - (n - 1) / (i + 1))))
-        assert gap <= 1e-7, (i, gap)
+        assert avg.order == i and gap <= 1e-7, (i, gap)
+    assert i == 6
 
 
 def test_tilde_small_n_both_sides(table_small, series_small):

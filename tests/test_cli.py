@@ -374,8 +374,8 @@ def count_prefix_passes(monkeypatch):
         (["errors"] + [a for k in range(1, 7) for a in ("--order", str(k))], 6),
         # 6 passes to order 6, then the chain restarts for 0 and runs to 3
         (["errors", "--order", "6", "--order", "0", "--order", "3", "--order", "3"], 9),
-        # rbar_1..3 from one chain (3), psi_1..3 (2 + 3 + 4) and psi-hat_1..3 (1 + 2 + 3)
-        (["check"], 18),
+        # three chains to order 3: rbar (3), psi from the sieve's psi prefix (3), psi-hat (3)
+        (["check"], 9),
     ],
 )
 def test_one_fold_chain_per_command(monkeypatch, capsys, argv, want):
@@ -475,17 +475,25 @@ def test_check_catches_perturbed_average(monkeypatch, capsys):
     )
 
 
+def perturb_chain(monkeypatch, name, order, n, delta):
+    """Make averaging.<name>, a chain of arrays, add delta at n to order
+    order's array."""
+    real = getattr(averaging, name)
+    least = {"weighted_psi_series": 0, "weighted_psi_hat_series": 1}[name]
+
+    def perturbed(table, i_max):
+        for i, values in enumerate(real(table, i_max), start=least):
+            if i == order:
+                values[n] += delta
+            yield values
+
+    monkeypatch.setattr(averaging, name, perturbed)
+
+
 def test_check_compares_the_weight_form_at_every_n(monkeypatch, capsys):
     """The weight-form leg compares every n <= 2000, so an error of 2e-9 in
     psi_1 at n = 1500 fails it."""
-    real = averaging.weighted_psi_series
-
-    def perturbed(table, i):
-        out = real(table, i)
-        out[1500] += 2e-9 if i == 1 else 0.0
-        return out
-
-    monkeypatch.setattr(averaging, "weighted_psi_series", perturbed)
+    perturb_chain(monkeypatch, "weighted_psi_series", 1, 1500, 2e-9)
     code, out, _ = run(["check", "--n-max", "2000"], capsys)
     assert code == cli.EXIT_FAILURE
     assert "FAIL averaging-identities: weight-form rbar1(1500) mismatch\n" in out
@@ -494,30 +502,25 @@ def test_check_compares_the_weight_form_at_every_n(monkeypatch, capsys):
 def test_check_compares_every_sieved_n(monkeypatch, capsys):
     """check sieves min(--n-max, 10,000) and the averaging suite looks at
     every n it sieved, so an error of 2e-9 in psi_1 at n = 8000 fails it."""
-    real = averaging.weighted_psi_series
-
-    def perturbed(table, i):
-        out = real(table, i)
-        out[8000] += 2e-9 if i == 1 else 0.0
-        return out
-
-    monkeypatch.setattr(averaging, "weighted_psi_series", perturbed)
+    perturb_chain(monkeypatch, "weighted_psi_series", 1, 8000, 2e-9)
     code, out, _ = run(["check", "--n-max", "10000"], capsys)
     assert code == cli.EXIT_FAILURE
     assert "FAIL averaging-identities: weight-form rbar1(8000) mismatch\n" in out
 
 
+def test_check_compares_every_sieved_n_in_the_hat_leg(monkeypatch, capsys):
+    """The hat identity also looks at every sieved n, so an error of 2e-8
+    in psi-hat_1 at n = 8000 fails it."""
+    perturb_chain(monkeypatch, "weighted_psi_hat_series", 1, 8000, 2e-8)
+    code, out, _ = run(["check", "--n-max", "10000"], capsys)
+    assert code == cli.EXIT_FAILURE
+    assert "FAIL averaging-identities: hat identity order 1 gap 2.00e-08\n" in out
+
+
 def test_check_fails_on_a_nan_in_the_hat_leg(monkeypatch, capsys):
     """A nan in psi-hat_1 at n = 500 fails the hat identity: the largest
     gap is taken with np.max, which a nan does not skip."""
-    real = averaging.weighted_psi_hat_series
-
-    def with_nan(table, i):
-        out = real(table, i)
-        out[500] = math.nan if i == 1 else out[500]
-        return out
-
-    monkeypatch.setattr(averaging, "weighted_psi_hat_series", with_nan)
+    perturb_chain(monkeypatch, "weighted_psi_hat_series", 1, 500, math.nan)
     code, out, _ = run(["check", "--n-max", "2000"], capsys)
     assert code == cli.EXIT_FAILURE
     assert "FAIL averaging-identities: hat identity order 1 gap nan\n" in out
@@ -615,6 +618,21 @@ def test_cache_roundtrip_via_cli(tmp_path, capsys):
     )
     assert code2 == 0
     assert out1 == out2
+
+
+def test_cache_through_symlink(tmp_path, capsys):
+    """A cache path that is a symlink stays one: the cache for the new n_max
+    goes to the file it points to, and a warm run reads it there."""
+    target = tmp_path / "real.bin"
+    link = tmp_path / "link.bin"
+    assert run(["sieve", "--n-max", "500", "--cache", str(target)], capsys)[0] == 0
+    link.symlink_to(target)
+    code, out, _ = run(["sieve", "--n-max", "600", "--cache", str(link)], capsys)
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.stat().st_size == 4817  # header and 600 Lambda values
+    assert sorted(os.listdir(tmp_path)) == ["link.bin", "real.bin"]
+    assert run(["sieve", "--n-max", "600", "--cache", str(link)], capsys)[1] == out
 
 
 def _corrupt(cache):

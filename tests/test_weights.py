@@ -1,15 +1,16 @@
 """The exact rational weight oracle of tests/oracles.py: hand values, the
-b rows summing to 1, and the argument checks of each weight family."""
+b rows summing to 1, the argument checks of each weight family, and the
+psi-tilde oracle against the h weights."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import row_sum, weight_a, weight_b, weight_h
+from oracles import row_sum, weight_a, weight_b, weight_h, weighted_psi_tilde_series
 
 
 def test_a_examples():
@@ -117,3 +118,13 @@ def test_no_overflow_at_large_n():
     w = weight_a(8, 1_000_000, 500_000)
     assert 0 < w < 1
     assert w.denominator.bit_length() < 200
+
+
+def test_weighted_psi_tilde_series_matches_pointwise(table_small):
+    """psi-tilde_i(n) is sum_j h(i, n, j) Lambda(j), each weight rounded once."""
+    lam = table_small.lam
+    for i, batch in enumerate(weighted_psi_tilde_series(table_small, 5), start=2):
+        for n in (1, 2, 33, 500):
+            want = fsum(float(weight_h(i, n, j)) * lam[j] for j in range(1, n + 1))
+            assert batch[n] == pytest.approx(want, abs=1e-8), (i, n)
+    assert i == 5
