@@ -28,6 +28,7 @@ from . import _args, averaging, perron, sieve, zeros
 
 DEFAULT_N_MAX = 100_000
 _ROWS = 1 << 14
+_PIECE = 1 << 12
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -67,13 +68,66 @@ def cmd_sieve(args) -> int:
     return EXIT_OK
 
 
+def _digits(x, buf, keep, right: int, count: int) -> None:
+    """Write the last count decimal digits of the unsigned array x (which is
+    consumed) as ASCII into rows right, right - 1, ... of buf.  Unless keep
+    is None, mark there which rows left of the units digit x reaches."""
+    d = np.empty_like(x)
+    for r in range(right, right - count, -1):
+        if keep is not None and r < right:
+            np.not_equal(x, 0, out=keep[r])
+        np.divmod(x, 10, out=(x, d))
+        np.add(d, 48, out=buf[r], casting="unsafe")
+
+
+def _fixed_rows(n0: int, v) -> str:
+    """The rows "%d,%.6f" % (n, v) from n = n0, for finite v with
+    |v| < 2**32, built in numpy.  |v|*10**6 is rounded half to even, as
+    "%.6f" rounds the exact binary value: p = fl(|v|*10**6) and its exact
+    error e come from Dekker's two-product (|v| split by Veltkamp at 2**27;
+    10**6 has 14 bits), and e decides a tie p - rint(p) = +-0.5.  p < 2**52,
+    so p - rint(p) and the integer cast are exact."""
+    a = np.abs(v)
+    p = a * 1e6
+    ah = a * 134217729.0
+    ah -= ah - a
+    e = (ah * 1e6 - p) + (a - ah) * 1e6
+    q = np.rint(p)
+    t = p - q
+    q += (t == 0.5) & (e > 0)
+    q -= (t == -0.5) & (e < 0)
+    ip, frac = np.divmod(q.astype(np.uint64), 10**6)
+    n = np.arange(n0, n0 + len(v), dtype=np.min_scalar_type(n0 + len(v) - 1))
+    wn, wi = len(str(n[-1])), len(str(ip.max()))
+    # one row of buf per character position: n, ",", "-", ip, ".", 6 decimals, "\n"
+    buf = np.empty((wn + wi + 10, len(v)), np.uint8)
+    keep = np.ones(buf.shape, bool)  # False on blanks left of n and of ip
+    _digits(n, buf, keep, wn - 1, wn)
+    buf[wn] = ord(",")
+    buf[wn + 1] = ord("-")
+    keep[wn + 1] = np.signbit(v)  # -0.0 and -4e-7 print "-0.000000", as "%" does
+    _digits(ip, buf, keep, wn + 1 + wi, wi)  # uint64: 2**32 - 2**-21 rounds up to 2**32
+    buf[-8] = ord(".")
+    _digits(frac.astype(np.uint32), buf, None, len(buf) - 2, 6)
+    buf[-1] = ord("\n")
+    return buf.T[keep.T].tobytes().decode("ascii")
+
+
 def _write_rows(out, values) -> None:
-    """Write "n,value" rows from n = 1, one %-format and one write per _ROWS
-    rows; "%.6f" rounds as f"{v:.6f}" does, by PyOS_double_to_string."""
+    """Write "n,value" rows from n = 1, the bytes of a per-row "%d,%.6f",
+    with one write per _ROWS rows.  A block of finite values below 2**32 in
+    magnitude is built by _fixed_rows, in pieces of _PIECE rows to keep its
+    temporaries small; any other block is one %-format, which rounds as
+    f"{v:.6f}" does, by PyOS_double_to_string."""
     for lo in range(0, len(values), _ROWS):
-        xs = values[lo : lo + _ROWS].tolist()
-        rows = chain.from_iterable(zip(range(lo + 1, lo + 1 + len(xs)), xs))
-        out.write(("%d,%.6f\n" * len(xs)) % tuple(rows))
+        block = values[lo : lo + _ROWS]
+        if np.abs(block).max() < 2.0**32:  # False on a nan
+            pieces = range(0, len(block), _PIECE)
+            out.write("".join(_fixed_rows(lo + 1 + i, block[i : i + _PIECE]) for i in pieces))
+        else:
+            xs = block.tolist()
+            rows = chain.from_iterable(zip(range(lo + 1, lo + 1 + len(xs)), xs))
+            out.write(("%d,%.6f\n" * len(xs)) % tuple(rows))
 
 
 def cmd_errors(args) -> int:

@@ -109,11 +109,24 @@ def test_fmt6_matches_dragon4_on_dyadic_ties(j, k):
 
 
 ROW_COUNTS = [cli._ROWS - 1, cli._ROWS, cli._ROWS + 1, 2 * cli._ROWS + 1]
+# values the numpy route takes: finite, |v| < 2**32, and decimal near-ties
+# (2j + 1)/(2 * 10**6), where fl(v * 10**6) often lands on a half
+NEAR_TIES = st.integers(-(2**42), 2**42).map(lambda j: (2 * j + 1) / 2e6)
+FIXED = st.floats(-(2.0**32), 2.0**32, exclude_min=True, exclude_max=True) | NEAR_TIES
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.floats(), min_size=1, max_size=40), st.sampled_from(ROW_COUNTS))
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(), min_size=1, max_size=40) | st.lists(FIXED, min_size=1, max_size=40),
+    st.sampled_from(ROW_COUNTS),
+)
 @example([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.0078125, 1e300], cli._ROWS + 1)
+# near-ties that a plain rint(v * 1e6) rounds to 164 and 66
+@example([0.00016450000000000001, 6.549999999999999e-05], cli._ROWS - 1)
+# the last rounds to -2**32 at 6 decimals, an integer part past uint32
+@example([0.0078125, -0.0, -4e-7, 5e-324, 2**32 - 2**-20, -(2**32 - 2**-21)], cli._ROWS)
+@example([2**32], 1)
+@example([0.5] * (2 * cli._ROWS) + [math.nan], 2 * cli._ROWS + 1)  # only the last block has a nan
 def test_block_rows_match_per_row_fstring(xs, count):
     values = np.resize(np.array(xs), count)
     out = io.StringIO()
@@ -137,6 +150,20 @@ def test_errors_writes_once_per_block(monkeypatch):
     assert cli.main(["errors", "--n-max", str(n), "--order", "0", "--order", "3"]) == 0
     assert stdout.getvalue().count("\n") == 2 * (2 + n)
     assert stdout.writes <= 2 * (2 + math.ceil(n / cli._ROWS))
+
+
+def test_errors_rows_match_per_row_fstring(capsys):
+    # order 0 has both signs and 2-digit integer parts; no digest covers it, 7 or 8
+    n = 20_000
+    argv = ["errors", "--n-max", str(n)] + [a for k in range(9) for a in ("--order", str(k))]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    series = sieve.error_series(sieve.build_lambda_table(n))
+    assert out == "".join(
+        f"# order={avg.order}\nn,value\n"
+        + "".join(f"{j},{v:.6f}\n" for j, v in enumerate(avg.values[1:].tolist(), 1))
+        for avg in averaging.iterated_averages(series, 8)
+    )
 
 
 @pytest.mark.parametrize("orders", [["1", "9"], ["-1"], ["0", "3", "9"]])
