@@ -15,10 +15,13 @@ import numpy as np
 _BLOCK = 1 << 14  # elements per vectorised block; bounds the temporaries
 
 
-def neumaier_prefix_sum(values: np.ndarray) -> np.ndarray:
-    """Running compensated sums: out[i] = sum(values[: i + 1])."""
+def neumaier_prefix_sum(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Running compensated sums: out[i] = sum(values[: i + 1]), returned.
+    out may be values itself: each block is read before its slice of out
+    is written, so a pass in place is bitwise the pass into a new array."""
     values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
+    if out is None:
+        out = np.empty_like(values)
     s = c = 0.0  # running sum and compensation, carried across blocks
     for lo in range(0, len(values), _BLOCK):
         x = values[lo : lo + _BLOCK]

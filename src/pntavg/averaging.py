@@ -15,7 +15,8 @@ equivalent representation as a binomial-weighted sum over Lambda:
 
 Every series is one fold chain over a sequence g, divided by a binomial
 column.  The chain (_folds) makes compensated prefix passes, each over the
-one before; _over_column divides the sums by C(n+k-1, k) block by block.
+one before and, after the first, in place; _over_column divides the sums
+by C(n+k-1, k) block by block.
 Each column entry is the exact integer, formed in 32-bit limbs and rounded
 once (_binom_column), so it is float(math.comb(n+k-1, k)) bit for bit.
 Every order up to a bound comes from one chain, one pass per order:
@@ -192,10 +193,12 @@ def _over_column(sums: np.ndarray, k: int) -> np.ndarray:
 
 def _folds(g: np.ndarray, count: int):
     """Yield g and then its first count compensated prefix sums, each one
-    neumaier_prefix_sum pass over the one before."""
+    neumaier_prefix_sum pass over the one before.  The first pass writes a
+    new array, never g; each later pass overwrites the sums it reads, so a
+    yielded array holds its order only until the next is drawn."""
     yield g
-    for _ in range(count):
-        g = neumaier_prefix_sum(g)
+    for k in range(count):
+        g = neumaier_prefix_sum(g, out=g if k else None)
         yield g
 
 
@@ -259,8 +262,9 @@ def weighted_psi_hat_series(table: LambdaTable, i_max: int):
     # the j = 1 term is 0, so folding from j = 2 gives the same sums, and
     # position m of the fold is n = m + 1; the chain's order 0, a division
     # without a pass, is dropped
-    j = np.arange(2, table.n_max + 1, dtype=float)
-    chain = islice(_chain((j - 1.0) * table.lam[2:], int(i_max), 1), 1, None)
+    g = np.arange(1, table.n_max, dtype=float)  # j - 1 for j = 2..n_max
+    g *= table.lam[2:]
+    chain = islice(_chain(g, int(i_max), 1), 1, None)
     return (np.concatenate(([np.nan, np.nan], psi_hat[1:])) for psi_hat in chain)
 
 

@@ -134,8 +134,8 @@ def cmd_errors(args) -> int:
     orders = args.order or [1]
     for order in orders:
         _args.check_int("order", order, 0, averaging.MAX_ORDER)
-    table = sieve.load_or_build_table(args.cache, args.n_max)
-    series = sieve.error_series(table)
+    # the table is dropped once r exists: nothing below reads Lambda or psi
+    series = sieve.error_series(sieve.load_or_build_table(args.cache, args.n_max))
     with _out_stream(args) as out:
         held = None  # the one order in memory, the chain's last
         for order in orders:
@@ -151,17 +151,16 @@ def cmd_errors(args) -> int:
     return EXIT_OK
 
 
-def _table_rows(table: sieve.LambdaTable):
-    """The four summary tables over the whole table as (name, RangeSummary)
+def _table_rows(series: sieve.ErrorSeries):
+    """The four summary tables over the whole series as (name, RangeSummary)
     rows.  One chain gives rbar_1..6; each order is summarised as it comes
     and dropped before the next is formed."""
-    n_max = table.n_max
+    n_max = series.n_max
     lo2 = min(100, n_max)
 
     def summary(name, values, lo):
         return name, averaging.range_summary(values, lo, n_max)
 
-    series = sieve.error_series(table)
     rbar, rhat, rhatp, rtilde = [], [], [], []
     for avg in averaging.iterated_averages(series, 6):
         k = avg.order
@@ -188,7 +187,8 @@ def cmd_tables(args) -> int:
             f"warning: tables computed over reduced range n <= {args.n_max}",
             file=sys.stderr,
         )
-    rows = _table_rows(sieve.build_lambda_table(args.n_max))
+    # the table is dropped once r exists: the tables read r alone
+    rows = _table_rows(sieve.error_series(sieve.build_lambda_table(args.n_max)))
     with _out_stream(args) as out:
         if args.pretty:
             out.write(f"{'statistic':<10} {'range':<14} {'min':>14} {'max':>14}\n")

@@ -29,6 +29,8 @@ from ._args import check_int
 from .accum import neumaier_prefix_sum, neumaier_sum
 
 CACHE_MAGIC = b"PNTSIEVE1"
+_LOG_BLOCK = 1 << 14  # primes per list of math.log values
+_CACHE_BLOCK = 1 << 16  # cache entries read and compared at a time
 
 
 class CacheError(ValueError):
@@ -78,7 +80,9 @@ def build_lambda_table(n_max: int) -> LambdaTable:
     primes = np.flatnonzero(is_prime)
     lam = np.zeros(n_max + 1)
     # math.log, not np.log: np.log is 1 ulp off on some primes below 1e6.
-    lam[primes] = [math.log(p) for p in primes.tolist()]
+    for lo in range(0, len(primes), _LOG_BLOCK):
+        block = primes[lo : lo + _LOG_BLOCK]
+        lam[block] = [math.log(p) for p in block.tolist()]
     for p in primes[primes <= root].tolist():
         q = p * p
         while q <= n_max:
@@ -86,7 +90,7 @@ def build_lambda_table(n_max: int) -> LambdaTable:
             q *= p
 
     psi_prefix = np.zeros(n_max + 1)
-    psi_prefix[1:] = neumaier_prefix_sum(lam[1:])
+    neumaier_prefix_sum(lam[1:], out=psi_prefix[1:])
 
     for arr in (lam, psi_prefix, is_prime):
         arr.flags.writeable = False
@@ -116,12 +120,13 @@ def prime_pi(table: LambdaTable, x: int) -> int:
 
 
 def error_series(table: LambdaTable) -> ErrorSeries:
-    """Error series r[n] = psi(n) - n for every n in the table."""
-    n_max = table.n_max
-    r = np.zeros(n_max + 1)
-    r[1:] = table.psi_prefix[1:] - np.arange(1, n_max + 1, dtype=float)
+    """Error series r[n] = psi(n) - n for every n in the table, r[0] = 0.
+    r is the one array it allocates: n is laid down and psi subtracted
+    into it, so it shares nothing with the table."""
+    r = np.arange(table.n_max + 1, dtype=float)
+    np.subtract(table.psi_prefix, r, out=r)
     r.flags.writeable = False
-    return ErrorSeries(n_max, r)
+    return ErrorSeries(table.n_max, r)
 
 
 # -- binary cache -----------------------------------------------------------
@@ -181,15 +186,18 @@ def read_cache(path) -> LambdaTable:
 
     The header and the file size are checked before anything is allocated,
     so a forged n_max cannot trigger a large sieve.  The table is then
-    sieved afresh and the payload must equal its Lambda values bitwise;
-    any difference raises CacheError.
+    sieved afresh, and the payload is read _CACHE_BLOCK entries at a time,
+    each block compared bitwise with its Lambda values; the first
+    difference, or a block cut short, raises CacheError.
     """
     with open(path, "rb") as f:
         n_max = _read_header(f)
         table = build_lambda_table(n_max)
-        payload = np.fromfile(f, dtype="<u8", count=n_max)
-    if not np.array_equal(payload, table.lam[1:].astype("<f8", copy=False).view("<u8")):
-        raise CacheError("cache integrity check failed: Lambda differs from a fresh sieve")
+        lam = table.lam[1:].astype("<f8", copy=False).view("<u8")
+        for lo in range(0, n_max, _CACHE_BLOCK):
+            want = lam[lo : lo + _CACHE_BLOCK]
+            if not np.array_equal(np.fromfile(f, dtype="<u8", count=len(want)), want):
+                raise CacheError("cache integrity check failed: Lambda differs from a fresh sieve")
     return table
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,3 +65,18 @@ def test_neumaier_sum_is_last_prefix():
     assert neumaier_sum(x) == neumaier_prefix_sum(x)[-1]
     assert neumaier_sum(list(x)) == neumaier_prefix_sum(x)[-1]
     assert neumaier_sum([]) == 0.0
+
+
+@pytest.mark.parametrize("length", (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5))
+def test_prefix_sum_into_out_and_in_place(length):
+    # each block is read before its slice of out is written, so out may be
+    # values itself; both forms return out, bitwise the fresh pass
+    x = mixed_values(length, 3, [-8, 0, 8], 0.1)
+    x.flags.writeable = False
+    fresh = neumaier_prefix_sum(x)
+    out = np.empty_like(x)
+    assert neumaier_prefix_sum(x, out=out) is out
+    assert np.array_equal(bits(out), bits(fresh))
+    y = x.copy()
+    assert neumaier_prefix_sum(y, out=y) is y
+    assert np.array_equal(bits(y), bits(fresh))

@@ -171,6 +171,21 @@ def test_chain_order_k_is_k_passes_over_the_comb_column(series_full):
     assert k == 8
 
 
+def test_drained_chains_keep_every_order_and_their_inputs(table_full, series_full):
+    """Each fold pass after the first overwrites the sums it reads, and no
+    pass writes into r or the psi prefix.  Every order of a drained chain
+    is that order drawn alone, bit for bit, and r and psi are unchanged."""
+    r, psi = series_full.r.tobytes(), table_full.psi_prefix.tobytes()
+    averages = list(iterated_averages(series_full, 8))
+    psi_orders = list(weighted_psi_series(table_full, 8))
+    for k, avg in enumerate(averages):
+        assert_same_bits(avg.values, iterated_average(series_full, k).values, k)
+    for i, psi_i in enumerate(psi_orders):
+        assert_same_bits(psi_i, list(weighted_psi_series(table_full, i))[-1], i)
+    assert series_full.r.tobytes() == r
+    assert table_full.psi_prefix.tobytes() == psi
+
+
 def test_chain_checks_its_order_before_any_work(series_small):
     for k_max in (-1, 9, 2.0, True):
         with pytest.raises(ValueError, match=r"^order k must be in \[0, 8\], got "):

@@ -386,9 +386,9 @@ def count_prefix_passes(monkeypatch):
     passes = []
     real = averaging.neumaier_prefix_sum
 
-    def counting(values):
+    def counting(values, out=None):
         passes.append(len(values))
-        return real(values)
+        return real(values, out=out)
 
     monkeypatch.setattr(averaging, "neumaier_prefix_sum", counting)
     return passes
@@ -411,7 +411,6 @@ def test_one_fold_chain_per_command(monkeypatch, capsys, argv, want):
     assert len(passes) == want
 
 
-ERRORS_20 = ["errors", "--order", "1", "--n-max", "20", "--output"]
 ERRORS_20 = ["errors", "--order", "1", "--n-max", "20", "--output"]
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,3 +238,58 @@ def test_failed_cache_write_keeps_previous(tmp_path, table_small):
         sieve.write_cache(broken, path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["sieve.bin"]
+
+
+def test_cache_damage_found_block_by_block(tmp_path, monkeypatch):
+    # n_max spans two read blocks; a flipped bit in the first entry, on
+    # either side of the block edge or in the last entry, and a payload cut
+    # at the edge after the size check, each raise CacheError
+    block = sieve._CACHE_BLOCK
+    n_max = block + 100
+    path = tmp_path / "sieve.bin"
+    sieve.write_cache(sieve.build_lambda_table(n_max), path)
+    good = path.read_bytes()
+    for entry in (0, block - 1, block, n_max - 1):
+        data = bytearray(good)
+        data[sieve._HEADER + 8 * entry] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(sieve.CacheError, match="integrity"):
+            sieve.read_cache(path)
+    path.write_bytes(good[: sieve._HEADER + 8 * block])
+
+    def size_checked_before_the_cut(f):
+        f.seek(sieve._HEADER)
+        return n_max
+
+    monkeypatch.setattr(sieve, "_read_header", size_checked_before_the_cut)
+    with pytest.raises(sieve.CacheError, match="integrity"):
+        sieve.read_cache(path)
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak bytes tracemalloc sees, numpy's buffers among them, while
+    fn(*args) runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MIB = 1 << 20
+N_PEAK = 200_000
+
+
+def test_table_and_cache_read_hold_each_array_once(tmp_path):
+    # Lambda and psi (8 B per n each) and the flags (1 B) are the table;
+    # the psi pass writes into its array and the cache is read in blocks
+    path = tmp_path / "sieve.bin"
+    sieve.write_cache(sieve.build_lambda_table(N_PEAK), path)
+    assert traced_peak(sieve.build_lambda_table, N_PEAK) <= 17 * N_PEAK + 2 * MIB
+    assert traced_peak(sieve.read_cache, path) <= 17 * N_PEAK + 2 * MIB
+
+
+def test_error_series_allocates_r_alone():
+    table = sieve.build_lambda_table(N_PEAK)
+    assert traced_peak(sieve.error_series, table) <= 8 * N_PEAK + MIB
