@@ -27,6 +27,7 @@ import numpy as np
 from . import _args, averaging, perron, sieve, zeros
 
 DEFAULT_N_MAX = 100_000
+MAX_N_MAX = 2**53  # the largest n exact in float64, as r(n) = psi(n) - n needs
 _ROWS = 1 << 14
 _PIECE = 1 << 12
 
@@ -59,12 +60,12 @@ def _exact(v: float) -> str:
 
 
 def cmd_sieve(args) -> int:
-    table = sieve.load_or_build_table(args.cache, args.n_max)
     n = args.n_max
+    psi, theta, pi = sieve.through_cache(args.cache, n, sieve.chebyshev)
     print(f"n_max={n}")
-    print(f"psi({n})={sieve.psi(table, n):.6f}")
-    print(f"theta({n})={sieve.theta(table, n):.6f}")
-    print(f"pi({n})={sieve.prime_pi(table, n)}")
+    print(f"psi({n})={psi:.6f}")
+    print(f"theta({n})={theta:.6f}")
+    print(f"pi({n})={pi}")
     return EXIT_OK
 
 
@@ -394,11 +395,10 @@ def _settle_stdout() -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n_max", 1) < getattr(args, "least_n_max", 1):
-        print(
-            f"error: {args.command} needs --n-max >= {args.least_n_max}, got {args.n_max}",
-            file=sys.stderr,
-        )
+    n_max, least = getattr(args, "n_max", 1), getattr(args, "least_n_max", 1)
+    if not least <= n_max <= MAX_N_MAX:
+        bound = f">= {least}" if n_max < least else f"<= 2**53 = {MAX_N_MAX}"
+        print(f"error: {args.command} needs --n-max {bound}, got {n_max}", file=sys.stderr)
         return EXIT_USAGE
     try:
         status = args.fn(args)

@@ -1,20 +1,18 @@
 """Von Mangoldt sieve and the Chebyshev functions psi, theta, pi.
 
-The core object is a LambdaTable holding Lambda(n) for 1 <= n <= n_max,
-its compensated prefix sum and the primality flags, built in O(n).  psi(x)
-and the error series r(n) = psi(n) - n are O(1) lookups in the prefix;
-theta(x) and pi(x) are O(x) passes over the primes, since only
-`pntavg sieve` prints them, once each.
-
-Lambda(n) = log p when n = p^m for a prime p, else 0.  Primality comes
-from a vectorised sieve of Eratosthenes: each prime p <= sqrt(n_max)
-strikes out p^2, p^2 + p, ... with one slice assignment.  Each prime
-takes log p, and each higher power p^k <= n_max of a prime p <= sqrt(n_max)
-takes the same value.
+Lambda(n) = log p when n = p^m for a prime p, else 0.  lambda_blocks
+yields Lambda and primality _SEGMENT values of n at a time from a
+segmented sieve of Eratosthenes (Bays and Hudson, BIT 17, 1977): in each
+segment every base prime p <= sqrt(n_max) strikes out its multiples from
+p^2 on, with one slice assignment.  Each prime takes log p, and each higher
+power p^k <= n_max takes the same value, so the blocks hold O(sqrt(n_max)).
+`pntavg sieve` folds them into psi, theta and pi.  A LambdaTable holds them
+whole, with the psi prefix, for the commands that read whole series.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import os
@@ -26,11 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from ._args import check_int
-from .accum import neumaier_prefix_sum, neumaier_sum
+from .accum import neumaier_fold, neumaier_prefix_sum, neumaier_sum
 
 CACHE_MAGIC = b"PNTSIEVE1"
-_LOG_BLOCK = 1 << 14  # primes per list of math.log values
-_CACHE_BLOCK = 1 << 16  # cache entries read and compared at a time
+_SEGMENT = 1 << 16  # values of n per sieve segment, cache block and fold step
 
 
 class CacheError(ValueError):
@@ -39,7 +36,8 @@ class CacheError(ValueError):
 
 @dataclass(frozen=True)
 class LambdaTable:
-    """Sieved Lambda values, their prefix sum and primality up to n_max.
+    """Sieved Lambda values, their prefix sum and primality up to n_max,
+    filled from lambda_blocks.
 
     Arrays are 1-indexed (index 0 unused) and frozen after construction:
 
@@ -62,39 +60,81 @@ class ErrorSeries:
     r: np.ndarray
 
 
+def lambda_blocks(n_max: int):
+    """(lo, lam, is_prime) per segment, with lam[i] = Lambda(lo + i) for
+    _SEGMENT values of n from lo = 1, 1 + _SEGMENT, ..., the last one shorter.
+    Checks n_max (an integer >= 1) when called, then sieves each segment
+    when it is asked for."""
+    check_int("n_max", n_max, 1)
+    n_max = int(n_max)
+    root = math.isqrt(n_max)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    base = np.flatnonzero(small).tolist()
+    # (p^k, log p) for each higher power p^k <= n_max of a base prime p
+    powers = sorted(
+        (p**k, math.log(p)) for p in base for k in range(2, n_max.bit_length()) if p**k <= n_max
+    )
+
+    def segments():
+        for lo in range(1, n_max + 1, _SEGMENT):
+            hi = min(lo + _SEGMENT, n_max + 1)
+            is_prime = np.ones(hi - lo, dtype=bool)
+            is_prime[0] = lo > 1  # 1 is not prime
+            for p in base:
+                if p * p >= hi:
+                    break
+                is_prime[max(p * p, -(-lo // p) * p) - lo :: p] = False
+            primes = np.flatnonzero(is_prime)
+            lam = np.zeros(hi - lo)
+            # math.log, not np.log: np.log is 1 ulp off on some primes below 1e6.
+            lam[primes] = [math.log(n) for n in (primes + lo).tolist()]
+            for q, log_p in powers[bisect.bisect(powers, (lo,)) : bisect.bisect(powers, (hi,))]:
+                lam[q - lo] = log_p
+            yield lo, lam, is_prime
+
+    return segments()
+
+
+def _table(n_max: int, blocks) -> LambdaTable:
+    """The LambdaTable filled from blocks, which cover 1..n_max."""
+    lam = np.zeros(n_max + 1)
+    is_prime = np.zeros(n_max + 1, dtype=bool)
+    for lo, block_lam, block_is_prime in blocks:
+        lam[lo : lo + len(block_lam)] = block_lam
+        is_prime[lo : lo + len(block_lam)] = block_is_prime
+    psi_prefix = np.zeros(n_max + 1)
+    neumaier_prefix_sum(lam[1:], out=psi_prefix[1:])
+    for arr in (lam, psi_prefix, is_prime):
+        arr.flags.writeable = False
+    return LambdaTable(n_max, lam, psi_prefix, is_prime)
+
+
 def build_lambda_table(n_max: int) -> LambdaTable:
     """Sieve Lambda(n) for n <= n_max and accumulate the psi prefix.
 
     Raises ValueError unless n_max is an integer >= 1.  Deterministic:
     equal n_max gives bitwise-equal tables.
     """
-    check_int("n_max", n_max, 1)
+    return _table(n_max, lambda_blocks(n_max))
 
-    root = math.isqrt(n_max)
-    is_prime = np.ones(n_max + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, root + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
 
-    primes = np.flatnonzero(is_prime)
-    lam = np.zeros(n_max + 1)
-    # math.log, not np.log: np.log is 1 ulp off on some primes below 1e6.
-    for lo in range(0, len(primes), _LOG_BLOCK):
-        block = primes[lo : lo + _LOG_BLOCK]
-        lam[block] = [math.log(p) for p in block.tolist()]
-    for p in primes[primes <= root].tolist():
-        q = p * p
-        while q <= n_max:
-            lam[q] = lam[p]
-            q *= p
-
-    psi_prefix = np.zeros(n_max + 1)
-    neumaier_prefix_sum(lam[1:], out=psi_prefix[1:])
-
-    for arr in (lam, psi_prefix, is_prime):
-        arr.flags.writeable = False
-    return LambdaTable(n_max, lam, psi_prefix, is_prime)
+def chebyshev(blocks) -> tuple[float, float, int]:
+    """(psi(x), theta(x), pi(x)) at x, the last n of blocks, folded block by
+    block: psi carries the compensated sum of Lambda, theta that of Lambda
+    over the primes, and pi counts the primes.  The split into blocks moves
+    no bit, since each block carries the Neumaier state of the one before,
+    so theta(table, x) and prime_pi(table, x) are its parts in one block."""
+    psi = theta = (0.0, 0.0)
+    pi = 0
+    for _, lam, is_prime in blocks:
+        psi = neumaier_fold(lam, psi)
+        theta = neumaier_fold(lam[is_prime], theta)
+        pi += int(np.count_nonzero(is_prime))
+    return float(psi[0] + psi[1]), float(theta[0] + theta[1]), pi
 
 
 def psi(table: LambdaTable, x: int) -> float:
@@ -161,13 +201,33 @@ def atomic_open(path, mode: str, **kwargs):
         raise
 
 
-def write_cache(table: LambdaTable, path) -> None:
-    """Write the cache through atomic_open: a failed write keeps any old cache.
-    A symlink at path stays a link; the file it points to takes the cache."""
+def _passed(f, blocks, write: bool):
+    """The blocks, each one's Lambda values first written to f or, unless
+    write, compared bitwise with the next entries of f: the first difference,
+    or entries cut short, raises CacheError."""
+    for block in blocks:
+        lam = block[1].astype("<f8", copy=False)
+        if write:
+            f.write(lam)
+        elif not np.array_equal(np.fromfile(f, dtype="<u8", count=len(lam)), lam.view("<u8")):
+            raise CacheError("cache integrity check failed: Lambda differs from a fresh sieve")
+        yield block
+
+
+def _written(path, n_max: int, blocks, fold):
+    """fold(blocks), the blocks written as they pass to the cache for n_max
+    through atomic_open, so a failure keeps any old cache.  A symlink at
+    path stays a link; the file it points to takes the cache."""
     with atomic_open(os.path.realpath(path), "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<Q", table.n_max))
-        f.write(table.lam[1:].astype("<f8", copy=False))
+        f.write(CACHE_MAGIC + struct.pack("<Q", n_max))
+        return fold(_passed(f, blocks, write=True))
+
+
+def write_cache(table: LambdaTable, path) -> None:
+    """Write the table's Lambda values as a cache at path, _SEGMENT at a time."""
+    lam = table.lam
+    blocks = ((lo, lam[lo : lo + _SEGMENT], None) for lo in range(1, table.n_max + 1, _SEGMENT))
+    _written(path, table.n_max, blocks, list)  # the list holds views of lam alone
 
 
 def _read_header(f) -> int:
@@ -182,44 +242,33 @@ def _read_header(f) -> int:
 
 
 def read_cache(path) -> LambdaTable:
-    """Load a cache file and return the table it holds.
-
-    The header and the file size are checked before anything is allocated,
-    so a forged n_max cannot trigger a large sieve.  The table is then
-    sieved afresh, and the payload is read _CACHE_BLOCK entries at a time,
-    each block compared bitwise with its Lambda values; the first
-    difference, or a block cut short, raises CacheError.
-    """
+    """The table a cache file holds.  Its header and size are checked before
+    anything is allocated, so a forged n_max cannot trigger a large sieve;
+    then each segment of lambda_blocks is compared with the payload as it
+    passes into the table."""
     with open(path, "rb") as f:
         n_max = _read_header(f)
-        table = build_lambda_table(n_max)
-        lam = table.lam[1:].astype("<f8", copy=False).view("<u8")
-        for lo in range(0, n_max, _CACHE_BLOCK):
-            want = lam[lo : lo + _CACHE_BLOCK]
-            if not np.array_equal(np.fromfile(f, dtype="<u8", count=len(want)), want):
-                raise CacheError("cache integrity check failed: Lambda differs from a fresh sieve")
-    return table
+        return _table(n_max, _passed(f, lambda_blocks(n_max), write=False))
 
 
-def load_or_build_table(path, n_max: int) -> LambdaTable:
-    """The table for n_max, sieved exactly once.
-
-    With no path (None or empty) nothing is read or written.  A cache at
-    path whose header holds n_max is read (and so validated against that
-    one sieve).  A cache for any other n_max is judged by its header alone
-    and replaced by a fresh table for n_max, as is a missing file.  A bad
-    header or length raises CacheError and leaves the file untouched.  A
-    read costs the sieve it validates against, so a cache saves no sieve.
-    """
+def through_cache(path, n_max: int, fold):
+    """fold(lambda_blocks(n_max)), each block passed through the cache at
+    path, if any: compared with a cache whose header holds n_max, else
+    written in place of a missing file or a cache for any other n_max.  A
+    bad header or length raises CacheError and leaves the file as it is."""
+    blocks = lambda_blocks(n_max)
     if not path:
-        return build_lambda_table(n_max)
+        return fold(blocks)
     path = Path(path)
     if path.exists():
         with open(path, "rb") as f:
-            cached = _read_header(f)
-        if cached == n_max:
-            return read_cache(path)
-    table = build_lambda_table(n_max)
+            if _read_header(f) == n_max:
+                return fold(_passed(f, blocks, write=False))
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_cache(table, path)
-    return table
+    return _written(path, n_max, blocks, fold)
+
+
+def load_or_build_table(path, n_max: int) -> LambdaTable:
+    """The table for n_max, filled from one pass of lambda_blocks through
+    the cache at path (see through_cache)."""
+    return through_cache(path, n_max, lambda blocks: _table(n_max, blocks))

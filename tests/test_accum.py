@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pntavg import accum
-from pntavg.accum import neumaier_prefix_sum, neumaier_sum
+from pntavg.accum import neumaier_fold, neumaier_prefix_sum, neumaier_sum
+from pntavg.sieve import _SEGMENT
 
 from oracles import neumaier_prefix_loop
 
@@ -80,3 +81,21 @@ def test_prefix_sum_into_out_and_in_place(length):
     y = x.copy()
     assert neumaier_prefix_sum(y, out=y) is y
     assert np.array_equal(bits(y), bits(fresh))
+
+
+def test_fold_carried_across_splits_is_one_pass():
+    # the state (s, c) carried from piece to piece gives the bits of one
+    # pass, with or without prefix sums, wherever the values are split
+    x = mixed_values(3 * _SEGMENT + 5, 4, [-8, 0, 8], 0.1)
+    whole = neumaier_prefix_sum(x)
+    rng = np.random.default_rng(5)
+    cuts = [0, 1, BLOCK - 1, BLOCK + 1, _SEGMENT - 1, _SEGMENT + 1]
+    edges = [0, *sorted(cuts + rng.integers(0, len(x), 8).tolist()), len(x)]
+    out = np.empty_like(x)
+    state = summed = (0.0, 0.0)
+    for lo, hi in zip(edges, edges[1:]):
+        state = neumaier_fold(x[lo:hi], state, out=out[lo:hi])
+        summed = neumaier_fold(x[lo:hi], summed)
+    assert np.array_equal(bits(out), bits(whole))
+    assert np.array_equal(bits(summed), bits(state))
+    assert np.array_equal(bits([summed[0] + summed[1]]), bits(whole[-1:]))

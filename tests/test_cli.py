@@ -605,14 +605,36 @@ def test_check_small_n_max(n_max, capsys):
 
 
 def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    # sieve streams lambda_blocks; tables builds a whole table from them
     def no_memory(n_max):
         raise MemoryError
 
-    monkeypatch.setattr("pntavg.sieve.build_lambda_table", no_memory)
-    code, out, err = run(["sieve", "--n-max", "10"], capsys)
+    for argv, sieved_by in (
+        (["sieve", "--n-max", "10"], "lambda_blocks"),
+        (["tables", "--n-max", "100000"], "build_lambda_table"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(f"pntavg.sieve.{sieved_by}", no_memory)
+            code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n_max", [2**53 + 1, 10**30])
+@pytest.mark.parametrize("command", ["sieve", "tables", "errors", "check"])
+def test_n_max_beyond_float64_is_usage_error_before_any_work(command, n_max, monkeypatch, capsys):
+    # r(n) = psi(n) - n is exact in float64 only up to 2**53; beyond it a
+    # streamed sieve would run for years, so nothing is sieved at all
+    def no_sieve(n):
+        raise AssertionError(f"sieved to {n}")
+
+    monkeypatch.setattr("pntavg.sieve.lambda_blocks", no_sieve)
+    monkeypatch.setattr("pntavg.sieve.build_lambda_table", no_sieve)
+    code, out, err = run([command, "--n-max", str(n_max)], capsys)
     assert code == cli.EXIT_USAGE
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: {command} needs --n-max <= 2**53 = {2**53}, got {n_max}\n"
 
 
 def test_check_with_zeros(tmp_path, monkeypatch, capsys):
@@ -693,13 +715,13 @@ def test_cache_of_other_size_sieves_once(tmp_path, monkeypatch, capsys, cached, 
     cache = tmp_path / "sieve.bin"
     assert run(["sieve", "--n-max", str(cached), "--cache", str(cache)], capsys)[0] == 0
     built = []
-    build = sieve.build_lambda_table
+    blocks = sieve.lambda_blocks
 
-    def counting_build(n_max):
+    def counting_blocks(n_max):
         built.append(n_max)
-        return build(n_max)
+        return blocks(n_max)
 
-    monkeypatch.setattr("pntavg.sieve.build_lambda_table", counting_build)
+    monkeypatch.setattr("pntavg.sieve.lambda_blocks", counting_blocks)
     argv = ["sieve", "--n-max", str(wanted), "--cache", str(cache)]
     assert run(argv, capsys)[0] == 0
     assert built == [wanted]

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pntavg import sieve
+from pntavg import cli, sieve
 
 from oracles import is_prime_trial, lambda_spf_loop, psi_lcm, psi_lcm_all
 
@@ -48,7 +48,10 @@ def _theta_pi_points(n_max: int) -> list[int]:
 def test_table_bitwise_equals_spf_loop():
     # 300_000 passes 285343, the first prime whose np.log is 1 ulp away
     # from math.log with numpy's vectorised log.
-    for n_max in [*range(1, 301), 961, 1024, 65536, 100_000, 300_000]:
+    # and each segment edge: the fold of the blocks is the table's psi,
+    # theta and pi bit for bit
+    seg = sieve._SEGMENT
+    for n_max in [*range(1, 301), 961, 1024, seg - 1, seg, seg + 1, 100_000, 2 * seg + 1, 300_000]:
         table = sieve.build_lambda_table(n_max)
         want = lambda_spf_loop(n_max)
         assert [f.name for f in dataclasses.fields(table)] == [
@@ -62,6 +65,10 @@ def test_table_bitwise_equals_spf_loop():
             theta = sieve.theta(table, x)
             assert theta.hex() == float(want["theta_prefix"][x]).hex(), (n_max, x)
             assert sieve.prime_pi(table, x) == int(want["pi_prefix"][x]), (n_max, x)
+        psi, theta, pi = sieve.chebyshev(sieve.lambda_blocks(n_max))
+        assert psi.hex() == sieve.psi(table, n_max).hex(), n_max
+        assert theta.hex() == sieve.theta(table, n_max).hex(), n_max
+        assert pi == sieve.prime_pi(table, n_max), n_max
 
 
 def test_psi_trivial(table_small):
@@ -219,6 +226,7 @@ def test_cache_forged_header_rejected_before_sieving(tmp_path, monkeypatch):
         raise AssertionError(f"sieved to {n_max} for a forged header")
 
     monkeypatch.setattr(sieve, "build_lambda_table", no_sieve)
+    monkeypatch.setattr(sieve, "lambda_blocks", no_sieve)
     with pytest.raises(sieve.CacheError, match="length"):
         sieve.read_cache(path)
 
@@ -240,21 +248,50 @@ def test_failed_cache_write_keeps_previous(tmp_path, table_small):
     assert os.listdir(tmp_path) == ["sieve.bin"]
 
 
-def test_cache_damage_found_block_by_block(tmp_path, monkeypatch):
-    # n_max spans two read blocks; a flipped bit in the first entry, on
-    # either side of the block edge or in the last entry, and a payload cut
-    # at the edge after the size check, each raise CacheError
-    block = sieve._CACHE_BLOCK
+def test_failed_cold_write_keeps_previous_cache(tmp_path, monkeypatch, capsys):
+    # a cache for another n_max is replaced, and the sieve fails once the
+    # header and the first segment are written
+    path = tmp_path / "sieve.bin"
+    assert cli.main(["sieve", "--n-max", "500", "--cache", str(path)]) == 0
+    before = path.read_bytes()
+    blocks = sieve.lambda_blocks
+
+    def fails_after_one_segment(n_max):
+        yield next(blocks(n_max))
+        raise MemoryError
+
+    monkeypatch.setattr(sieve, "lambda_blocks", fails_after_one_segment)
+    argv = ["sieve", "--n-max", str(3 * sieve._SEGMENT), "--cache", str(path)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["sieve.bin"]
+
+
+def test_cache_damage_found_block_by_block(tmp_path, monkeypatch, capsys):
+    # n_max spans two segments; a flipped bit in the first entry, on either
+    # side of the segment edge or in the last entry, and a payload cut at
+    # the edge after the size check, each raise CacheError, in read_cache
+    # and in a warm `pntavg sieve`
+    block = sieve._SEGMENT
     n_max = block + 100
     path = tmp_path / "sieve.bin"
     sieve.write_cache(sieve.build_lambda_table(n_max), path)
     good = path.read_bytes()
+    argv = ["sieve", "--n-max", str(n_max), "--cache", str(path)]
+
+    def found_by_both():
+        with pytest.raises(sieve.CacheError, match="integrity"):
+            sieve.read_cache(path)
+        assert cli.main(argv) == cli.EXIT_FAILURE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cache integrity check failed")
+        assert err.count("\n") == 1
+
     for entry in (0, block - 1, block, n_max - 1):
         data = bytearray(good)
         data[sieve._HEADER + 8 * entry] ^= 0x01
         path.write_bytes(bytes(data))
-        with pytest.raises(sieve.CacheError, match="integrity"):
-            sieve.read_cache(path)
+        found_by_both()
     path.write_bytes(good[: sieve._HEADER + 8 * block])
 
     def size_checked_before_the_cut(f):
@@ -262,8 +299,7 @@ def test_cache_damage_found_block_by_block(tmp_path, monkeypatch):
         return n_max
 
     monkeypatch.setattr(sieve, "_read_header", size_checked_before_the_cut)
-    with pytest.raises(sieve.CacheError, match="integrity"):
-        sieve.read_cache(path)
+    found_by_both()
 
 
 def traced_peak(fn, *args) -> int:
@@ -293,3 +329,19 @@ def test_table_and_cache_read_hold_each_array_once(tmp_path):
 def test_error_series_allocates_r_alone():
     table = sieve.build_lambda_table(N_PEAK)
     assert traced_peak(sieve.error_series, table) <= 8 * N_PEAK + MIB
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm", "none"])
+def test_sieve_command_holds_no_whole_array(tmp_path, capsys, cache):
+    # psi, theta and pi are folded segment by segment, so the peak does
+    # not grow with n: a whole table at this n_max would take 34 MB
+    n_max = 2_000_000
+    path = tmp_path / "sieve.bin"
+    argv = ["sieve", "--n-max", str(n_max)]
+    if cache == "warm":
+        sieve.write_cache(sieve.build_lambda_table(n_max), path)
+    if cache != "none":
+        argv += ["--cache", str(path)]
+    assert traced_peak(cli.main, argv) <= 4 * MIB
+    assert capsys.readouterr().out.startswith(f"n_max={n_max}\npsi({n_max})=")
+    assert path.exists() == (cache != "none")
