@@ -13,29 +13,29 @@ equivalent representation as a binomial-weighted sum over Lambda:
     tilde_r(i, n)     = (fr(n) - fr(n-1)) / 2,
                         fr(m) = m*(m-1)*(rbar_i(m) - rbar_i(m-1))  [weights h]
 
-Every series is one fold chain over a sequence g, divided by a binomial
-column.  The chain (_folds) makes compensated prefix passes, each over the
-one before and, after the first, in place; _over_column divides the sums
-by C(n+k-1, k) block by block.
+Every series is one fold chain over a sequence x, divided by a binomial
+column (_chain): order k is one compensated pass over order k-1's sums,
+fused with the division by C(n+k-1, k), one column block at a time, the
+Neumaier state (s, c) carried from block to block.
 Each column entry is the exact integer, formed in 32-bit limbs and rounded
 once (_binom_column), so it is float(math.comb(n+k-1, k)) bit for bit.
 Every order up to a bound comes from one chain, one pass per order:
-iterated_averages runs it over g = r and yields rbar_0..rbar_k;
-weighted_psi_series runs it (_chain) over the psi prefix, Lambda's first
-pass, and weighted_psi_hat_series over (j-1) Lambda(j), a data path
-disjoint from the prefix sums of r.
+iterated_averages runs it over r and yields rbar_0 = r, rbar_1..rbar_k;
+weighted_psi_series runs it over the psi prefix, Lambda's first pass, and
+weighted_psi_hat_series over (j-1) Lambda(j), a data path disjoint from
+the prefix sums of r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, count, repeat
 from math import factorial, prod
 
 import numpy as np
 
 from ._args import check_int
-from .accum import neumaier_prefix_sum
+from .accum import neumaier_fold
 from .sieve import ErrorSeries, LambdaTable
 
 MAX_ORDER = 8
@@ -46,11 +46,15 @@ _POWERS_OF_2 = np.array([1 << b for b in range(33)], dtype=np.uint64)
 
 @dataclass(frozen=True)
 class IteratedAverage:
-    """values[n] = rbar_order(n) for 1 <= n <= n_max (index 0 unused)."""
+    """values[n] = rbar_order(n) for 1 <= n <= n_max (index 0 unused),
+    read-only once the average is made."""
 
     order: int
     n_max: int
     values: np.ndarray
+
+    def __post_init__(self):
+        self.values.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,7 @@ def _binom_column(k: int, lo: int, hi: int):
     for n0 in range(lo, hi, _BLOCK):
         m = min(_BLOCK, hi - n0)
         limbs, (n, f, t, c) = work[:-4, :m], work[-4:, :m]
-        if k:
-            limbs[0] = n
-        else:
-            limbs[0].fill(1)
+        limbs[0] = n
         # limb counts after each factor, at the largest n of the block
         used = [_limb_count(_product(n0 + m - 1, j)) for j in range(k + 1)]
         for j in range(1, k):
@@ -181,53 +182,41 @@ def _binom_column(k: int, lo: int, hi: int):
         np.add(n, _BLOCK, out=n)
 
 
-def _over_column(sums: np.ndarray, k: int) -> np.ndarray:
-    """out[n] = sums[n-1] / C(n+k-1, k) for n = 1..len(sums); out[0] = 0.
-    The column is divided in block by block, never built whole."""
-    out = np.empty(len(sums) + 1)
-    out[0] = 0.0
-    for n0, col in _binom_column(k, 1, len(sums) + 1):
-        np.divide(sums[n0 - 1 : n0 - 1 + len(col)], col, out=out[n0 : n0 + len(col)])
-    return out
+def _chain(x: np.ndarray, k_max: int, lift: int = 0):
+    """Yield out[n + lift] = S_k(n) / C(n+k+lift-1, k+lift) for k = 1..k_max
+    and n = 1..len(x), S_k(n) the k-fold compensated prefix sum of x[:n];
+    out[n] for n <= lift is 0.0, or nan when lift is 1.
 
-
-def _folds(g: np.ndarray, count: int):
-    """Yield g and then its first count compensated prefix sums, each one
-    neumaier_prefix_sum pass over the one before.  The first pass writes a
-    new array, never g; each later pass overwrites the sums it reads, so a
-    yielded array holds its order only until the next is drawn."""
-    yield g
-    for k in range(count):
-        g = neumaier_prefix_sum(g, out=g if k else None)
-        yield g
-
-
-def _chain(g: np.ndarray, i_max: int, lift: int):
-    """Yield _over_column(k-fold compensated prefix sums of g, k + lift) for
-    k = 0..i_max, one pass per order."""
-    for k, sums in enumerate(_folds(g, i_max)):
-        yield _over_column(sums, k + lift)
-
-
-def _average(series: ErrorSeries, k: int, sums: np.ndarray) -> IteratedAverage:
-    """rbar_k from its k-fold sums; rbar_0 is r itself, zero folds over
-    C(n-1, 0) = 1, so it takes no copy."""
-    if not k:
-        return IteratedAverage(0, series.n_max, series.r)
-    values = _over_column(sums, k)
-    values.flags.writeable = False
-    return IteratedAverage(k, series.n_max, values)
+    Order k is one neumaier_fold pass over order k-1's sums, fused with
+    the division: each _binom_column block is folded, the state (s, c)
+    carried into the next, and divided.  The first pass writes a new
+    array, never x; each later pass overwrites the sums it reads.  No
+    order is kept once yielded, so a caller that drops it frees it."""
+    sums = x
+    for k in range(1, k_max + 1):
+        folded = np.empty(len(x)) if sums is x else sums
+        out = np.empty(len(x) + lift + 1)
+        out[: lift + 1] = np.nan if lift else 0.0
+        state = (0.0, 0.0)
+        for n0, col in _binom_column(k + lift, 1, len(x) + 1):
+            block = slice(n0 - 1, n0 - 1 + len(col))
+            state = neumaier_fold(sums[block], state, out=folded[block])
+            np.divide(folded[block], col, out=out[n0 + lift : n0 + lift + len(col)])
+        sums = folded
+        yield out
+        del out  # the caller holds the order it drew, and no one else
 
 
 def iterated_averages(series: ErrorSeries, k_max: int):
     """An iterator over rbar_0, rbar_1, ..., rbar_k_max as IteratedAverage,
-    each formed when it is drawn.  They come from one chain: order k's fold
-    sums are one compensated prefix pass over order k-1's, so the orders up
-    to k_max cost k_max passes.  Raises ValueError, before any work, unless
-    k_max is an integer in [0, MAX_ORDER]."""
+    each formed when it is drawn.  rbar_0 is r itself, zero folds over
+    C(n-1, 0) = 1; the others come from one chain, order k's sums one
+    compensated pass over order k-1's, so the orders up to k_max cost k_max
+    passes.  Raises ValueError, before any work, unless k_max is an integer
+    in [0, MAX_ORDER]."""
     check_int("order k", k_max, 0, MAX_ORDER)
-    chain = enumerate(_folds(series.r[1:], int(k_max)))
-    return (_average(series, k, sums) for k, sums in chain)
+    values = chain([series.r], _chain(series.r[1:], int(k_max)))
+    return map(IteratedAverage, count(), repeat(series.n_max), values)
 
 
 def iterated_average(series: ErrorSeries, k: int) -> IteratedAverage:
@@ -245,12 +234,12 @@ def iterated_average(series: ErrorSeries, k: int) -> IteratedAverage:
 def weighted_psi_series(table: LambdaTable, i_max: int):
     """An iterator over psi_0..psi_i_max, psi_i(n) = sum_{j <= n} C(n+i-j, i)
     Lambda(j) / C(n+i-1, i) for every n in the table (index 0 unused);
-    psi_0 = psi.  The numerator is the (i+1)-fold prefix sum of Lambda, and
-    the table's psi prefix is its first, so the orders to i_max cost i_max
-    passes.  Raises ValueError, before any work, unless i_max is an integer
-    in [0, MAX_ORDER]."""
+    psi_0 is a copy of psi.  The numerator is the (i+1)-fold prefix sum of
+    Lambda, and the table's psi prefix is its first, so the orders to i_max
+    cost i_max passes.  Raises ValueError, before any work, unless i_max is
+    an integer in [0, MAX_ORDER]."""
     check_int("order i", i_max, 0, MAX_ORDER)
-    return _chain(table.psi_prefix[1:], int(i_max), 0)
+    return chain([table.psi_prefix.copy()], _chain(table.psi_prefix[1:], int(i_max)))
 
 
 def weighted_psi_hat_series(table: LambdaTable, i_max: int):
@@ -259,40 +248,48 @@ def weighted_psi_hat_series(table: LambdaTable, i_max: int):
     passes in all.  Index 1 is nan: C(i, i+1) = 0.  Raises ValueError,
     before any work, unless i_max is an integer in [1, MAX_ORDER]."""
     check_int("order i", i_max, 1, MAX_ORDER)
-    # the j = 1 term is 0, so folding from j = 2 gives the same sums, and
-    # position m of the fold is n = m + 1; the chain's order 0, a division
-    # without a pass, is dropped
-    g = np.arange(1, table.n_max, dtype=float)  # j - 1 for j = 2..n_max
-    g *= table.lam[2:]
-    chain = islice(_chain(g, int(i_max), 1), 1, None)
-    return (np.concatenate(([np.nan, np.nan], psi_hat[1:])) for psi_hat in chain)
+    # the j = 1 term is 0, so the fold starts at j = 2 and its n-th sum is
+    # psi-hat's numerator at n + 1, over C(n+i, i+1): lift 1
+    x = np.arange(1, table.n_max, dtype=float)  # j - 1 for j = 2..n_max
+    x *= table.lam[2:]
+    return _chain(x, int(i_max), lift=1)
 
 
 # -- differenced statistics -------------------------------------------------
 
 
+def _steps(avg: IteratedAverage) -> np.ndarray:
+    """out[n] = rbar(n) - rbar(n-1), out[0..1] = nan: the array each
+    differenced statistic is formed in."""
+    v, out = avg.values, np.full(avg.n_max + 1, np.nan)
+    np.subtract(v[2:], v[1:-1], out=out[2:])
+    return out
+
+
 def hat_r_series(avg: IteratedAverage) -> np.ndarray:
     """hat_r for n = 2..n_max; out[n] aligned, out[0..1] = nan."""
-    out = np.full(avg.n_max + 1, np.nan)
-    out[2:] = (avg.order + 1) * np.diff(avg.values[1:])
+    out = _steps(avg)
+    out[2:] *= avg.order + 1
     return out
 
 
 def hat_prime_r_series(avg: IteratedAverage) -> np.ndarray:
     """hat_prime_r for n = 2..n_max; out[0..1] = nan."""
-    out = np.full(avg.n_max + 1, np.nan)
-    n = np.arange(2, avg.n_max + 1, dtype=float)
-    out[2:] = (n - 1.0) * np.diff(avg.values[1:])
+    out = _steps(avg)
+    out[2:] *= np.arange(1.0, avg.n_max)  # n - 1
     return out
 
 
 def tilde_r_series(avg: IteratedAverage) -> np.ndarray:
     """tilde_r for n = 3..n_max; out[0..2] = nan."""
     check_int("average order", avg.order, 2)
-    out = np.full(avg.n_max + 1, np.nan)
-    n = np.arange(2, avg.n_max + 1, dtype=float)
-    fr = n * (n - 1.0) * np.diff(avg.values[1:])
-    out[3:] = np.diff(fr) / 2.0
+    fr = np.arange(2.0, avg.n_max + 1)  # n
+    fr *= fr - 1.0  # n (n - 1), formed before the step multiplies it
+    out = _steps(avg)
+    fr *= out[2:]
+    np.subtract(fr[1:], fr[:-1], out=out[3:])
+    out[3:] /= 2.0
+    out[:3] = np.nan
     return out
 
 

@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,19 @@ from pntavg import averaging, sieve, zeros
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 ZEROS_PATH = DATA_DIR / "zeros_2000.txt"
+MIB = 1 << 20
+N_PEAK = 200_000  # the n_max of every memory bound
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak bytes tracemalloc sees, numpy's buffers among them, while
+    fn(*args) runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

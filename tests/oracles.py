@@ -272,6 +272,32 @@ def weighted_psi_tilde_series(table, i_max: int):
     return chain(j * (j - 1.0) / 2.0 * table.lam[1:])
 
 
+def hat_r_formula(avg) -> np.ndarray:
+    """hat_r as whole-array numpy formulas, out[0..1] = nan: the reference
+    for averaging.hat_r_series."""
+    out = np.full(avg.n_max + 1, np.nan)
+    out[2:] = (avg.order + 1) * np.diff(avg.values[1:])
+    return out
+
+
+def hat_prime_r_formula(avg) -> np.ndarray:
+    """hat_prime_r = (n - 1.0) * step, out[0..1] = nan."""
+    out = np.full(avg.n_max + 1, np.nan)
+    n = np.arange(2, avg.n_max + 1, dtype=float)
+    out[2:] = (n - 1.0) * np.diff(avg.values[1:])
+    return out
+
+
+def tilde_r_formula(avg) -> np.ndarray:
+    """tilde_r = diff(n * (n - 1.0) * step) / 2.0, n (n - 1.0) formed first,
+    out[0..2] = nan."""
+    out = np.full(avg.n_max + 1, np.nan)
+    n = np.arange(2, avg.n_max + 1, dtype=float)
+    fr = n * (n - 1.0) * np.diff(avg.values[1:])
+    out[3:] = np.diff(fr) / 2.0
+    return out
+
+
 def perron_full_segment(a: float, b: float, T: float, k: int) -> complex:
     """(1/2 pi i) int_{b-iT}^{b+iT} k! a^s / (s(s+1)...(s+k)) ds over the
     whole segment, without the conjugate-symmetry shortcut: mpmath's

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import islice
 
@@ -19,11 +20,15 @@ from pntavg.averaging import (
     weighted_psi_series,
 )
 
+from conftest import MIB, N_PEAK, traced_peak
 from oracles import (
     binom_column_comb,
     binom_weight_average,
+    hat_prime_r_formula,
+    hat_r_formula,
     nested_average,
     psi_lcm,
+    tilde_r_formula,
     weight_a,
     weight_b,
     weight_h,
@@ -186,6 +191,18 @@ def test_drained_chains_keep_every_order_and_their_inputs(table_full, series_ful
     assert table_full.psi_prefix.tobytes() == psi
 
 
+@pytest.fixture(scope="module")
+def series_peak():
+    return sieve.error_series(sieve.build_lambda_table(N_PEAK))
+
+
+def test_chain_keeps_no_order_its_caller_dropped(series_peak):
+    """Drawing rbar_0..rbar_6 and dropping each before the next holds the
+    fold sums and the order being formed, 8 B per n each."""
+    averages = iterated_averages(series_peak, 6)
+    assert traced_peak(deque, averages, 0) <= 16 * N_PEAK + MIB
+
+
 def test_chain_checks_its_order_before_any_work(series_small):
     for k_max in (-1, 9, 2.0, True):
         with pytest.raises(ValueError, match=r"^order k must be in \[0, 8\], got "):
@@ -318,7 +335,14 @@ def every_series_full(table_full):
     return _every_series(table_full)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 500, 10_000, 16_384, 16_385, 40_000])
+BLOCK = averaging._BLOCK  # n per column block; each fold carries its state across them
+
+
+@pytest.mark.parametrize(
+    "m",
+    [1, 2, 3, 500, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+    + [10_000, 16_384, 16_385, 40_000],
+)
 def test_smaller_table_gives_a_prefix_of_every_series(every_series_full, m):
     """Lambda does not depend on the table's size, the prefix passes run
     left to right in blocks from index 0, and each binomial entry is formed
@@ -408,6 +432,26 @@ def test_scalar_differences_equal_the_difference_formulas(series_small):
             if tilde is not None and n >= 3:
                 fr = n * (n - 1) * step - (n - 1) * (n - 2) * (v[n - 1] - v[n - 2])
                 assert tilde[n] == fr / 2.0, (i, n)
+
+
+def test_differenced_statistics_are_the_formulas_bit_for_bit(averages_full):
+    """At 1e5 the products must be formed as the formulas form them:
+    n (n - 1.0) first, then times the step."""
+    for k, avg in averages_full.items():
+        assert_same_bits(hat_r_series(avg), hat_r_formula(avg), k)
+        assert_same_bits(hat_prime_r_series(avg), hat_prime_r_formula(avg), k)
+        if k >= 2:
+            assert_same_bits(tilde_r_series(avg), tilde_r_formula(avg), k)
+
+
+@pytest.mark.parametrize(
+    "fn, per_n", [(hat_r_series, 8), (hat_prime_r_series, 16), (tilde_r_series, 16)]
+)
+def test_differenced_statistics_are_formed_in_their_output(series_peak, fn, per_n):
+    """The output holds the steps and takes every product in place; only
+    n - 1 (hat_prime) and n (n - 1) (tilde) take a second array."""
+    avg = iterated_average(series_peak, 2)
+    assert traced_peak(fn, avg) <= per_n * N_PEAK + MIB
 
 
 def test_differences_invalid_args(series_small):

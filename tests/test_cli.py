@@ -381,34 +381,44 @@ def test_errors_orders_out_of_order_and_repeated(capsys):
     assert out == "".join(f"# order={o}\n{single[1]}" for o, single in zip(orders, singles))
 
 
-def count_prefix_passes(monkeypatch):
-    """The length of each compensated prefix pass the averaging layer makes."""
-    passes = []
-    real = averaging.neumaier_prefix_sum
+def count_folded(monkeypatch):
+    """The number of values each compensated fold of the averaging layer
+    takes, one entry per call."""
+    folded = []
+    real = averaging.neumaier_fold
 
-    def counting(values, out=None):
-        passes.append(len(values))
-        return real(values, out=out)
+    def counting(values, state=(0.0, 0.0), out=None):
+        folded.append(len(values))
+        return real(values, state, out=out)
 
-    monkeypatch.setattr(averaging, "neumaier_prefix_sum", counting)
-    return passes
+    monkeypatch.setattr(averaging, "neumaier_fold", counting)
+    return folded
+
+
+ORDERS_1_TO_6 = [a for k in range(1, 7) for a in ("--order", str(k))]
 
 
 @pytest.mark.parametrize(
     "argv, want",
     [
-        (["tables", "--allow-partial"], 6),  # rbar_1..6 from one chain
-        (["errors"] + [a for k in range(1, 7) for a in ("--order", str(k))], 6),
+        # passes x length: rbar_1..6 from one chain, 6 passes over 500 values
+        (["tables", "--allow-partial", "--n-max", "500"], 3000),
+        (["errors", *ORDERS_1_TO_6, "--n-max", "500"], 3000),
         # 6 passes to order 6, then the chain restarts for 0 and runs to 3
-        (["errors", "--order", "6", "--order", "0", "--order", "3", "--order", "3"], 9),
-        # three chains to order 3: rbar (3), psi from the sieve's psi prefix (3), psi-hat (3)
-        (["check"], 9),
+        (["errors", "--order", "6", "--order", "0", "--order", "3", "--order", "3",
+          "--n-max", "500"], 4500),
+        # three chains to order 3: rbar (3 x 500), psi from the sieve's psi
+        # prefix (3 x 500), psi-hat from j = 2 (3 x 499)
+        (["check", "--n-max", "500"], 4497),
+        # each pass spans 3 column blocks, the state carried across them
+        (["tables", "--allow-partial", "--n-max", "10000"], 60_000),
     ],
 )
 def test_one_fold_chain_per_command(monkeypatch, capsys, argv, want):
-    passes = count_prefix_passes(monkeypatch)
-    assert run(argv + ["--n-max", "500"], capsys)[0] == 0
-    assert len(passes) == want
+    folded = count_folded(monkeypatch)
+    assert run(argv, capsys)[0] == 0
+    assert sum(folded) == want
+    assert max(folded) <= averaging._BLOCK  # one column block per fold
 
 
 ERRORS_20 = ["errors", "--order", "1", "--n-max", "20", "--output"]

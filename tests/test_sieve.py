@@ -2,13 +2,13 @@ import dataclasses
 import math
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from pntavg import cli, sieve
 
+from conftest import MIB, N_PEAK, traced_peak
 from oracles import is_prime_trial, lambda_spf_loop, psi_lcm, psi_lcm_all
 
 
@@ -300,21 +300,6 @@ def test_cache_damage_found_block_by_block(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(sieve, "_read_header", size_checked_before_the_cut)
     found_by_both()
-
-
-def traced_peak(fn, *args) -> int:
-    """The peak bytes tracemalloc sees, numpy's buffers among them, while
-    fn(*args) runs, its result included."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-MIB = 1 << 20
-N_PEAK = 200_000
 
 
 def test_table_and_cache_read_hold_each_array_once(tmp_path):
