@@ -2,7 +2,7 @@
 
 Submodules:
 
-    sieve      von Mangoldt sieve, psi/theta/pi, error series, binary cache
+    sieve      von Mangoldt sieve, the psi/theta/pi fold, error series, binary cache
     averaging  iterated averages, weighted Lambda sums, differenced statistics
     zeros      Riemann-zero ingestion and truncated explicit-formula sums
     perron     Perron kernel integral in closed form against its main term and bound
@@ -16,9 +16,7 @@ from .sieve import (
     LambdaTable,
     build_lambda_table,
     error_series,
-    prime_pi,
     psi,
-    theta,
 )
 from .zeros import (
     ZeroSet,
@@ -44,9 +42,7 @@ __all__ = [
     "LambdaTable",
     "build_lambda_table",
     "error_series",
-    "prime_pi",
     "psi",
-    "theta",
     "ZeroSet",
     "ZeroSumResult",
     "explicit_formula_residual",

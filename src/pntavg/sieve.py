@@ -6,8 +6,9 @@ segmented sieve of Eratosthenes (Bays and Hudson, BIT 17, 1977): in each
 segment every base prime p <= sqrt(n_max) strikes out its multiples from
 p^2 on, with one slice assignment.  Each prime takes log p, and each higher
 power p^k <= n_max takes the same value, so the blocks hold O(sqrt(n_max)).
-`pntavg sieve` folds them into psi, theta and pi.  A LambdaTable holds them
-whole, with the psi prefix, for the commands that read whole series.
+chebyshev folds them into psi, theta and pi, as `pntavg sieve` prints
+them.  A LambdaTable holds Lambda whole, with the psi prefix, for the
+commands that read whole series.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._args import check_int
-from .accum import neumaier_fold, neumaier_prefix_sum, neumaier_sum
+from .accum import neumaier_fold, neumaier_prefix_sum
 
 CACHE_MAGIC = b"PNTSIEVE1"
 _SEGMENT = 1 << 16  # values of n per sieve segment, cache block and fold step
@@ -36,20 +37,18 @@ class CacheError(ValueError):
 
 @dataclass(frozen=True)
 class LambdaTable:
-    """Sieved Lambda values, their prefix sum and primality up to n_max,
-    filled from lambda_blocks.
+    """Sieved Lambda values and their prefix sum up to n_max, filled from
+    lambda_blocks.
 
     Arrays are 1-indexed (index 0 unused) and frozen after construction:
 
         lam[n]         Lambda(n)
         psi_prefix[n]  psi(n) = sum_{m <= n} Lambda(m), so psi is O(1)
-        is_prime[n]    primality flag from the sieve, so theta and pi are O(x)
     """
 
     n_max: int
     lam: np.ndarray
     psi_prefix: np.ndarray
-    is_prime: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,15 +101,13 @@ def lambda_blocks(n_max: int):
 def _table(n_max: int, blocks) -> LambdaTable:
     """The LambdaTable filled from blocks, which cover 1..n_max."""
     lam = np.zeros(n_max + 1)
-    is_prime = np.zeros(n_max + 1, dtype=bool)
-    for lo, block_lam, block_is_prime in blocks:
+    for lo, block_lam, _ in blocks:
         lam[lo : lo + len(block_lam)] = block_lam
-        is_prime[lo : lo + len(block_lam)] = block_is_prime
     psi_prefix = np.zeros(n_max + 1)
     neumaier_prefix_sum(lam[1:], out=psi_prefix[1:])
-    for arr in (lam, psi_prefix, is_prime):
+    for arr in (lam, psi_prefix):
         arr.flags.writeable = False
-    return LambdaTable(n_max, lam, psi_prefix, is_prime)
+    return LambdaTable(n_max, lam, psi_prefix)
 
 
 def build_lambda_table(n_max: int) -> LambdaTable:
@@ -126,8 +123,7 @@ def chebyshev(blocks) -> tuple[float, float, int]:
     """(psi(x), theta(x), pi(x)) at x, the last n of blocks, folded block by
     block: psi carries the compensated sum of Lambda, theta that of Lambda
     over the primes, and pi counts the primes.  The split into blocks moves
-    no bit, since each block carries the Neumaier state of the one before,
-    so theta(table, x) and prime_pi(table, x) are its parts in one block."""
+    no bit, since each block carries the Neumaier state of the one before."""
     psi = theta = (0.0, 0.0)
     pi = 0
     for _, lam, is_prime in blocks:
@@ -141,22 +137,6 @@ def psi(table: LambdaTable, x: int) -> float:
     """Chebyshev psi(x) = sum_{n <= x} Lambda(n) = log lcm(1..x)."""
     check_int("x", x, 1, table.n_max)
     return float(table.psi_prefix[x])
-
-
-def theta(table: LambdaTable, x: int) -> float:
-    """Chebyshev theta(x) = sum over primes p <= x of log p, in O(x).
-
-    Bitwise what a compensated prefix over Lambda(n) [n prime] would hold
-    at x: the skipped terms are +0.0, which leave Neumaier's state as is.
-    """
-    check_int("x", x, 1, table.n_max)
-    return neumaier_sum(table.lam[1 : x + 1][table.is_prime[1 : x + 1]])
-
-
-def prime_pi(table: LambdaTable, x: int) -> int:
-    """Number of primes <= x, in O(x)."""
-    check_int("x", x, 1, table.n_max)
-    return int(np.count_nonzero(table.is_prime[: x + 1]))
 
 
 def error_series(table: LambdaTable) -> ErrorSeries:

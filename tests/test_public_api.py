@@ -1,5 +1,6 @@
-"""The names pntavg exports: each one is used by a command or a check, and
-each one resolves to an attribute of the package."""
+"""The names pntavg exports: each one resolves to an attribute of the
+package, and each one but dirichlet_perron_check, which no command calls
+yet, is used by a command or a check."""
 
 import pntavg
 
@@ -20,10 +21,8 @@ PUBLIC = [
     "lemma1_error_bound",
     "load_zeros",
     "perron_integral",
-    "prime_pi",
     "psi",
     "range_summary",
-    "theta",
     "zero_sum",
 ]
 

@@ -36,39 +36,35 @@ def test_lambda_positive_iff_prime_power(table_small):
         assert (table_small.lam[n] > 0) == (is_pp and n > 1), n
 
 
-def _theta_pi_points(n_max: int) -> list[int]:
-    """Every x up to 1024; beyond, each compensated-sum block edge
-    m * 16384 +- 1, every 997th x and n_max itself."""
-    if n_max <= 1024:
-        return list(range(1, n_max + 1))
-    edges = {m * 16384 + d for m in range(1, n_max // 16384 + 1) for d in (-1, 0, 1)}
-    return sorted({x for x in edges if x <= n_max} | set(range(1, n_max + 1, 997)) | {n_max})
+def _flags(n_max: int) -> np.ndarray:
+    """The primality flags of lambda_blocks(n_max) joined, 1-indexed."""
+    blocks = sieve.lambda_blocks(n_max)
+    return np.concatenate([[False], *(is_prime for _, _, is_prime in blocks)])
+
+
+def _theta(n_max: int) -> float:
+    return sieve.chebyshev(sieve.lambda_blocks(n_max))[1]
 
 
 def test_table_bitwise_equals_spf_loop():
     # 300_000 passes 285343, the first prime whose np.log is 1 ulp away
     # from math.log with numpy's vectorised log.
-    # and each segment edge: the fold of the blocks is the table's psi,
-    # theta and pi bit for bit
+    # and each segment edge: the fold of the blocks is psi, theta and pi
+    # bit for bit, at every x <= 300 and at each listed n_max
     seg = sieve._SEGMENT
     for n_max in [*range(1, 301), 961, 1024, seg - 1, seg, seg + 1, 100_000, 2 * seg + 1, 300_000]:
         table = sieve.build_lambda_table(n_max)
         want = lambda_spf_loop(n_max)
-        assert [f.name for f in dataclasses.fields(table)] == [
-            "n_max", "lam", "psi_prefix", "is_prime"
-        ]
-        for name in ("lam", "psi_prefix", "is_prime"):
+        assert [f.name for f in dataclasses.fields(table)] == ["n_max", "lam", "psi_prefix"]
+        for name in ("lam", "psi_prefix"):
             got = getattr(table, name)
             assert got.dtype == want[name].dtype, (n_max, name)
             assert got.tobytes() == want[name].tobytes(), (n_max, name)
-        for x in _theta_pi_points(n_max):
-            theta = sieve.theta(table, x)
-            assert theta.hex() == float(want["theta_prefix"][x]).hex(), (n_max, x)
-            assert sieve.prime_pi(table, x) == int(want["pi_prefix"][x]), (n_max, x)
+        assert _flags(n_max).tobytes() == want["is_prime"].tobytes(), n_max
         psi, theta, pi = sieve.chebyshev(sieve.lambda_blocks(n_max))
         assert psi.hex() == sieve.psi(table, n_max).hex(), n_max
-        assert theta.hex() == sieve.theta(table, n_max).hex(), n_max
-        assert pi == sieve.prime_pi(table, n_max), n_max
+        assert theta.hex() == float(want["theta_prefix"][n_max]).hex(), n_max
+        assert pi == int(want["pi_prefix"][n_max]), n_max
 
 
 def test_psi_trivial(table_small):
@@ -88,20 +84,19 @@ def test_psi_prefix_monotone(table_small):
     assert np.all(np.diff(table_small.psi_prefix[1:]) >= 0)
 
 
-def test_theta_and_pi(table_small):
-    assert sieve.theta(table_small, 1) == 0.0
-    assert sieve.prime_pi(table_small, 10) == 4
+def test_theta_and_pi():
+    assert sieve.chebyshev(sieve.lambda_blocks(1))[1:] == (0.0, 0)
+    _, theta, pi = sieve.chebyshev(sieve.lambda_blocks(10))
+    assert pi == 4
     # product of primes <= 10 is 210
-    assert sieve.theta(table_small, 10) == pytest.approx(math.log(210), abs=1e-12)
+    assert theta == pytest.approx(math.log(210), abs=1e-12)
 
 
 def test_pi_against_trial_division():
-    table = sieve.build_lambda_table(10_000)
-    count = 0
-    for n in range(1, 10_001):
-        if is_prime_trial(n):
-            count += 1
-        assert sieve.prime_pi(table, n) == count, n
+    flags = _flags(10_000)
+    assert [n for n in range(1, 10_001) if flags[n]] == [
+        n for n in range(1, 10_001) if is_prime_trial(n)
+    ]
 
 
 def test_psi_theta_decomposition(table_small):
@@ -115,11 +110,11 @@ def test_psi_theta_decomposition(table_small):
                 root -= 1
             while (root + 1) ** m <= n:
                 root += 1
-            total += sieve.theta(table_small, root)
+            total += _theta(root)
             m += 1
-        diff = sieve.psi(table_small, n) - sieve.theta(table_small, n)
+        diff = sieve.psi(table_small, n) - _theta(n)
         assert diff == pytest.approx(total, abs=1e-9)
-        assert sieve.psi(table_small, n) >= sieve.theta(table_small, n)
+        assert sieve.psi(table_small, n) >= _theta(n)
 
 
 def test_error_series(table_small):
@@ -144,11 +139,10 @@ def test_invalid_arguments(table_small):
     for bad in (2.0, True, -1):
         with pytest.raises(ValueError, match="^n_max must be >= 1, got "):
             sieve.build_lambda_table(bad)
-    for fn in (sieve.psi, sieve.theta, sieve.prime_pi):
-        for x in (5.0, True, top + 1):
-            with pytest.raises(ValueError, match=rf"^x must be in \[1, {top}\], got "):
-                fn(table_small, x)
-        assert fn(table_small, np.int64(100)) == fn(table_small, 100)
+    for x in (5.0, True, top + 1):
+        with pytest.raises(ValueError, match=rf"^x must be in \[1, {top}\], got "):
+            sieve.psi(table_small, x)
+    assert sieve.psi(table_small, np.int64(100)) == sieve.psi(table_small, 100)
     # a numpy integer gives the int's result, bit for bit
     lam = sieve.build_lambda_table(300).lam
     assert sieve.build_lambda_table(np.int64(300)).lam.tobytes() == lam.tobytes()
@@ -173,7 +167,6 @@ def test_cache_roundtrip(tmp_path, table_small):
     assert loaded.n_max == table_small.n_max
     assert np.array_equal(loaded.lam, table_small.lam)
     assert np.array_equal(loaded.psi_prefix, table_small.psi_prefix)
-    assert np.array_equal(loaded.is_prime, table_small.is_prime)
 
 
 def test_cache_bad_magic(tmp_path, table_small):
@@ -303,12 +296,12 @@ def test_cache_damage_found_block_by_block(tmp_path, monkeypatch, capsys):
 
 
 def test_table_and_cache_read_hold_each_array_once(tmp_path):
-    # Lambda and psi (8 B per n each) and the flags (1 B) are the table;
-    # the psi pass writes into its array and the cache is read in blocks
+    # Lambda and psi (8 B per n each) are the table; the psi pass writes
+    # into its array and the cache is read in blocks
     path = tmp_path / "sieve.bin"
     sieve.write_cache(sieve.build_lambda_table(N_PEAK), path)
-    assert traced_peak(sieve.build_lambda_table, N_PEAK) <= 17 * N_PEAK + 2 * MIB
-    assert traced_peak(sieve.read_cache, path) <= 17 * N_PEAK + 2 * MIB
+    assert traced_peak(sieve.build_lambda_table, N_PEAK) <= 16 * N_PEAK + 2 * MIB
+    assert traced_peak(sieve.read_cache, path) <= 16 * N_PEAK + 2 * MIB
 
 
 def test_error_series_allocates_r_alone():
