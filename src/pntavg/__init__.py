@@ -2,7 +2,7 @@
 
 Submodules:
 
-    sieve      von Mangoldt sieve, the psi/theta/pi fold, error series, binary cache
+    sieve      von Mangoldt sieve, psi/theta/pi fold, Lambda and r arrays, binary cache
     averaging  iterated averages, weighted Lambda sums, differenced statistics
     zeros      Riemann-zero ingestion and truncated explicit-formula sums
     perron     Perron kernel integral in closed form against its main term and bound
@@ -11,13 +11,7 @@ Submodules:
 
 from .averaging import IteratedAverage, RangeSummary, iterated_average, range_summary
 from .perron import PerronResult, dirichlet_perron_check, lemma1_error_bound, perron_integral
-from .sieve import (
-    ErrorSeries,
-    LambdaTable,
-    build_lambda_table,
-    error_series,
-    psi,
-)
+from .sieve import build_lambda_table, error_series
 from .zeros import (
     ZeroSet,
     ZeroSumResult,
@@ -38,11 +32,8 @@ __all__ = [
     "dirichlet_perron_check",
     "lemma1_error_bound",
     "perron_integral",
-    "ErrorSeries",
-    "LambdaTable",
     "build_lambda_table",
     "error_series",
-    "psi",
     "ZeroSet",
     "ZeroSumResult",
     "explicit_formula_residual",

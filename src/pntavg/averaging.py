@@ -19,11 +19,13 @@ fused with the division by C(n+k-1, k), one column block at a time, the
 Neumaier state (s, c) carried from block to block.
 Each column entry is the exact integer, formed in 32-bit limbs and rounded
 once (_binom_column), so it is float(math.comb(n+k-1, k)) bit for bit.
-Every order up to a bound comes from one chain, one pass per order:
-iterated_averages runs it over r and yields rbar_0 = r, rbar_1..rbar_k;
-weighted_psi_series runs it over the psi prefix, Lambda's first pass, and
-weighted_psi_hat_series over (j-1) Lambda(j), a data path disjoint from
-the prefix sums of r.
+Every order up to a bound comes from one chain, one pass per order.
+The chains read the plain arrays of the sieve module, indexed by n:
+iterated_averages runs over r = sieve.error_series(lam) and yields
+rbar_0 = r, rbar_1..rbar_k; weighted_psi_series runs over the psi prefix,
+Lambda's first pass, and weighted_psi_hat_series over (j-1) Lambda(j),
+both from lam = sieve.build_lambda_table(n_max), a data path disjoint
+from the prefix sums of r.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from math import factorial, prod
 import numpy as np
 
 from ._args import check_int
-from .accum import neumaier_fold
-from .sieve import ErrorSeries, LambdaTable
+from .accum import neumaier_fold, neumaier_prefix_sum
 
 MAX_ORDER = 8
+_FACTOR_LIMIT = 1 << 32  # every factor n + j of a binomial column lies below it
 _BLOCK = 1 << 12  # n per binomial column block; bounds the limb work arrays
 _MASK = np.uint64(0xFFFF_FFFF)  # one 32-bit limb
 _POWERS_OF_2 = np.array([1 << b for b in range(33)], dtype=np.uint64)
@@ -128,6 +130,13 @@ def _product(n: int, k: int) -> int:
     return prod(range(n, n + k))
 
 
+def max_column_n(k: int) -> int:
+    """The largest n at which an average of order k >= 1 has its binomial
+    column: the factors n, n+1, ..., n+k-1 of C(n+k-1, k) lie below 2^32,
+    so n + k - 1 < 2^32.  Order 0 has no column and no such ceiling."""
+    return _FACTOR_LIMIT - int(k)
+
+
 def _binom_column(k: int, lo: int, hi: int):
     """Yield (n0, col), col[m] = float C(n0 + m + k - 1, k), over n in
     [lo, hi) in consecutive blocks of at most _BLOCK entries.  col is one
@@ -137,11 +146,11 @@ def _binom_column(k: int, lo: int, hi: int):
     formed in 32-bit limbs by k - 1 limb multiplies, divided exactly by k!
     from the top limb down, and rounded once by _limbs_to_float, so col is
     bitwise float(math.comb(n + k - 1, k)) (Knuth, TAOCP vol. 2, 4.3.1).
-    Raises ValueError unless every factor n + j lies below 2^32, which
-    keeps every limb product below 2^64.
+    Raises ValueError unless every factor n + j lies below 2^32
+    (max_column_n), which keeps every limb product below 2^64.
     """
     k = int(k)
-    if hi + k - 2 >= 1 << 32:
+    if hi - 1 > max_column_n(k):
         raise ValueError(f"C(n+k-1, k) needs n + k - 1 < 2^32, got n = {hi - 1}, k = {k}")
     d = factorial(k)
     block = min(_BLOCK, max(hi - lo, 0))
@@ -207,23 +216,24 @@ def _chain(x: np.ndarray, k_max: int, lift: int = 0):
         del out  # the caller holds the order it drew, and no one else
 
 
-def iterated_averages(series: ErrorSeries, k_max: int):
+def iterated_averages(r: np.ndarray, k_max: int):
     """An iterator over rbar_0, rbar_1, ..., rbar_k_max as IteratedAverage,
-    each formed when it is drawn.  rbar_0 is r itself, zero folds over
+    with n_max = len(r) - 1, for r = sieve.error_series(lam), each formed
+    when it is drawn.  rbar_0 is r itself, zero folds over
     C(n-1, 0) = 1; the others come from one chain, order k's sums one
     compensated pass over order k-1's, so the orders up to k_max cost k_max
     passes.  Raises ValueError, before any work, unless k_max is an integer
     in [0, MAX_ORDER]."""
     check_int("order k", k_max, 0, MAX_ORDER)
-    values = chain([series.r], _chain(series.r[1:], int(k_max)))
-    return map(IteratedAverage, count(), repeat(series.n_max), values)
+    values = chain([r], _chain(r[1:], int(k_max)))
+    return map(IteratedAverage, count(), repeat(len(r) - 1), values)
 
 
-def iterated_average(series: ErrorSeries, k: int) -> IteratedAverage:
-    """rbar_k(n) for every n in the series, the last average of the chain
-    to k; k = 0 is r.  Raises ValueError unless k is an integer in
+def iterated_average(r: np.ndarray, k: int) -> IteratedAverage:
+    """rbar_k(n) for every n of r, the last average of the chain to k;
+    k = 0 is r.  Raises ValueError unless k is an integer in
     [0, MAX_ORDER]."""
-    for avg in iterated_averages(series, k):
+    for avg in iterated_averages(r, k):
         pass
     return avg
 
@@ -231,27 +241,28 @@ def iterated_average(series: ErrorSeries, k: int) -> IteratedAverage:
 # -- weighted Lambda sums ---------------------------------------------------
 
 
-def weighted_psi_series(table: LambdaTable, i_max: int):
+def weighted_psi_series(lam: np.ndarray, i_max: int):
     """An iterator over psi_0..psi_i_max, psi_i(n) = sum_{j <= n} C(n+i-j, i)
-    Lambda(j) / C(n+i-1, i) for every n in the table (index 0 unused);
-    psi_0 is a copy of psi.  The numerator is the (i+1)-fold prefix sum of
-    Lambda, and the table's psi prefix is its first, so the orders to i_max
-    cost i_max passes.  Raises ValueError, before any work, unless i_max is
-    an integer in [0, MAX_ORDER]."""
+    Lambda(j) / C(n+i-1, i) for every n of lam[n] = Lambda(n) (index 0
+    unused); psi_0 is the psi prefix.  The numerator is the (i+1)-fold
+    prefix sum of Lambda, and psi is its first, formed here, so the orders
+    to i_max cost i_max passes.  Raises ValueError, before any work, unless
+    i_max is an integer in [0, MAX_ORDER]."""
     check_int("order i", i_max, 0, MAX_ORDER)
-    return chain([table.psi_prefix.copy()], _chain(table.psi_prefix[1:], int(i_max)))
+    psi = neumaier_prefix_sum(lam)  # lam[0] = 0
+    return chain([psi], _chain(psi[1:], int(i_max)))  # the chain never writes psi
 
 
-def weighted_psi_hat_series(table: LambdaTable, i_max: int):
-    """An iterator over psi-hat_1..psi-hat_i_max for every n in the table:
+def weighted_psi_hat_series(lam: np.ndarray, i_max: int):
+    """An iterator over psi-hat_1..psi-hat_i_max for every n of lam:
     the i-fold prefix sum of (j-1) Lambda(j) over C(n+i-1, i+1), i_max
     passes in all.  Index 1 is nan: C(i, i+1) = 0.  Raises ValueError,
     before any work, unless i_max is an integer in [1, MAX_ORDER]."""
     check_int("order i", i_max, 1, MAX_ORDER)
     # the j = 1 term is 0, so the fold starts at j = 2 and its n-th sum is
     # psi-hat's numerator at n + 1, over C(n+i, i+1): lift 1
-    x = np.arange(1, table.n_max, dtype=float)  # j - 1 for j = 2..n_max
-    x *= table.lam[2:]
+    x = np.arange(1, len(lam) - 1, dtype=float)  # j - 1 for j = 2..n_max
+    x *= lam[2:]
     return _chain(x, int(i_max), lift=1)
 
 

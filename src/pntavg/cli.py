@@ -25,9 +25,11 @@ from itertools import chain, islice
 import numpy as np
 
 from . import _args, averaging, perron, sieve, zeros
+from .accum import neumaier_prefix_sum
 
 DEFAULT_N_MAX = 100_000
 MAX_N_MAX = 2**53  # the largest n exact in float64, as r(n) = psi(n) - n needs
+TABLE_ORDER = 6  # the highest average order the tables read
 _ROWS = 1 << 14
 _PIECE = 1 << 12
 
@@ -135,8 +137,8 @@ def cmd_errors(args) -> int:
     orders = args.order or [1]
     for order in orders:
         _args.check_int("order", order, 0, averaging.MAX_ORDER)
-    # the table is dropped once r exists: nothing below reads Lambda or psi
-    series = sieve.error_series(sieve.load_or_build_table(args.cache, args.n_max))
+    # Lambda is dropped once r exists: nothing below reads it
+    r = sieve.error_series(sieve.load_or_build_table(args.cache, args.n_max))
     with _out_stream(args) as out:
         held = None  # the one order in memory, the chain's last
         for order in orders:
@@ -144,7 +146,7 @@ def cmd_errors(args) -> int:
                 out.write(f"# order={order}\n")
             if held is None or held.order != order:
                 if held is None or order < held.order:  # (re)start the chain at rbar_0
-                    averages = averaging.iterated_averages(series, max(orders))
+                    averages = averaging.iterated_averages(r, max(orders))
                 held = None  # dropped before the next order is formed
                 held = next(avg for avg in averages if avg.order == order)
             out.write("n,value\n")
@@ -152,18 +154,18 @@ def cmd_errors(args) -> int:
     return EXIT_OK
 
 
-def _table_rows(series: sieve.ErrorSeries):
-    """The four summary tables over the whole series as (name, RangeSummary)
-    rows.  One chain gives rbar_1..6; each order is summarised as it comes
-    and dropped before the next is formed."""
-    n_max = series.n_max
+def _table_rows(r):
+    """The four summary tables over the whole error series r as
+    (name, RangeSummary) rows.  One chain gives rbar_1..6; each order is
+    summarised as it comes and dropped before the next is formed."""
+    n_max = len(r) - 1
     lo2 = min(100, n_max)
 
     def summary(name, values, lo):
         return name, averaging.range_summary(values, lo, n_max)
 
     rbar, rhat, rhatp, rtilde = [], [], [], []
-    for avg in averaging.iterated_averages(series, 6):
+    for avg in averaging.iterated_averages(r, TABLE_ORDER):
         k = avg.order
         if 1 <= k <= 3:
             rbar.append(summary(f"rbar{k}", avg.values, 1))
@@ -172,7 +174,7 @@ def _table_rows(series: sieve.ErrorSeries):
             rhatp.append(summary(f"rhatp{k}", averaging.hat_prime_r_series(avg), 2))
         if k >= 2:
             rtilde.append(summary(f"rtilde{k}", averaging.tilde_r_series(avg), 3))
-    return [summary("r", series.r, 1), *rbar, *rhat, *rhatp, *rtilde]
+    return [summary("r", r, 1), *rbar, *rhat, *rhatp, *rtilde]
 
 
 def cmd_tables(args) -> int:
@@ -188,7 +190,7 @@ def cmd_tables(args) -> int:
             f"warning: tables computed over reduced range n <= {args.n_max}",
             file=sys.stderr,
         )
-    # the table is dropped once r exists: the tables read r alone
+    # Lambda is dropped once r exists: the tables read r alone
     rows = _table_rows(sieve.error_series(sieve.build_lambda_table(args.n_max)))
     with _out_stream(args) as out:
         if args.pretty:
@@ -234,33 +236,33 @@ def cmd_perron(args) -> int:
 # -- check suites -----------------------------------------------------------
 
 
-def _check_sieve(table) -> list[str]:
+def _check_sieve(lam) -> list[str]:
     import mpmath
 
     failures = []
+    psi = neumaier_prefix_sum(lam[:501])  # psi(n) for n <= 500
     lcm = 1
-    for n in range(1, min(500, table.n_max) + 1):
+    for n in range(1, len(psi)):
         lcm = math.lcm(lcm, n)
         with mpmath.workprec(300):
             ref = float(mpmath.log(lcm))
-        if abs(sieve.psi(table, n) - ref) > 1e-9:
+        if abs(psi[n] - ref) > 1e-9:
             failures.append(f"psi({n}) deviates from log lcm oracle")
             break
     return failures
 
 
-def _check_averaging(table) -> list[str]:
+def _check_averaging(lam) -> list[str]:
     failures = []
-    series = sieve.error_series(table)
     chains = zip(  # orders 1..3 of the three chains, side by side
-        islice(averaging.iterated_averages(series, 3), 1, None),
-        islice(averaging.weighted_psi_series(table, 3), 1, None),
-        averaging.weighted_psi_hat_series(table, 3),
+        islice(averaging.iterated_averages(sieve.error_series(lam), 3), 1, None),
+        islice(averaging.weighted_psi_series(lam, 3), 1, None),
+        averaging.weighted_psi_hat_series(lam, 3),
     )
     for avg, psi_k, psi_hat in chains:
         k = avg.order
         # the Lambda route: rbar_k(n) = psi_k(n) - (n + k)/(k + 1), at every n
-        dev = np.abs(psi_k[1:] - (np.arange(1, table.n_max + 1) + k) / (k + 1) - avg.values[1:])
+        dev = np.abs(psi_k[1:] - (np.arange(1, len(lam)) + k) / (k + 1) - avg.values[1:])
         n = int(np.argmax(dev)) + 1  # a nan is the argmax, and fails the test below
         if not dev[n - 1] <= 1e-9:
             failures.append(f"weight-form rbar{k}({n}) mismatch")
@@ -299,10 +301,10 @@ def _check_zeros(path) -> list[str]:
 
 
 def cmd_check(args) -> int:
-    table = sieve.build_lambda_table(min(args.n_max, 10_000))
+    lam = sieve.build_lambda_table(min(args.n_max, 10_000))
     suites = [
-        ("sieve-psi-oracle", lambda: _check_sieve(table)),
-        ("averaging-identities", lambda: _check_averaging(table)),
+        ("sieve-psi-oracle", lambda: _check_sieve(lam)),
+        ("averaging-identities", lambda: _check_averaging(lam)),
         ("perron-envelope", _check_perron),
     ]
     if args.zeros:
@@ -392,12 +394,25 @@ def _settle_stdout() -> None:
             os.close(devnull)
 
 
+def _n_max_ceiling(args) -> tuple[int, str]:
+    """The largest --n-max the command takes, and why: 2**53, or, for an
+    average of order k in [1, MAX_ORDER], its binomial column's ceiling
+    n + k - 1 < 2**32.  An order outside that range the command refuses."""
+    orders = {"tables": [TABLE_ORDER], "errors": getattr(args, "order", None) or [1]}
+    k = max(orders.get(args.command, [0]))
+    if not 1 <= k <= averaging.MAX_ORDER:
+        return MAX_N_MAX, f"2**53 = {MAX_N_MAX}"
+    top = averaging.max_column_n(k)
+    return top, f"2**32 - {k} = {top} for order {k}"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     n_max, least = getattr(args, "n_max", 1), getattr(args, "least_n_max", 1)
-    if not least <= n_max <= MAX_N_MAX:
-        bound = f">= {least}" if n_max < least else f"<= 2**53 = {MAX_N_MAX}"
+    top, why = _n_max_ceiling(args)
+    if not least <= n_max <= top:
+        bound = f">= {least}" if n_max < least else f"<= {why}"
         print(f"error: {args.command} needs --n-max {bound}, got {n_max}", file=sys.stderr)
         return EXIT_USAGE
     try:

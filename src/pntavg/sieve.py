@@ -7,8 +7,9 @@ segment every base prime p <= sqrt(n_max) strikes out its multiples from
 p^2 on, with one slice assignment.  Each prime takes log p, and each higher
 power p^k <= n_max takes the same value, so the blocks hold O(sqrt(n_max)).
 chebyshev folds them into psi, theta and pi, as `pntavg sieve` prints
-them.  A LambdaTable holds Lambda whole, with the psi prefix, for the
-commands that read whole series.
+them.  The commands that read whole series take plain read-only float64
+arrays indexed by n: build_lambda_table gives Lambda, lam[n] = Lambda(n),
+and error_series gives r[n] = psi(n) - n from it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 import os
 import stat
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,30 +33,6 @@ _SEGMENT = 1 << 16  # values of n per sieve segment, cache block and fold step
 
 class CacheError(ValueError):
     """Raised when a sieve cache file is malformed or fails validation."""
-
-
-@dataclass(frozen=True)
-class LambdaTable:
-    """Sieved Lambda values and their prefix sum up to n_max, filled from
-    lambda_blocks.
-
-    Arrays are 1-indexed (index 0 unused) and frozen after construction:
-
-        lam[n]         Lambda(n)
-        psi_prefix[n]  psi(n) = sum_{m <= n} Lambda(m), so psi is O(1)
-    """
-
-    n_max: int
-    lam: np.ndarray
-    psi_prefix: np.ndarray
-
-
-@dataclass(frozen=True)
-class ErrorSeries:
-    """r[n] = psi(n) - n for 1 <= n <= n_max (index 0 unused)."""
-
-    n_max: int
-    r: np.ndarray
 
 
 def lambda_blocks(n_max: int):
@@ -98,23 +74,21 @@ def lambda_blocks(n_max: int):
     return segments()
 
 
-def _table(n_max: int, blocks) -> LambdaTable:
-    """The LambdaTable filled from blocks, which cover 1..n_max."""
+def _table(n_max: int, blocks) -> np.ndarray:
+    """lam[n] = Lambda(n) for n <= n_max, lam[0] = 0, read-only, filled
+    from blocks, which cover 1..n_max."""
     lam = np.zeros(n_max + 1)
     for lo, block_lam, _ in blocks:
         lam[lo : lo + len(block_lam)] = block_lam
-    psi_prefix = np.zeros(n_max + 1)
-    neumaier_prefix_sum(lam[1:], out=psi_prefix[1:])
-    for arr in (lam, psi_prefix):
-        arr.flags.writeable = False
-    return LambdaTable(n_max, lam, psi_prefix)
+    lam.flags.writeable = False
+    return lam
 
 
-def build_lambda_table(n_max: int) -> LambdaTable:
-    """Sieve Lambda(n) for n <= n_max and accumulate the psi prefix.
+def build_lambda_table(n_max: int) -> np.ndarray:
+    """lam[n] = Lambda(n) for n <= n_max, lam[0] = 0, read-only.
 
     Raises ValueError unless n_max is an integer >= 1.  Deterministic:
-    equal n_max gives bitwise-equal tables.
+    equal n_max gives bitwise-equal arrays.
     """
     return _table(n_max, lambda_blocks(n_max))
 
@@ -133,20 +107,17 @@ def chebyshev(blocks) -> tuple[float, float, int]:
     return float(psi[0] + psi[1]), float(theta[0] + theta[1]), pi
 
 
-def psi(table: LambdaTable, x: int) -> float:
-    """Chebyshev psi(x) = sum_{n <= x} Lambda(n) = log lcm(1..x)."""
-    check_int("x", x, 1, table.n_max)
-    return float(table.psi_prefix[x])
-
-
-def error_series(table: LambdaTable) -> ErrorSeries:
-    """Error series r[n] = psi(n) - n for every n in the table, r[0] = 0.
-    r is the one array it allocates: n is laid down and psi subtracted
-    into it, so it shares nothing with the table."""
-    r = np.arange(table.n_max + 1, dtype=float)
-    np.subtract(table.psi_prefix, r, out=r)
+def error_series(lam: np.ndarray) -> np.ndarray:
+    """r[n] = psi(n) - n for every n of lam = build_lambda_table(n_max),
+    r[0] = 0, read-only.  r is the one whole array it allocates: the psi
+    prefix, psi(n) = sum_{m <= n} Lambda(m), is formed in r, and n is
+    subtracted from it _SEGMENT values at a time."""
+    r = neumaier_prefix_sum(lam)  # psi, as lam[0] = 0
+    for lo in range(0, len(r), _SEGMENT):
+        part = r[lo : lo + _SEGMENT]
+        part -= np.arange(lo, lo + len(part), dtype=float)
     r.flags.writeable = False
-    return ErrorSeries(table.n_max, r)
+    return r
 
 
 # -- binary cache -----------------------------------------------------------
@@ -203,11 +174,12 @@ def _written(path, n_max: int, blocks, fold):
         return fold(_passed(f, blocks, write=True))
 
 
-def write_cache(table: LambdaTable, path) -> None:
-    """Write the table's Lambda values as a cache at path, _SEGMENT at a time."""
-    lam = table.lam
-    blocks = ((lo, lam[lo : lo + _SEGMENT], None) for lo in range(1, table.n_max + 1, _SEGMENT))
-    _written(path, table.n_max, blocks, list)  # the list holds views of lam alone
+def write_cache(lam: np.ndarray, path) -> None:
+    """Write lam[1:], the Lambda values of build_lambda_table, as a cache
+    at path, _SEGMENT at a time."""
+    n_max = len(lam) - 1
+    blocks = ((lo, lam[lo : lo + _SEGMENT], None) for lo in range(1, n_max + 1, _SEGMENT))
+    _written(path, n_max, blocks, list)  # the list holds views of lam alone
 
 
 def _read_header(f) -> int:
@@ -221,11 +193,12 @@ def _read_header(f) -> int:
     return n_max
 
 
-def read_cache(path) -> LambdaTable:
-    """The table a cache file holds.  Its header and size are checked before
+def read_cache(path) -> np.ndarray:
+    """The Lambda array, as build_lambda_table gives it, that a cache file
+    holds.  Its header and size are checked before
     anything is allocated, so a forged n_max cannot trigger a large sieve;
     then each segment of lambda_blocks is compared with the payload as it
-    passes into the table."""
+    passes into the array."""
     with open(path, "rb") as f:
         n_max = _read_header(f)
         return _table(n_max, _passed(f, lambda_blocks(n_max), write=False))
@@ -248,7 +221,7 @@ def through_cache(path, n_max: int, fold):
     return _written(path, n_max, blocks, fold)
 
 
-def load_or_build_table(path, n_max: int) -> LambdaTable:
-    """The table for n_max, filled from one pass of lambda_blocks through
-    the cache at path (see through_cache)."""
+def load_or_build_table(path, n_max: int) -> np.ndarray:
+    """build_lambda_table(n_max), filled from one pass of lambda_blocks
+    through the cache at path (see through_cache)."""
     return through_cache(path, n_max, lambda blocks: _table(n_max, blocks))

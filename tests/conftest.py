@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from pntavg import averaging, sieve, zeros
+from pntavg.accum import neumaier_prefix_sum
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 ZEROS_PATH = DATA_DIR / "zeros_2000.txt"
@@ -23,30 +24,38 @@ def traced_peak(fn, *args) -> int:
 
 
 @pytest.fixture(scope="session")
-def table_full():
-    """Lambda table at the paper scale n_max = 1e5 (shared, ~1 s to build)."""
+def lam_full():
+    """lam[n] = Lambda(n) at the paper scale n_max = 1e5 (shared)."""
     return sieve.build_lambda_table(100_000)
 
 
 @pytest.fixture(scope="session")
-def series_full(table_full):
-    return sieve.error_series(table_full)
+def r_full(lam_full):
+    """r[n] = psi(n) - n at the paper scale."""
+    return sieve.error_series(lam_full)
 
 
 @pytest.fixture(scope="session")
-def averages_full(series_full):
+def averages_full(r_full):
     """rbar_k arrays for k = 1..6 at full scale."""
-    return {k: averaging.iterated_average(series_full, k) for k in range(1, 7)}
+    return {k: averaging.iterated_average(r_full, k) for k in range(1, 7)}
 
 
 @pytest.fixture(scope="session")
-def table_small():
+def lam_small():
     return sieve.build_lambda_table(2000)
 
 
 @pytest.fixture(scope="session")
-def series_small(table_small):
-    return sieve.error_series(table_small)
+def r_small(lam_small):
+    return sieve.error_series(lam_small)
+
+
+@pytest.fixture(scope="session")
+def psi_small(lam_small):
+    """psi[n] = psi(n) for n <= 2000: the compensated prefix of Lambda that
+    error_series and weighted_psi_series form, and `check` reads."""
+    return neumaier_prefix_sum(lam_small)
 
 
 @pytest.fixture(scope="session")

@@ -196,13 +196,13 @@ def zero_sum_loop(gammas, x: float, T: float, k: int) -> tuple[float, int]:
 
 
 def lambda_spf_loop(n_max: int) -> dict[str, np.ndarray]:
-    """The LambdaTable arrays from a linear smallest-prime-factor sieve and
-    a per-n classification loop, with scalar Neumaier prefix sums.
+    """Lambda and its prefix sums from a linear smallest-prime-factor sieve
+    and a per-n classification loop, with scalar Neumaier prefix sums.
 
     n is a prime power iff repeatedly dividing by spf(n) reaches 1, and n
     is prime iff spf(n) = n.  Returns lam, psi_prefix, theta_prefix,
-    pi_prefix and is_prime, 1-indexed with index 0 unused, in the dtypes
-    of sieve.LambdaTable.
+    pi_prefix and is_prime, 1-indexed with index 0 unused; lam has the
+    dtype of sieve.build_lambda_table.
     """
     spf = [0] * (n_max + 1)
     primes = []
@@ -255,9 +255,9 @@ def binom_column_comb(n_max: int, k: int, lo: int = 1) -> np.ndarray:
     return np.array([float(math.comb(n + k - 1, k)) for n in range(lo, n_max + 1)])
 
 
-def weighted_psi_tilde_series(table, i_max: int):
-    """An iterator over psi-tilde_2..psi-tilde_i_max for every n in the table
-    (index 0 unused): order i is i - 1 scalar Neumaier passes over
+def weighted_psi_tilde_series(lam, i_max: int):
+    """An iterator over psi-tilde_2..psi-tilde_i_max for every n of
+    lam[n] = Lambda(n) (index 0 unused): order i is i - 1 scalar Neumaier passes over
     C(j, 2) Lambda(j), the numerator sum_j C(n-j+i-2, i-2) C(j, 2) Lambda(j),
     over the math.comb column C(n+i-1, i).  Raises ValueError, before any
     work, unless i_max is an integer in [2, MAX_ORDER]."""
@@ -266,10 +266,10 @@ def weighted_psi_tilde_series(table, i_max: int):
     def chain(sums):
         for i in range(2, int(i_max) + 1):
             sums = np.array(neumaier_prefix_loop(sums))
-            yield np.concatenate(([0.0], sums / binom_column_comb(table.n_max, i)))
+            yield np.concatenate(([0.0], sums / binom_column_comb(len(lam) - 1, i)))
 
-    j = np.arange(1, table.n_max + 1, dtype=float)
-    return chain(j * (j - 1.0) / 2.0 * table.lam[1:])
+    j = np.arange(1, len(lam), dtype=float)
+    return chain(j * (j - 1.0) / 2.0 * lam[1:])
 
 
 def hat_r_formula(avg) -> np.ndarray:

@@ -77,11 +77,10 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_table1_reproduction():
     t0 = time.perf_counter()
-    table = sieve.build_lambda_table(N_FULL)
-    series = sieve.error_series(table)
-    computed = {"r": range_summary(series.r, 1, N_FULL)}
+    r = sieve.error_series(sieve.build_lambda_table(N_FULL))
+    computed = {"r": range_summary(r, 1, N_FULL)}
     for k in (1, 2, 3):
-        avg = iterated_average(series, k)
+        avg = iterated_average(r, k)
         computed[f"rbar{k}"] = range_summary(avg.values, 1, N_FULL)
     elapsed = time.perf_counter() - t0
 
@@ -124,7 +123,7 @@ def test_criterion_04_table4_exact(averages_full):
     assert _mismatches(computed, TABLE_4) == []
 
 
-def test_criterion_05_oracle_equivalence(table_small, series_small):
+def test_criterion_05_oracle_equivalence(lam_small, r_small):
     """Nested-sum oracle vs weight form vs prefix-sum values, n <= 300, k <= 3.
 
     The oracle runs in exact rational arithmetic over the (exactly
@@ -132,9 +131,9 @@ def test_criterion_05_oracle_equivalence(table_small, series_small):
     nested sums of the defining formula with zero rounding.  The weight
     form is the Lambda route rbar_k(n) = psi_k(n) - (n + k)/(k + 1).
     """
-    r_exact = [Fraction(0)] + [Fraction(float(series_small.r[m])) for m in range(1, 301)]
+    r_exact = [Fraction(0)] + [Fraction(float(r_small[m])) for m in range(1, 301)]
     worst = 0.0
-    chains = zip(iterated_averages(series_small, 3), weighted_psi_series(table_small, 3))
+    chains = zip(iterated_averages(r_small, 3), weighted_psi_series(lam_small, 3))
     for avg, psi_k in islice(chains, 1, None):  # orders 1..3
         k = avg.order
         layers = r_exact[1:]
@@ -164,9 +163,9 @@ def test_criterion_06_weight_normalization():
     assert not bad
 
 
-def test_criterion_07_psi_oracle(table_small):
+def test_criterion_07_psi_oracle(psi_small):
     ref = psi_lcm_all(2000)
-    worst = max(abs(sieve.psi(table_small, n) - ref[n]) for n in range(1, 2001))
+    worst = max(abs(psi_small[n] - ref[n]) for n in range(1, 2001))
     _report("criterion-07 psi-lcm-oracle", worst <= 1e-9, f"worst dev {worst:.2e}")
     assert worst <= 1e-9
 
@@ -202,8 +201,8 @@ def test_criterion_08_lemma1_envelope():
     assert elapsed < 60.0
 
 
-def test_criterion_09_lemma2_convergence(table_small):
-    coeffs = {n: float(table_small.lam[n]) for n in range(1, 51)}
+def test_criterion_09_lemma2_convergence(lam_small):
+    coeffs = {n: float(lam_small[n]) for n in range(1, 51)}
     _, _, gap_lo = perron.dirichlet_perron_check(coeffs, 0.0, 1.0, 1_000.0, 30)
     _, _, gap_hi = perron.dirichlet_perron_check(coeffs, 0.0, 1.0, 10_000.0, 30)
     shrink = gap_lo / gap_hi if gap_hi > 0 else math.inf
@@ -224,8 +223,7 @@ def test_criterion_10_explicit_formula_trend(zeros_2000):
     (oracles.explicit_formula_limit).  More zeros must bring the residual
     closer to that limit.
     """
-    series = sieve.error_series(sieve.build_lambda_table(10_000))
-    avg = iterated_average(series, 1)
+    avg = iterated_average(sieve.error_series(sieve.build_lambda_table(10_000)), 1)
     xs = np.linspace(1_000, 10_000, 100).astype(int)
     limit = explicit_formula_limit(xs)
     medians = {}

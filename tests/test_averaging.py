@@ -38,12 +38,10 @@ from oracles import (
 LOG2 = math.log(2)
 
 
-def exact_weighted_sum(table, weight_fn, i, n, scale=1):
+def exact_weighted_sum(lam, weight_fn, i, n, scale=1):
     """sum_j w(i, n, j) Lambda(j) with the exact weights weight_fn of the
     oracle, each times scale and rounded once, summed by math.fsum."""
-    return math.fsum(
-        float(weight_fn(i, n, j) * scale) * table.lam[j] for j in range(1, n + 1)
-    )
+    return math.fsum(float(weight_fn(i, n, j) * scale) * lam[j] for j in range(1, n + 1))
 
 
 def binom_column(k, lo, hi):
@@ -67,6 +65,7 @@ def test_binom_column_up_to_the_largest_factor(k):
     """Every factor n + j is one limb: the column runs up to n + k - 1 =
     2^32 - 1, bitwise math.comb there, and refuses one n more."""
     hi = (1 << 32) - k + 1
+    assert hi - 1 == averaging.max_column_n(k)
     assert_same_bits(binom_column(k, hi - 4, hi), binom_column_comb(hi - 1, k, hi - 4), k)
     with pytest.raises(ValueError, match=r"n \+ k - 1 < 2\^32"):
         binom_column(k, hi - 4, hi + 1)
@@ -134,122 +133,122 @@ def test_binom_column_at_the_limb_and_float_boundaries(k):
 # -- iterated averages ------------------------------------------------------
 
 
-def test_average_trivial(series_small):
+def test_average_trivial(r_small):
     for k in (1, 2, 3):
-        avg = iterated_average(series_small, k)
+        avg = iterated_average(r_small, k)
         assert avg.values[1] == -1.0
-    avg = iterated_average(series_small, 1)
+    avg = iterated_average(r_small, 1)
     # (r(1) + r(2))/2 = (-1 + (log 2 - 2))/2
     assert avg.values[2] == pytest.approx((-1 + (LOG2 - 2)) / 2, abs=1e-12)
 
 
-def test_average_matches_nested_sum_oracle(series_small):
-    r = series_small.r
+def test_average_matches_nested_sum_oracle(r_small):
     for k in (1, 2, 3):
-        avg = iterated_average(series_small, k)
+        avg = iterated_average(r_small, k)
         for n in (1, 2, 3, 7, 50, 300):
-            assert abs(avg.values[n] - nested_average(r, k, n)) <= 1e-9, (k, n)
+            assert abs(avg.values[n] - nested_average(r_small, k, n)) <= 1e-9, (k, n)
 
 
-def test_average_via_weights_matches_rational_oracle(series_small):
-    r = series_small.r
+def test_average_via_weights_matches_rational_oracle(r_small):
     for k in (1, 2, 3):
-        avg = iterated_average(series_small, k)
+        avg = iterated_average(r_small, k)
         for n in (2, 30, 300):
-            assert avg.values[n] == pytest.approx(binom_weight_average(r, k, n), abs=1e-10)
+            assert avg.values[n] == pytest.approx(binom_weight_average(r_small, k, n), abs=1e-10)
 
 
-def test_chain_order_k_is_k_passes_over_the_comb_column(series_full):
+def test_chain_order_k_is_k_passes_over_the_comb_column(r_full):
     """Order k of the chain is k neumaier_prefix_sum passes over r, divided
     by the math.comb column, bit for bit, for k = 0..8; iterated_average(k)
     is the chain's order k."""
-    sums = series_full.r[1:]
-    for k, avg in enumerate(iterated_averages(series_full, 8)):
+    sums = r_full[1:]
+    for k, avg in enumerate(iterated_averages(r_full, 8)):
         if k:
             sums = neumaier_prefix_sum(sums)
-        want = np.concatenate(([0.0], sums / binom_column_comb(series_full.n_max, k)))
-        assert avg.order == k and avg.n_max == series_full.n_max
+        want = np.concatenate(([0.0], sums / binom_column_comb(len(r_full) - 1, k)))
+        assert avg.order == k and avg.n_max == len(r_full) - 1
         assert_same_bits(avg.values, want, k)
         assert not avg.values.flags.writeable
         if k in (0, 5):
-            assert_same_bits(iterated_average(series_full, k).values, want, k)
+            assert_same_bits(iterated_average(r_full, k).values, want, k)
     assert k == 8
 
 
-def test_drained_chains_keep_every_order_and_their_inputs(table_full, series_full):
+def test_drained_chains_keep_every_order_and_their_inputs(lam_full, r_full):
     """Each fold pass after the first overwrites the sums it reads, and no
-    pass writes into r or the psi prefix.  Every order of a drained chain
-    is that order drawn alone, bit for bit, and r and psi are unchanged."""
-    r, psi = series_full.r.tobytes(), table_full.psi_prefix.tobytes()
-    averages = list(iterated_averages(series_full, 8))
-    psi_orders = list(weighted_psi_series(table_full, 8))
+    pass writes into r, Lambda or the psi prefix psi_0.  Every order of a
+    drained chain is that order drawn alone, bit for bit, and r, Lambda and
+    psi_0 are unchanged."""
+    r, lam = r_full.tobytes(), lam_full.tobytes()
+    averages = list(iterated_averages(r_full, 8))
+    psi_orders = list(weighted_psi_series(lam_full, 8))
     for k, avg in enumerate(averages):
-        assert_same_bits(avg.values, iterated_average(series_full, k).values, k)
+        assert_same_bits(avg.values, iterated_average(r_full, k).values, k)
     for i, psi_i in enumerate(psi_orders):
-        assert_same_bits(psi_i, list(weighted_psi_series(table_full, i))[-1], i)
-    assert series_full.r.tobytes() == r
-    assert table_full.psi_prefix.tobytes() == psi
+        assert_same_bits(psi_i, list(weighted_psi_series(lam_full, i))[-1], i)
+    assert r_full.tobytes() == r
+    assert lam_full.tobytes() == lam
+    assert psi_orders[0].tobytes() == neumaier_prefix_sum(lam_full).tobytes()
 
 
 @pytest.fixture(scope="module")
-def series_peak():
+def r_peak():
     return sieve.error_series(sieve.build_lambda_table(N_PEAK))
 
 
-def test_chain_keeps_no_order_its_caller_dropped(series_peak):
+def test_chain_keeps_no_order_its_caller_dropped(r_peak):
     """Drawing rbar_0..rbar_6 and dropping each before the next holds the
     fold sums and the order being formed, 8 B per n each."""
-    averages = iterated_averages(series_peak, 6)
+    averages = iterated_averages(r_peak, 6)
     assert traced_peak(deque, averages, 0) <= 16 * N_PEAK + MIB
 
 
-def test_chain_checks_its_order_before_any_work(series_small):
+def test_chain_checks_its_order_before_any_work(r_small):
     for k_max in (-1, 9, 2.0, True):
         with pytest.raises(ValueError, match=r"^order k must be in \[0, 8\], got "):
-            iterated_averages(series_small, k_max)
-    want = [avg.values.tobytes() for avg in iterated_averages(series_small, 3)]
-    assert [avg.values.tobytes() for avg in iterated_averages(series_small, np.int64(3))] == want
+            iterated_averages(r_small, k_max)
+    want = [avg.values.tobytes() for avg in iterated_averages(r_small, 3)]
+    assert [avg.values.tobytes() for avg in iterated_averages(r_small, np.int64(3))] == want
 
 
-def test_order_zero_is_r(series_small):
+def test_order_zero_is_r(r_small):
     # zero folds over the column C(n-1, 0) = 1: rbar_0 is r bit for bit
-    avg = iterated_average(series_small, 0)
+    avg = iterated_average(r_small, 0)
     assert avg.order == 0
-    assert avg.values.tobytes() == series_small.r.tobytes()
+    assert avg.values.tobytes() == r_small.tobytes()
 
 
-def test_average_invalid_args(series_small):
+def test_average_invalid_args(r_small):
     with pytest.raises(ValueError):
-        iterated_average(series_small, -1)
+        iterated_average(r_small, -1)
     with pytest.raises(ValueError):
-        iterated_average(series_small, 9)
+        iterated_average(r_small, 9)
     for k in (2.0, 1.5, np.float64(3.0)):  # non-integral orders, even integral floats
         with pytest.raises(ValueError, match=r"\[0, 8\]"):
-            iterated_average(series_small, k)
+            iterated_average(r_small, k)
     for k in (2.0, True, 9):
         with pytest.raises(ValueError, match=r"^order k must be in \[0, 8\], got "):
-            iterated_average(series_small, k)
+            iterated_average(r_small, k)
     # a numpy integer gives the int's result, bit for bit
-    want = iterated_average(series_small, 3).values.tobytes()
-    assert iterated_average(series_small, np.int64(3)).values.tobytes() == want
+    want = iterated_average(r_small, 3).values.tobytes()
+    assert iterated_average(r_small, np.int64(3)).values.tobytes() == want
 
 
 # -- weighted Lambda sums ---------------------------------------------------
 
 
-def test_weighted_psi_order_zero(table_small):
-    psi_0 = next(weighted_psi_series(table_small, 0))
+def test_weighted_psi_order_zero(lam_small, psi_small):
+    psi_0 = next(weighted_psi_series(lam_small, 0))
     assert psi_0[10] == pytest.approx(psi_lcm(10), abs=1e-9)
-    assert psi_0[10] == sieve.psi(table_small, 10)
+    assert psi_0.tobytes() == psi_small.tobytes()
 
 
-def test_weighted_psi_trivial(table_small):
-    assert list(weighted_psi_series(table_small, 1))[1][1] == 0.0
+def test_weighted_psi_trivial(lam_small):
+    assert list(weighted_psi_series(lam_small, 1))[1][1] == 0.0
 
 
-def test_weighted_psi_identity(table_small, series_small):
+def test_weighted_psi_identity(lam_small, r_small):
     # rbar_i(n) = psi_i(n) - (n + i)/(i + 1)
-    chains = zip(iterated_averages(series_small, 3), weighted_psi_series(table_small, 3))
+    chains = zip(iterated_averages(r_small, 3), weighted_psi_series(lam_small, 3))
     for i, (avg, psi_i) in enumerate(chains):
         for n in (1, 2, 100, 1000, 2000):
             lhs = avg.values[n]
@@ -258,45 +257,45 @@ def test_weighted_psi_identity(table_small, series_small):
     assert i == 3
 
 
-def test_weighted_psi_series_matches_pointwise(table_small):
-    for i, batch in enumerate(weighted_psi_series(table_small, 3)):
+def test_weighted_psi_series_matches_pointwise(lam_small):
+    for i, batch in enumerate(weighted_psi_series(lam_small, 3)):
         for n in (1, 2, 33, 500):
             assert batch[n] == pytest.approx(
-                exact_weighted_sum(table_small, weight_a, i, n), abs=1e-9
+                exact_weighted_sum(lam_small, weight_a, i, n), abs=1e-9
             )
     assert i == 3
 
 
-def test_weighted_psi_hat_series_matches_pointwise(table_small):
-    for i, batch in enumerate(weighted_psi_hat_series(table_small, 4), start=1):
+def test_weighted_psi_hat_series_matches_pointwise(lam_small):
+    for i, batch in enumerate(weighted_psi_hat_series(lam_small, 4), start=1):
         for n in (2, 3, 33, 500):
             assert batch[n] == pytest.approx(
-                exact_weighted_sum(table_small, weight_b, i, n), abs=1e-9
+                exact_weighted_sum(lam_small, weight_b, i, n), abs=1e-9
             )
         assert np.isnan(batch[1])
     assert i == 4
 
 
-def test_psi_chain_order_i_is_i_plus_1_passes_over_the_comb_column(table_full):
+def test_psi_chain_order_i_is_i_plus_1_passes_over_the_comb_column(lam_full):
     """Order i of the psi chain is i + 1 neumaier_prefix_sum passes over
     Lambda, divided by the math.comb column C(n+i-1, i), bit for bit, for
     i = 0..8."""
-    sums = table_full.lam[1:]
-    for i, psi_i in enumerate(weighted_psi_series(table_full, 8)):
+    sums = lam_full[1:]
+    for i, psi_i in enumerate(weighted_psi_series(lam_full, 8)):
         sums = neumaier_prefix_sum(sums)
-        want = np.concatenate(([0.0], sums / binom_column_comb(table_full.n_max, i)))
+        want = np.concatenate(([0.0], sums / binom_column_comb(len(lam_full) - 1, i)))
         assert_same_bits(psi_i, want, i)
     assert i == 8
 
 
-def test_psi_hat_chain_order_i_is_i_passes_over_the_comb_column(table_full):
+def test_psi_hat_chain_order_i_is_i_passes_over_the_comb_column(lam_full):
     """Order i of the psi-hat chain is i neumaier_prefix_sum passes over
     (j-1) Lambda(j) from j = 2, divided by the math.comb column
     C(n+i-1, i+1) for n = 2..n_max, bit for bit, for i = 1..8; n = 0, 1
     are nan."""
-    n_max = table_full.n_max
-    sums = np.arange(1, n_max, dtype=float) * table_full.lam[2:]
-    for i, psi_hat in enumerate(weighted_psi_hat_series(table_full, 8), start=1):
+    n_max = len(lam_full) - 1
+    sums = np.arange(1, n_max, dtype=float) * lam_full[2:]
+    for i, psi_hat in enumerate(weighted_psi_hat_series(lam_full, 8), start=1):
         sums = neumaier_prefix_sum(sums)
         column = binom_column_comb(n_max - 1, i + 1)  # C(n+i-1, i+1) for n = 2..n_max
         want = np.concatenate(([np.nan, np.nan], sums / column))
@@ -307,32 +306,32 @@ def test_psi_hat_chain_order_i_is_i_passes_over_the_comb_column(table_full):
 @pytest.mark.parametrize(
     "series_fn", [weighted_psi_series, weighted_psi_hat_series, weighted_psi_tilde_series]
 )
-def test_weighted_series_range_checked(table_small, series_fn):
+def test_weighted_series_range_checked(lam_small, series_fn):
     """Each chain checks its highest order before any work, like
     iterated_averages; the psi-tilde oracle checks it too."""
     least = {weighted_psi_series: 0, weighted_psi_hat_series: 1}.get(series_fn, 2)
     for i in (2.0, 2.5, True, least - 1, averaging.MAX_ORDER + 1):
         with pytest.raises(ValueError, match=rf"^order i must be in \[{least}, 8\], got "):
-            series_fn(table_small, i)
+            series_fn(lam_small, i)
     # a numpy integer gives the int's result, bit for bit
-    want = [values.tobytes() for values in series_fn(table_small, 3)]
+    want = [values.tobytes() for values in series_fn(lam_small, 3)]
     assert len(want) == 4 - least
-    assert [values.tobytes() for values in series_fn(table_small, np.int64(3))] == want
+    assert [values.tobytes() for values in series_fn(lam_small, np.int64(3))] == want
 
 
-def _every_series(table):
-    """Each series of the table, for every order, keyed by (name, order)."""
-    series = sieve.error_series(table)
-    out = {("r", None): series.r}
-    out.update({("rbar", k): avg.values for k, avg in enumerate(iterated_averages(series, 8))})
+def _every_series(lam):
+    """Each series of the Lambda array, for every order, keyed by (name, order)."""
+    r = sieve.error_series(lam)
+    out = {("r", None): r}
+    out.update({("rbar", k): avg.values for k, avg in enumerate(iterated_averages(r, 8))})
     for fn, least in ((weighted_psi_series, 0), (weighted_psi_hat_series, 1)):
-        out.update({(fn.__name__, i): v for i, v in enumerate(fn(table, 8), start=least)})
+        out.update({(fn.__name__, i): v for i, v in enumerate(fn(lam, 8), start=least)})
     return out
 
 
 @pytest.fixture(scope="module")
-def every_series_full(table_full):
-    return _every_series(table_full)
+def every_series_full(lam_full):
+    return _every_series(lam_full)
 
 
 BLOCK = averaging._BLOCK  # n per column block; each fold carries its state across them
@@ -358,26 +357,26 @@ def test_smaller_table_gives_a_prefix_of_every_series(every_series_full, m):
 # -- differenced statistics -------------------------------------------------
 
 
-def test_hat_r_hand_value(series_small):
-    avg = iterated_average(series_small, 1)
+def test_hat_r_hand_value(r_small):
+    avg = iterated_average(r_small, 1)
     # 2*(rbar(2) - rbar(1)) = log 2 - 1 = Lambda(2) - 1
     assert hat_r_series(avg)[2] == pytest.approx(LOG2 - 1, abs=1e-12)
 
 
-def test_hat_prime_scaling(series_small):
+def test_hat_prime_scaling(r_small):
     # (i+1) * hat_prime = (n-1) * hat
     for i in (1, 2, 3):
-        avg = iterated_average(series_small, i)
+        avg = iterated_average(r_small, i)
         hat, hat_prime = hat_r_series(avg), hat_prime_r_series(avg)
         for n in (2, 10, 500, 2000):
             assert hat_prime[n] * (i + 1) == pytest.approx(hat[n] * (n - 1), abs=1e-9)
         assert hat_prime[2] == pytest.approx(hat[2] / (i + 1), abs=1e-12)
 
 
-def test_hat_identity_weighted_form(table_small, series_small):
+def test_hat_identity_weighted_form(lam_small, r_small):
     # hat_r(i, n) = psi-hat_i(n) - 1
-    rbar = islice(iterated_averages(series_small, 5), 1, None)
-    chains = zip(rbar, weighted_psi_hat_series(table_small, 5))
+    rbar = islice(iterated_averages(r_small, 5), 1, None)
+    chains = zip(rbar, weighted_psi_hat_series(lam_small, 5))
     for i, (avg, psi_hat) in enumerate(chains, start=1):
         hat = hat_r_series(avg)
         gap = np.max(np.abs(hat[2:] - (psi_hat[2:] - 1.0)))
@@ -385,23 +384,23 @@ def test_hat_identity_weighted_form(table_small, series_small):
     assert i == 5
 
 
-def test_hat_prime_identity_weighted_form(table_small, series_small):
+def test_hat_prime_identity_weighted_form(lam_small, r_small):
     # hat_prime_r(i, n) = psi-hat'_i(n) - (n-1)/(i+1)
     for i in (1, 3, 5):
-        avg = iterated_average(series_small, i)
+        avg = iterated_average(r_small, i)
         hp = hat_prime_r_series(avg)
         for n in (2, 3, 50, 777, 2000):
             # psi-hat'_i(n) = (n-1)/(i+1) psi-hat_i(n)
             scale = Fraction(n - 1, i + 1)
-            psi_hat_prime = exact_weighted_sum(table_small, weight_b, i, n, scale)
+            psi_hat_prime = exact_weighted_sum(lam_small, weight_b, i, n, scale)
             rhs = psi_hat_prime - (n - 1) / (i + 1)
             assert hp[n] == pytest.approx(rhs, abs=1e-7), (i, n)
 
 
-def test_tilde_identity_weighted_form(table_small, series_small):
+def test_tilde_identity_weighted_form(lam_small, r_small):
     # tilde_r(i, n) = psi-tilde_i(n) - (n-1)/(i+1)
-    rbar = islice(iterated_averages(series_small, 6), 2, None)
-    chains = zip(rbar, weighted_psi_tilde_series(table_small, 6))
+    rbar = islice(iterated_averages(r_small, 6), 2, None)
+    chains = zip(rbar, weighted_psi_tilde_series(lam_small, 6))
     for i, (avg, psi_tilde) in enumerate(chains, start=2):
         tilde = tilde_r_series(avg)
         n = np.arange(3, 2001, dtype=float)
@@ -410,18 +409,18 @@ def test_tilde_identity_weighted_form(table_small, series_small):
     assert i == 6
 
 
-def test_tilde_small_n_both_sides(table_small, series_small):
-    avg = iterated_average(series_small, 2)
+def test_tilde_small_n_both_sides(lam_small, r_small):
+    avg = iterated_average(r_small, 2)
     lhs = tilde_r_series(avg)[3]
-    rhs = exact_weighted_sum(table_small, weight_h, 2, 3) - (3 - 1) / (2 + 1)
+    rhs = exact_weighted_sum(lam_small, weight_h, 2, 3) - (3 - 1) / (2 + 1)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def test_scalar_differences_equal_the_difference_formulas(series_small):
+def test_scalar_differences_equal_the_difference_formulas(r_small):
     """hat_r_series, hat_prime_r_series and tilde_r_series give, bit for bit,
     the literal differences of rbar_i at n, for every order and every n."""
     for i in range(1, 9):
-        avg = iterated_average(series_small, i)
+        avg = iterated_average(r_small, i)
         v = [float(x) for x in avg.values]
         hat, hat_prime = hat_r_series(avg), hat_prime_r_series(avg)
         tilde = tilde_r_series(avg) if i >= 2 else None
@@ -447,17 +446,17 @@ def test_differenced_statistics_are_the_formulas_bit_for_bit(averages_full):
 @pytest.mark.parametrize(
     "fn, per_n", [(hat_r_series, 8), (hat_prime_r_series, 16), (tilde_r_series, 16)]
 )
-def test_differenced_statistics_are_formed_in_their_output(series_peak, fn, per_n):
+def test_differenced_statistics_are_formed_in_their_output(r_peak, fn, per_n):
     """The output holds the steps and takes every product in place; only
     n - 1 (hat_prime) and n (n - 1) (tilde) take a second array."""
-    avg = iterated_average(series_peak, 2)
+    avg = iterated_average(r_peak, 2)
     assert traced_peak(fn, avg) <= per_n * N_PEAK + MIB
 
 
-def test_differences_invalid_args(series_small):
-    avg2 = iterated_average(series_small, 2)
+def test_differences_invalid_args(r_small):
+    avg2 = iterated_average(r_small, 2)
     with pytest.raises(ValueError):
-        tilde_r_series(iterated_average(series_small, 1))  # order < 2
+        tilde_r_series(iterated_average(r_small, 1))  # order < 2
     for order in (1, 2.0, True):
         with pytest.raises(ValueError, match="^average order must be >= 2, got "):
             tilde_r_series(dataclasses.replace(avg2, order=order))
@@ -497,9 +496,9 @@ def test_range_summary_errors():
     assert range_summary(vals, np.int64(1), np.int64(3)) == range_summary(vals, 1, 3)
 
 
-def test_rbar3_max_attained_at_1(series_small):
-    avg = iterated_average(series_small, 3)
-    s = range_summary(avg.values, 1, series_small.n_max)
+def test_rbar3_max_attained_at_1(r_small):
+    avg = iterated_average(r_small, 3)
+    s = range_summary(avg.values, 1, avg.n_max)
     assert s.argmax == 1
     assert s.max == -1.0
 

@@ -158,11 +158,11 @@ def test_errors_rows_match_per_row_fstring(capsys):
     argv = ["errors", "--n-max", str(n)] + [a for k in range(9) for a in ("--order", str(k))]
     code, out, _ = run(argv, capsys)
     assert code == 0
-    series = sieve.error_series(sieve.build_lambda_table(n))
+    r = sieve.error_series(sieve.build_lambda_table(n))
     assert out == "".join(
         f"# order={avg.order}\nn,value\n"
         + "".join(f"{j},{v:.6f}\n" for j, v in enumerate(avg.values[1:].tolist(), 1))
-        for avg in averaging.iterated_averages(series, 8)
+        for avg in averaging.iterated_averages(r, 8)
     )
 
 
@@ -349,8 +349,8 @@ def test_failed_output_leaves_no_partial_file(tmp_path, capsys, monkeypatch, bef
     chain = averaging.iterated_averages
     orders_seen = []
 
-    def fail_at_order_2(series, k_max):
-        for avg in chain(series, k_max):
+    def fail_at_order_2(r, k_max):
+        for avg in chain(r, k_max):
             if avg.order == 2:
                 raise ValueError("order 2 failed midway")
             orders_seen.append(avg.order)
@@ -495,8 +495,8 @@ def test_check_catches_perturbed_average(monkeypatch, capsys):
     against the Lambda route, so an error of 2e-9 at n = 100 fails it."""
     real = averaging.iterated_averages
 
-    def perturbed(series, k_max):
-        for avg in real(series, k_max):
+    def perturbed(r, k_max):
+        for avg in real(r, k_max):
             values = avg.values.copy()
             values[100] += 2e-9
             yield averaging.IteratedAverage(avg.order, avg.n_max, values)
@@ -517,13 +517,29 @@ def perturb_chain(monkeypatch, name, order, n, delta):
     real = getattr(averaging, name)
     least = {"weighted_psi_series": 0, "weighted_psi_hat_series": 1}[name]
 
-    def perturbed(table, i_max):
-        for i, values in enumerate(real(table, i_max), start=least):
+    def perturbed(lam, i_max):
+        for i, values in enumerate(real(lam, i_max), start=least):
             if i == order:
                 values[n] += delta
             yield values
 
     monkeypatch.setattr(averaging, name, perturbed)
+
+
+def test_check_catches_a_wrong_lambda(monkeypatch, capsys):
+    """The sieve suite compares psi(n) with log lcm(1..n) for n <= 500, so
+    an error of 1e-6 in Lambda(97) fails it at n = 97."""
+    build = sieve.build_lambda_table
+
+    def perturbed(n_max):
+        lam = build(n_max).copy()
+        lam[97] += 1e-6
+        return lam
+
+    monkeypatch.setattr(sieve, "build_lambda_table", perturbed)
+    code, out, _ = run(["check", "--n-max", "2000"], capsys)
+    assert code == cli.EXIT_FAILURE
+    assert "FAIL sieve-psi-oracle: psi(97) deviates from log lcm oracle\n" in out
 
 
 def test_check_compares_the_weight_form_at_every_n(monkeypatch, capsys):
@@ -644,7 +660,53 @@ def test_n_max_beyond_float64_is_usage_error_before_any_work(command, n_max, mon
     code, out, err = run([command, "--n-max", str(n_max)], capsys)
     assert code == cli.EXIT_USAGE
     assert out == ""
-    assert err == f"error: {command} needs --n-max <= 2**53 = {2**53}, got {n_max}\n"
+    # tables and errors (order 1 by default) meet the column ceiling first
+    bound = {
+        "tables": f"2**32 - 6 = {2**32 - 6} for order 6",
+        "errors": f"2**32 - 1 = {2**32 - 1} for order 1",
+    }.get(command, f"2**53 = {2**53}")
+    assert err == f"error: {command} needs --n-max <= {bound}, got {n_max}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, k",
+    [
+        (["tables"], 6),
+        (["errors"], 1),
+        (["errors", "--order", "2"], 2),
+        (["errors", "--order", "0", "--order", "8", "--order", "3"], 8),
+    ],
+)
+def test_n_max_past_the_column_ceiling_is_usage_error_before_any_work(
+    argv, k, monkeypatch, capsys
+):
+    """An average of order k needs n_max + k - 1 < 2**32 for its binomial
+    column, so a larger --n-max exits 2 with one line before any sieve.
+    One less reaches the sieve, which raises here instead of running."""
+
+    def no_sieve(n):
+        raise ValueError(f"sieved to {n}")
+
+    monkeypatch.setattr("pntavg.sieve.lambda_blocks", no_sieve)
+    top = 2**32 - k
+    code, out, err = run([*argv, "--n-max", str(top + 1)], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    why = f"2**32 - {k} = {top} for order {k}"
+    assert err == f"error: {argv[0]} needs --n-max <= {why}, got {top + 1}\n"
+    # just below: the bound function takes it, and the command reaches the sieve
+    assert averaging.max_column_n(k) == top
+    assert cli._n_max_ceiling(cli.build_parser().parse_args(argv)) == (top, why)
+    got = run([*argv, "--n-max", str(top)], capsys)
+    assert got == (cli.EXIT_FAILURE, "", f"error: sieved to {top}\n")
+
+
+def test_order_zero_has_no_column_ceiling(monkeypatch, capsys):
+    def no_sieve(n):
+        raise ValueError(f"sieved to {n}")
+
+    monkeypatch.setattr("pntavg.sieve.lambda_blocks", no_sieve)
+    argv = ["errors", "--order", "0", "--n-max", str(2**53)]
+    assert run(argv, capsys) == (cli.EXIT_FAILURE, "", f"error: sieved to {2**53}\n")
 
 
 def test_check_with_zeros(tmp_path, monkeypatch, capsys):

@@ -332,8 +332,8 @@ def test_dirichlet_hand_value():
     assert gap < 1e-2
 
 
-def test_dirichlet_gap_shrinks_with_T(table_small):
-    coeffs = {n: float(table_small.lam[n]) for n in range(1, 51)}
+def test_dirichlet_gap_shrinks_with_T(lam_small):
+    coeffs = {n: float(lam_small[n]) for n in range(1, 51)}
     _, _, gap_lo = dirichlet_perron_check(coeffs, 0.0, 1.0, 1_000.0, 30)
     _, _, gap_hi = dirichlet_perron_check(coeffs, 0.0, 1.0, 10_000.0, 30)
     assert gap_hi <= gap_lo / 5

@@ -1,13 +1,12 @@
 """The names pntavg exports: each one resolves to an attribute of the
-package, and each one but dirichlet_perron_check, which no command calls
-yet, is used by a command or a check."""
+package.  Each is used by a command or a check, except three:
+iterated_average and explicit_formula_residual are called only by the
+benchmark and the tests, and dirichlet_perron_check by nothing yet."""
 
 import pntavg
 
 PUBLIC = [
-    "ErrorSeries",
     "IteratedAverage",
-    "LambdaTable",
     "PerronResult",
     "RangeSummary",
     "ZeroSet",
@@ -21,7 +20,6 @@ PUBLIC = [
     "lemma1_error_bound",
     "load_zeros",
     "perron_integral",
-    "psi",
     "range_summary",
     "zero_sum",
 ]

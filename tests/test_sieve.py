@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import struct
@@ -6,14 +5,15 @@ import struct
 import numpy as np
 import pytest
 
-from pntavg import cli, sieve
+from pntavg import averaging, cli, sieve
 
 from conftest import MIB, N_PEAK, traced_peak
 from oracles import is_prime_trial, lambda_spf_loop, psi_lcm, psi_lcm_all
 
 
-def test_lambda_values(table_small):
-    lam = table_small.lam
+def test_lambda_values(lam_small):
+    lam = lam_small
+    assert lam.dtype == np.float64 and lam.shape == (2001,)
     assert lam[1] == 0.0
     assert lam[2] == pytest.approx(math.log(2), abs=1e-15)
     assert lam[6] == 0.0
@@ -22,7 +22,7 @@ def test_lambda_values(table_small):
     assert lam[128] == pytest.approx(math.log(2), abs=1e-15)  # 2^7
 
 
-def test_lambda_positive_iff_prime_power(table_small):
+def test_lambda_positive_iff_prime_power(lam_small):
     for n in range(1, 500):
         is_pp = False
         for p in range(2, n + 1):
@@ -33,7 +33,7 @@ def test_lambda_positive_iff_prime_power(table_small):
                 if m == n:
                     is_pp = True
                     break
-        assert (table_small.lam[n] > 0) == (is_pp and n > 1), n
+        assert (lam_small[n] > 0) == (is_pp and n > 1), n
 
 
 def _flags(n_max: int) -> np.ndarray:
@@ -51,37 +51,40 @@ def test_table_bitwise_equals_spf_loop():
     # from math.log with numpy's vectorised log.
     # and each segment edge: the fold of the blocks is psi, theta and pi
     # bit for bit, at every x <= 300 and at each listed n_max
+    # the psi prefix error_series and weighted_psi_series form is the
+    # oracle's, bit for bit
     seg = sieve._SEGMENT
     for n_max in [*range(1, 301), 961, 1024, seg - 1, seg, seg + 1, 100_000, 2 * seg + 1, 300_000]:
-        table = sieve.build_lambda_table(n_max)
+        lam = sieve.build_lambda_table(n_max)
         want = lambda_spf_loop(n_max)
-        assert [f.name for f in dataclasses.fields(table)] == ["n_max", "lam", "psi_prefix"]
-        for name in ("lam", "psi_prefix"):
-            got = getattr(table, name)
-            assert got.dtype == want[name].dtype, (n_max, name)
-            assert got.tobytes() == want[name].tobytes(), (n_max, name)
+        assert lam.dtype == want["lam"].dtype, n_max
+        assert lam.tobytes() == want["lam"].tobytes(), n_max
+        r = want["psi_prefix"] - np.arange(n_max + 1)
+        assert sieve.error_series(lam).tobytes() == r.tobytes(), n_max
+        psi_0 = next(averaging.weighted_psi_series(lam, 0))
+        assert psi_0.tobytes() == want["psi_prefix"].tobytes(), n_max
         assert _flags(n_max).tobytes() == want["is_prime"].tobytes(), n_max
         psi, theta, pi = sieve.chebyshev(sieve.lambda_blocks(n_max))
-        assert psi.hex() == sieve.psi(table, n_max).hex(), n_max
+        assert psi.hex() == float(want["psi_prefix"][n_max]).hex(), n_max
         assert theta.hex() == float(want["theta_prefix"][n_max]).hex(), n_max
         assert pi == int(want["pi_prefix"][n_max]), n_max
 
 
-def test_psi_trivial(table_small):
-    assert sieve.psi(table_small, 1) == 0.0
-    assert sieve.psi(table_small, 2) == pytest.approx(math.log(2), abs=1e-15)
+def test_psi_trivial(psi_small):
+    assert psi_small[1] == 0.0
+    assert psi_small[2] == pytest.approx(math.log(2), abs=1e-15)
     # psi(10) = log lcm(1..10) = log 2520
-    assert sieve.psi(table_small, 10) == pytest.approx(math.log(2520), abs=1e-12)
+    assert psi_small[10] == pytest.approx(math.log(2520), abs=1e-12)
 
 
-def test_psi_matches_lcm_oracle(table_small):
+def test_psi_matches_lcm_oracle(psi_small):
     ref = psi_lcm_all(2000)
     for n in range(1, 2001):
-        assert abs(sieve.psi(table_small, n) - ref[n]) <= 1e-9, n
+        assert abs(psi_small[n] - ref[n]) <= 1e-9, n
 
 
-def test_psi_prefix_monotone(table_small):
-    assert np.all(np.diff(table_small.psi_prefix[1:]) >= 0)
+def test_psi_prefix_monotone(psi_small):
+    assert np.all(np.diff(psi_small[1:]) >= 0)
 
 
 def test_theta_and_pi():
@@ -99,7 +102,7 @@ def test_pi_against_trial_division():
     ]
 
 
-def test_psi_theta_decomposition(table_small):
+def test_psi_theta_decomposition(psi_small):
     # psi(n) - theta(n) = sum_{m >= 2} theta(floor(n^(1/m)))
     for n in (100, 1000):
         total = 0.0
@@ -112,66 +115,59 @@ def test_psi_theta_decomposition(table_small):
                 root += 1
             total += _theta(root)
             m += 1
-        diff = sieve.psi(table_small, n) - _theta(n)
+        diff = psi_small[n] - _theta(n)
         assert diff == pytest.approx(total, abs=1e-9)
-        assert sieve.psi(table_small, n) >= _theta(n)
+        assert psi_small[n] >= _theta(n)
 
 
-def test_error_series(table_small):
-    series = sieve.error_series(table_small)
-    assert series.r[1] == -1.0
-    assert series.r[10] == pytest.approx(psi_lcm(10) - 10, abs=1e-9)
+def test_error_series(lam_small):
+    r = sieve.error_series(lam_small)
+    assert r.dtype == np.float64 and len(r) == len(lam_small)
+    assert not r.flags.writeable
+    assert r[0] == 0.0 and r[1] == -1.0
+    assert r[10] == pytest.approx(psi_lcm(10) - 10, abs=1e-9)
     # r(n) - r(n-1) = Lambda(n) - 1 within an ulp
     for n in range(2, 2001):
-        lhs = series.r[n] - series.r[n - 1]
-        rhs = table_small.lam[n] - 1.0
+        lhs = r[n] - r[n - 1]
+        rhs = lam_small[n] - 1.0
         assert lhs == pytest.approx(rhs, abs=1e-10), n
 
 
-def test_invalid_arguments(table_small):
+def test_invalid_arguments():
     with pytest.raises(ValueError):
         sieve.build_lambda_table(0)
-    with pytest.raises(ValueError):
-        sieve.psi(table_small, 0)
-    with pytest.raises(ValueError):
-        sieve.psi(table_small, table_small.n_max + 1)
-    top = table_small.n_max
     for bad in (2.0, True, -1):
         with pytest.raises(ValueError, match="^n_max must be >= 1, got "):
             sieve.build_lambda_table(bad)
-    for x in (5.0, True, top + 1):
-        with pytest.raises(ValueError, match=rf"^x must be in \[1, {top}\], got "):
-            sieve.psi(table_small, x)
-    assert sieve.psi(table_small, np.int64(100)) == sieve.psi(table_small, 100)
     # a numpy integer gives the int's result, bit for bit
-    lam = sieve.build_lambda_table(300).lam
-    assert sieve.build_lambda_table(np.int64(300)).lam.tobytes() == lam.tobytes()
+    lam = sieve.build_lambda_table(300)
+    assert sieve.build_lambda_table(np.int64(300)).tobytes() == lam.tobytes()
 
 
 def test_determinism():
-    t1 = sieve.build_lambda_table(300)
-    t2 = sieve.build_lambda_table(300)
-    assert np.array_equal(t1.lam, t2.lam)
-    assert np.array_equal(t1.psi_prefix, t2.psi_prefix)
+    lam1 = sieve.build_lambda_table(300)
+    lam2 = sieve.build_lambda_table(300)
+    assert lam1.tobytes() == lam2.tobytes()
+    assert sieve.error_series(lam1).tobytes() == sieve.error_series(lam2).tobytes()
 
 
-def test_table_immutable(table_small):
-    with pytest.raises(ValueError):
-        table_small.lam[2] = 1.0
+def test_table_immutable(lam_small, r_small):
+    for arr in (lam_small, r_small):
+        with pytest.raises(ValueError):
+            arr[2] = 1.0
 
 
-def test_cache_roundtrip(tmp_path, table_small):
+def test_cache_roundtrip(tmp_path, lam_small):
     path = tmp_path / "sieve.bin"
-    sieve.write_cache(table_small, path)
+    sieve.write_cache(lam_small, path)
     loaded = sieve.read_cache(path)
-    assert loaded.n_max == table_small.n_max
-    assert np.array_equal(loaded.lam, table_small.lam)
-    assert np.array_equal(loaded.psi_prefix, table_small.psi_prefix)
+    assert loaded.tobytes() == lam_small.tobytes()
+    assert not loaded.flags.writeable
 
 
-def test_cache_bad_magic(tmp_path, table_small):
+def test_cache_bad_magic(tmp_path, lam_small):
     path = tmp_path / "sieve.bin"
-    sieve.write_cache(table_small, path)
+    sieve.write_cache(lam_small, path)
     data = bytearray(path.read_bytes())
     data[0] ^= 0xFF
     path.write_bytes(bytes(data))
@@ -179,9 +175,9 @@ def test_cache_bad_magic(tmp_path, table_small):
         sieve.read_cache(path)
 
 
-def test_cache_corrupted_payload(tmp_path, table_small):
+def test_cache_corrupted_payload(tmp_path, lam_small):
     path = tmp_path / "sieve.bin"
-    sieve.write_cache(table_small, path)
+    sieve.write_cache(lam_small, path)
     data = bytearray(path.read_bytes())
     data[-5] ^= 0x41  # flip bits inside a Lambda value
     path.write_bytes(bytes(data))
@@ -189,20 +185,20 @@ def test_cache_corrupted_payload(tmp_path, table_small):
         sieve.read_cache(path)
 
 
-def test_cache_truncated(tmp_path, table_small):
+def test_cache_truncated(tmp_path, lam_small):
     path = tmp_path / "sieve.bin"
-    sieve.write_cache(table_small, path)
+    sieve.write_cache(lam_small, path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(sieve.CacheError):
         sieve.read_cache(path)
 
 
-def test_cache_zeroed_prime_rejected(tmp_path, table_small):
+def test_cache_zeroed_prime_rejected(tmp_path, lam_small):
     # Every entry of a zeroed Lambda(7) payload is still a valid log p or 0,
     # so only a comparison with a fresh sieve catches it (psi(10) would
     # read 5.886 instead of log 2520 = 7.832).
     path = tmp_path / "sieve.bin"
-    sieve.write_cache(table_small, path)
+    sieve.write_cache(lam_small, path)
     data = bytearray(path.read_bytes())
     offset = len(sieve.CACHE_MAGIC) + 8 + 8 * (7 - 1)
     data[offset : offset + 8] = struct.pack("<d", 0.0)
@@ -225,16 +221,19 @@ def test_cache_forged_header_rejected_before_sieving(tmp_path, monkeypatch):
 
 
 class _FailingArray:
+    def __len__(self):
+        return 2001
+
     def __getitem__(self, key):
         raise OSError("disk full")
 
 
-def test_failed_cache_write_keeps_previous(tmp_path, table_small):
+def test_failed_cache_write_keeps_previous(tmp_path, lam_small):
     path = tmp_path / "sieve.bin"
-    sieve.write_cache(table_small, path)
+    sieve.write_cache(lam_small, path)
     before = path.read_bytes()
     # the header is written, then reading the payload fails part-way
-    broken = dataclasses.replace(table_small, lam=_FailingArray())
+    broken = _FailingArray()
     with pytest.raises(OSError, match="disk full"):
         sieve.write_cache(broken, path)
     assert path.read_bytes() == before
@@ -296,17 +295,18 @@ def test_cache_damage_found_block_by_block(tmp_path, monkeypatch, capsys):
 
 
 def test_table_and_cache_read_hold_each_array_once(tmp_path):
-    # Lambda and psi (8 B per n each) are the table; the psi pass writes
-    # into its array and the cache is read in blocks
+    # Lambda (8 B per n) is the one whole array; the sieve and the cache
+    # fill it a segment at a time
     path = tmp_path / "sieve.bin"
     sieve.write_cache(sieve.build_lambda_table(N_PEAK), path)
-    assert traced_peak(sieve.build_lambda_table, N_PEAK) <= 16 * N_PEAK + 2 * MIB
-    assert traced_peak(sieve.read_cache, path) <= 16 * N_PEAK + 2 * MIB
+    assert traced_peak(sieve.build_lambda_table, N_PEAK) <= 8 * N_PEAK + 2 * MIB
+    assert traced_peak(sieve.read_cache, path) <= 8 * N_PEAK + 2 * MIB
 
 
 def test_error_series_allocates_r_alone():
-    table = sieve.build_lambda_table(N_PEAK)
-    assert traced_peak(sieve.error_series, table) <= 8 * N_PEAK + MIB
+    # the psi prefix is formed in r, and n subtracted a segment at a time
+    lam = sieve.build_lambda_table(N_PEAK)
+    assert traced_peak(sieve.error_series, lam) <= 8 * N_PEAK + MIB
 
 
 @pytest.mark.parametrize("cache", ["cold", "warm", "none"])

@@ -120,11 +120,10 @@ def test_no_overflow_at_large_n():
     assert w.denominator.bit_length() < 200
 
 
-def test_weighted_psi_tilde_series_matches_pointwise(table_small):
+def test_weighted_psi_tilde_series_matches_pointwise(lam_small):
     """psi-tilde_i(n) is sum_j h(i, n, j) Lambda(j), each weight rounded once."""
-    lam = table_small.lam
-    for i, batch in enumerate(weighted_psi_tilde_series(table_small, 5), start=2):
+    for i, batch in enumerate(weighted_psi_tilde_series(lam_small, 5), start=2):
         for n in (1, 2, 33, 500):
-            want = fsum(float(weight_h(i, n, j)) * lam[j] for j in range(1, n + 1))
+            want = fsum(float(weight_h(i, n, j)) * lam_small[j] for j in range(1, n + 1))
             assert batch[n] == pytest.approx(want, abs=1e-8), (i, n)
     assert i == 5

@@ -172,14 +172,14 @@ def test_lambda_factor(zeros_2000):
 # -- explicit formula residual ---------------------------------------------
 
 
-def test_residual_empty_sum(zeros_2000, series_small):
-    avg = averaging.iterated_average(series_small, 1)
+def test_residual_empty_sum(zeros_2000, r_small):
+    avg = averaging.iterated_average(r_small, 1)
     assert explicit_formula_residual(avg, zeros_2000, 100, 10.0) == avg.values[100]
 
 
-def test_residual_validation(zeros_2000, series_small):
-    avg1 = averaging.iterated_average(series_small, 1)
-    avg2 = averaging.iterated_average(series_small, 2)
+def test_residual_validation(zeros_2000, r_small):
+    avg1 = averaging.iterated_average(r_small, 1)
+    avg2 = averaging.iterated_average(r_small, 2)
     with pytest.raises(ValueError):
         explicit_formula_residual(avg2, zeros_2000, 100, 50.0)
     with pytest.raises(ValueError):
@@ -200,8 +200,7 @@ def test_residual_validation(zeros_2000, series_small):
 def test_residual_spread_shrinks_with_more_zeros(zeros_2000):
     """Convergence of the truncated formula: the residual's dispersion
     around its limit collapses as the zero cutoff grows."""
-    series = sieve.error_series(sieve.build_lambda_table(10_000))
-    avg = averaging.iterated_average(series, 1)
+    avg = averaging.iterated_average(sieve.error_series(sieve.build_lambda_table(10_000)), 1)
     xs = np.linspace(1000, 10_000, 100).astype(int)
     spreads = []
     for count in (20, 2000):
@@ -220,8 +219,7 @@ def test_residual_limit_matches_explicit_formula(zeros_2000):
     (zeta'/zeta)(-1)/x term of M(x) it is about 6e-4, and without
     1/2 - log(2*pi) about 1.34, so the 2e-4 bound pins both terms.
     """
-    series = sieve.error_series(sieve.build_lambda_table(10_000))
-    avg = averaging.iterated_average(series, 1)
+    avg = averaging.iterated_average(sieve.error_series(sieve.build_lambda_table(10_000)), 1)
     xs = np.linspace(1000, 10_000, 100).astype(int)
     T = float(zeros_2000.gammas[-1])
     res = np.array([explicit_formula_residual(avg, zeros_2000, int(x), T) for x in xs])
