@@ -41,7 +41,7 @@ from .accum import neumaier_fold, neumaier_prefix_sum
 
 MAX_ORDER = 8
 _FACTOR_LIMIT = 1 << 32  # every factor n + j of a binomial column lies below it
-_BLOCK = 1 << 12  # n per binomial column block; bounds the limb work arrays
+_BLOCK = 1 << 13  # n per binomial column block; bounds the limb work arrays
 _MASK = np.uint64(0xFFFF_FFFF)  # one 32-bit limb
 _POWERS_OF_2 = np.array([1 << b for b in range(33)], dtype=np.uint64)
 

@@ -2,7 +2,8 @@
 
 Subcommands:
 
-    sieve    build the Lambda table, optionally writing a binary cache
+    sieve    fold psi, theta and pi from the segmented sieve, optionally
+             through a binary cache of Lambda
     errors   emit averaged error series as CSV
     tables   reproduce the four min/max summary tables
     zerosum  truncated zero sums from a zeros file
@@ -10,7 +11,8 @@ Subcommands:
     check    reduced-scale invariant suites
 
 Exit codes: 0 success, 1 computation or invariant failure, 2 usage error.
-All numeric CSV output is deterministic for fixed flags.
+All numeric CSV output is deterministic for fixed flags.  The zeros and
+perron modules are imported only by the commands that call them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from . import _args, averaging, perron, sieve, zeros
+from . import _args, averaging, sieve
 from .accum import neumaier_prefix_sum
 
 DEFAULT_N_MAX = 100_000
@@ -74,32 +76,43 @@ def cmd_sieve(args) -> int:
 def _digits(x, buf, keep, right: int, count: int) -> None:
     """Write the last count decimal digits of the unsigned array x (which is
     consumed) as ASCII into rows right, right - 1, ... of buf.  Unless keep
-    is None, mark there which rows left of the units digit x reaches."""
-    d = np.empty_like(x)
+    is None, mark there which rows left of the units digit x reaches.  Each
+    digit is x - 10 (x // 10): np.divmod on unsigned integers is several
+    times slower than np.floor_divide."""
+    q, t = np.empty_like(x), np.empty_like(x)
     for r in range(right, right - count, -1):
         if keep is not None and r < right:
             np.not_equal(x, 0, out=keep[r])
-        np.divmod(x, 10, out=(x, d))
-        np.add(d, 48, out=buf[r], casting="unsafe")
+        np.floor_divide(x, 10, out=q)
+        np.multiply(q, 10, out=t)
+        np.subtract(x, t, out=t)
+        np.add(t, 48, out=buf[r], casting="unsafe")
+        x, q = q, x
 
 
 def _fixed_rows(n0: int, v) -> str:
     """The rows "%d,%.6f" % (n, v) from n = n0, for finite v with
     |v| < 2**32, built in numpy.  |v|*10**6 is rounded half to even, as
-    "%.6f" rounds the exact binary value: p = fl(|v|*10**6) and its exact
-    error e come from Dekker's two-product (|v| split by Veltkamp at 2**27;
-    10**6 has 14 bits), and e decides a tie p - rint(p) = +-0.5.  p < 2**52,
-    so p - rint(p) and the integer cast are exact."""
+    "%.6f" rounds the exact binary value: p = fl(|v|*10**6) and, where
+    p - rint(p) = +-0.5 (the only entries it can move), its exact error e
+    from Dekker's two-product (|v| split by Veltkamp at 2**27; 10**6 has
+    14 bits) decides the tie.  p < 2**52, so p - rint(p) and the integer
+    cast are exact."""
     a = np.abs(v)
     p = a * 1e6
-    ah = a * 134217729.0
-    ah -= ah - a
-    e = (ah * 1e6 - p) + (a - ah) * 1e6
     q = np.rint(p)
     t = p - q
-    q += (t == 0.5) & (e > 0)
-    q -= (t == -0.5) & (e < 0)
-    ip, frac = np.divmod(q.astype(np.uint64), 10**6)
+    ties = np.flatnonzero(np.abs(t) == 0.5)
+    if len(ties):
+        a, p, t = a[ties], p[ties], t[ties]
+        ah = a * 134217729.0
+        ah -= ah - a
+        e = (ah * 1e6 - p) + (a - ah) * 1e6
+        q[ties] += (t == 0.5) & (e > 0)
+        q[ties] -= (t == -0.5) & (e < 0)
+    q = q.astype(np.uint64)
+    ip = q // 10**6
+    frac = q - ip * 10**6
     n = np.arange(n0, n0 + len(v), dtype=np.min_scalar_type(n0 + len(v) - 1))
     wn, wi = len(str(n[-1])), len(str(ip.max()))
     # one row of buf per character position: n, ",", "-", ip, ".", 6 decimals, "\n"
@@ -209,6 +222,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_zerosum(args) -> int:
+    from . import zeros
+
     if not args.zeros:
         print("error: --zeros PATH is required", file=sys.stderr)
         return EXIT_USAGE
@@ -221,6 +236,8 @@ def cmd_zerosum(args) -> int:
 
 
 def cmd_perron(args) -> int:
+    from . import perron
+
     res = perron.perron_integral(args.a, args.b, args.T, args.k)
     gap = res.gap
     ratio = gap / res.bound
@@ -276,6 +293,8 @@ def _check_averaging(lam) -> list[str]:
 
 
 def _check_perron() -> list[str]:
+    from . import perron
+
     failures = []
     for a in (2.0, 0.5, 1.0):
         for T in (100.0, 1000.0):
@@ -286,6 +305,8 @@ def _check_perron() -> list[str]:
 
 
 def _check_zeros(path) -> list[str]:
+    from . import zeros
+
     zset = zeros.load_zeros(path)
     if not len(zset):
         return [f"{path} holds no zeros"]
@@ -336,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
         sp.set_defaults(least_n_max=least_n_max)
 
-    sp = sub.add_parser("sieve", help="build the Lambda table")
+    sp = sub.add_parser("sieve", help="print psi, theta and pi at --n-max")
     common(sp)
     sp.add_argument("--cache", type=str, default=None)
     sp.set_defaults(fn=cmd_sieve)

@@ -97,11 +97,13 @@ def chebyshev(blocks) -> tuple[float, float, int]:
     """(psi(x), theta(x), pi(x)) at x, the last n of blocks, folded block by
     block: psi carries the compensated sum of Lambda, theta that of Lambda
     over the primes, and pi counts the primes.  The split into blocks moves
-    no bit, since each block carries the Neumaier state of the one before."""
+    no bit, since each block carries the Neumaier state of the one before,
+    and neither does folding psi over the nonzero Lambda alone: a zero adds
+    exactly 0 to both the sum and its compensation."""
     psi = theta = (0.0, 0.0)
     pi = 0
     for _, lam, is_prime in blocks:
-        psi = neumaier_fold(lam, psi)
+        psi = neumaier_fold(lam[lam != 0], psi)
         theta = neumaier_fold(lam[is_prime], theta)
         pi += int(np.count_nonzero(is_prime))
     return float(psi[0] + psi[1]), float(theta[0] + theta[1]), pi

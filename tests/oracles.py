@@ -6,7 +6,8 @@ smallest-prime-factor sieve, iterated averages from literal nested sums
 over the raw error values, the explicit-formula constants from mpmath's
 zeta, 6-decimal formatting from numpy's Dragon4, binomial columns from a
 list of exact integers, the series psi-tilde from scalar Neumaier passes
-over that column, the binomial weights of the Lambda-weighted sums from
+over that column, psi and theta at one x from one unblocked pass over
+every Lambda value, the binomial weights of the Lambda-weighted sums from
 exact Fractions, the Perron kernel integral from mpmath quadrature over
 the whole segment and from float Gauss-Legendre panels, its gap from
 mpmath's Tricomi U (a != 1) and atan (a = 1), and the truncated zero sum
@@ -173,6 +174,20 @@ def neumaier_prefix_loop(values) -> list[float]:
         s = t
         out.append(s + c)
     return out
+
+
+def neumaier_whole(values) -> float:
+    """s + c of the scalar Neumaier loop over values, from one vectorised
+    pass over the whole array with no blocks and no carried state:
+    np.add.accumulate adds strictly left to right, so every running sum
+    and error term is the loop's."""
+    x = np.asarray(values, dtype=float)
+    if not len(x):
+        return 0.0
+    t = np.add.accumulate(x)
+    prev = np.concatenate(([0.0], t[:-1]))
+    err = np.where(np.abs(prev) >= np.abs(x), (prev - t) + x, (x - t) + prev)
+    return float(t[-1] + np.add.accumulate(err)[-1])
 
 
 def zero_sum_loop(gammas, x: float, T: float, k: int) -> tuple[float, int]:

@@ -339,8 +339,10 @@ BLOCK = averaging._BLOCK  # n per column block; each fold carries its state acro
 
 @pytest.mark.parametrize(
     "m",
-    [1, 2, 3, 500, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
-    + [10_000, 16_384, 16_385, 40_000],
+    # the block edges, the half-block edges and sizes past several blocks;
+    # a set, since equal values would make pytest rename their ids
+    sorted({1, 2, 3, 500, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1}
+           | {4095, 4096, 4097, 8193, 10_000, 16_384, 16_385, 40_000}),
 )
 def test_smaller_table_gives_a_prefix_of_every_series(every_series_full, m):
     """Lambda does not depend on the table's size, the prefix passes run

@@ -135,6 +135,31 @@ def test_block_rows_match_per_row_fstring(xs, count):
     assert out.getvalue() == "".join(f"{n},{v:.6f}\n" for n, v in rows)
 
 
+# pieces whose n crosses a digit count (9,999 -> 10,000 and 99,999 ->
+# 100,000), 65,535 -> 65,536, where n's dtype widens from uint16 to uint32,
+# or 2**32, where it widens to uint64; one piece ends at 65,535
+PIECE_STARTS = [10_000 - 100, 100_000 - 100, 65_536 - cli._PIECE, 65_536 - 100, 2**32 - 100]
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["no-ties", "near-ties"])
+@pytest.mark.parametrize("n0", PIECE_STARTS)
+def test_fixed_rows_at_the_edges(n0, ties):
+    """_fixed_rows is the per-row "%d,%.6f" on a whole piece of rows: one of
+    random values with no exact half at the sixth decimal, where no
+    two-product is formed, and one of near-ties (2j + 1)/2e6, many of
+    which fl(v * 1e6) rounds onto a half that only the two-product
+    decides."""
+    rng = np.random.default_rng(n0)
+    if ties:
+        v = (2 * rng.integers(-(2**41), 2**41, cli._PIECE) + 1) / 2e6
+    else:
+        v = rng.uniform(-1e4, 1e4, cli._PIECE)
+    p = np.abs(v) * 1e6
+    assert np.any(np.abs(p - np.rint(p)) == 0.5) == ties
+    want = "".join(f"{n},{x:.6f}\n" for n, x in enumerate(v.tolist(), n0))
+    assert cli._fixed_rows(n0, v) == want
+
+
 class CountingStringIO(io.StringIO):
     writes = 0
 
@@ -410,7 +435,7 @@ ORDERS_1_TO_6 = [a for k in range(1, 7) for a in ("--order", str(k))]
         # three chains to order 3: rbar (3 x 500), psi from the sieve's psi
         # prefix (3 x 500), psi-hat from j = 2 (3 x 499)
         (["check", "--n-max", "500"], 4497),
-        # each pass spans 3 column blocks, the state carried across them
+        # each pass spans 2 column blocks, the state carried across them
         (["tables", "--allow-partial", "--n-max", "10000"], 60_000),
     ],
 )
@@ -845,6 +870,51 @@ def test_full_stdout_is_one_line_error():
         )
     assert proc.returncode == cli.EXIT_FAILURE
     assert proc.stderr.startswith("I/O error: ") and proc.stderr.count("\n") == 1
+
+
+# numpy's dispatch targets above its X86_V2 baseline: disabling them caps
+# every dispatched kernel at X86_V2
+SIMD_CAP = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+# prints which of SIMD_CAP's features the process reaches, then runs commands
+SIMD_RUN = """import sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+from pntavg import cli
+print(*[f for f in sys.argv[1].split() if __cpu_features__.get(f)])
+cli.main(["errors", "--n-max", "20000", "--order", "0", "--order", "6"])
+cli.main(["tables", "--n-max", "100000"])
+"""
+
+
+def test_outputs_independent_of_simd_dispatch():
+    """The CSV writer's integer divisions, the folds and the limb columns
+    run numpy's run-time dispatched kernels; their output must be the
+    same, byte for byte, with the dispatch capped at X86_V2."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    default, capped = (
+        subprocess.run(
+            [sys.executable, "-c", SIMD_RUN, SIMD_CAP],
+            capture_output=True,
+            env=child_env,
+            text=True,
+        )
+        for child_env in (env, {**env, "NPY_DISABLE_CPU_FEATURES": SIMD_CAP})
+    )
+    assert default.returncode == 0, default.stderr
+    if capped.returncode and "NPY_DISABLE_CPU_FEATURES" in capped.stderr:
+        pytest.skip(f"numpy refuses the cap: {capped.stderr.strip().splitlines()[-1]}")
+    assert capped.returncode == 0, capped.stderr
+    reached, out = default.stdout.split("\n", 1)
+    kept, capped_out = capped.stdout.split("\n", 1)
+    if not reached:
+        pytest.skip(f"this CPU reaches none of {SIMD_CAP}: the cap changes no kernel")
+    if kept:
+        pytest.skip(f"numpy kept {kept} under the cap")
+    assert out.count("\n") == 2 * (2 + 20_000) + 20
+    assert capped_out == out
 
 
 def test_usage_error_exit_code():

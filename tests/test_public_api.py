@@ -1,9 +1,19 @@
 """The names pntavg exports: each one resolves to an attribute of the
-package.  Each is used by a command or a check, except three:
-iterated_average and explicit_formula_residual are called only by the
-benchmark and the tests, and dirichlet_perron_check by nothing yet."""
+package, on first access, from the one submodule that defines it.  Each is
+used by a command or a check, except three: iterated_average and
+explicit_formula_residual are called only by the benchmark and the tests,
+and dirichlet_perron_check by nothing yet."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import pntavg
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 PUBLIC = [
     "IteratedAverage",
@@ -28,3 +38,43 @@ PUBLIC = [
 def test_public_names():
     assert sorted(pntavg.__all__) == PUBLIC
     assert [n for n in PUBLIC if getattr(pntavg, n, None) is None] == []
+
+
+def test_dir_lists_every_export():
+    assert set(PUBLIC) <= set(dir(pntavg))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from pntavg import *", namespace)
+    assert sorted(n for n in namespace if not n.startswith("__")) == PUBLIC
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="module 'pntavg' has no attribute 'no_such_name'"):
+        pntavg.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-c", "import pntavg.cli"], ["-m", "pntavg.cli", "sieve", "--n-max", "100"]],
+    ids=["import", "sieve"],
+)
+def test_cli_loads_neither_zeros_nor_perron(argv):
+    """Importing the CLI, or running a command that reads no zeros and no
+    Perron integral, imports neither module nor mpmath: -X importtime
+    names on stderr every module the child imports, so every module it
+    puts in sys.modules."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        check=True,
+    )
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "pntavg.sieve" in imported
+    assert {"pntavg.perron", "pntavg.zeros", "mpmath"} & imported == set()

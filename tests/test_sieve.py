@@ -8,7 +8,7 @@ import pytest
 from pntavg import averaging, cli, sieve
 
 from conftest import MIB, N_PEAK, traced_peak
-from oracles import is_prime_trial, lambda_spf_loop, psi_lcm, psi_lcm_all
+from oracles import is_prime_trial, lambda_spf_loop, neumaier_whole, psi_lcm, psi_lcm_all
 
 
 def test_lambda_values(lam_small):
@@ -68,6 +68,20 @@ def test_table_bitwise_equals_spf_loop():
         assert psi.hex() == float(want["psi_prefix"][n_max]).hex(), n_max
         assert theta.hex() == float(want["theta_prefix"][n_max]).hex(), n_max
         assert pi == int(want["pi_prefix"][n_max]), n_max
+
+
+def test_chebyshev_equals_whole_array_fold():
+    """chebyshev folds psi over the nonzero Lambda of each block alone; a
+    zero moves neither the sum nor its compensation, so psi is bitwise the
+    fold over every Lambda value, at every x below 300, at the segment
+    edges and up to 2,000,007."""
+    seg = sieve._SEGMENT
+    for n_max in [*range(1, 300), seg - 1, seg + 1, 2 * seg, 100_000, 10**6, 2_000_007]:
+        lam = sieve.build_lambda_table(n_max)
+        is_prime = _flags(n_max)
+        want = (neumaier_whole(lam[1:]), neumaier_whole(lam[is_prime]), int(is_prime.sum()))
+        psi, theta, pi = sieve.chebyshev(sieve.lambda_blocks(n_max))
+        assert (psi.hex(), theta.hex(), pi) == (want[0].hex(), want[1].hex(), want[2]), n_max
 
 
 def test_psi_trivial(psi_small):
