@@ -29,7 +29,6 @@ _HOMES = {
     "perron_integral": "perron",
     "build_lambda_table": "sieve",
     "error_series": "sieve",
-    "ZeroSet": "zeros",
     "ZeroSumResult": "zeros",
     "explicit_formula_residual": "zeros",
     "gamma_square_tail": "zeros",

@@ -35,12 +35,10 @@ def neumaier_fold(values, state=(0.0, 0.0), out: np.ndarray | None = None):
     return s, c
 
 
-def neumaier_prefix_sum(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Running compensated sums: out[i] = sum(values[: i + 1]), returned.
-    out may be values itself, bitwise the pass into a new array."""
+def neumaier_prefix_sum(values: np.ndarray) -> np.ndarray:
+    """Running compensated sums, a new array: out[i] = sum(values[: i + 1])."""
     values = np.asarray(values, dtype=float)
-    if out is None:
-        out = np.empty_like(values)
+    out = np.empty_like(values)
     neumaier_fold(values, out=out)
     return out
 

@@ -22,7 +22,8 @@ once (_binom_column), so it is float(math.comb(n+k-1, k)) bit for bit.
 Every order up to a bound comes from one chain, one pass per order.
 The chains read the plain arrays of the sieve module, indexed by n:
 iterated_averages runs over r = sieve.error_series(lam) and yields
-rbar_0 = r, rbar_1..rbar_k; weighted_psi_series runs over the psi prefix,
+rbar_0 = r, rbar_1..rbar_k, each an IteratedAverage, its order and its
+values indexed like r; weighted_psi_series runs over the psi prefix,
 Lambda's first pass, and weighted_psi_hat_series over (j-1) Lambda(j),
 both from lam = sieve.build_lambda_table(n_max), a data path disjoint
 from the prefix sums of r.
@@ -31,7 +32,7 @@ from the prefix sums of r.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, count
 from math import factorial, prod
 
 import numpy as np
@@ -48,11 +49,10 @@ _POWERS_OF_2 = np.array([1 << b for b in range(33)], dtype=np.uint64)
 
 @dataclass(frozen=True)
 class IteratedAverage:
-    """values[n] = rbar_order(n) for 1 <= n <= n_max (index 0 unused),
-    read-only once the average is made."""
+    """values[n] = rbar_order(n) for 1 <= n <= n_max = len(values) - 1
+    (index 0 unused), read-only once the average is made."""
 
     order: int
-    n_max: int
     values: np.ndarray
 
     def __post_init__(self):
@@ -218,15 +218,14 @@ def _chain(x: np.ndarray, k_max: int, lift: int = 0):
 
 def iterated_averages(r: np.ndarray, k_max: int):
     """An iterator over rbar_0, rbar_1, ..., rbar_k_max as IteratedAverage,
-    with n_max = len(r) - 1, for r = sieve.error_series(lam), each formed
-    when it is drawn.  rbar_0 is r itself, zero folds over
-    C(n-1, 0) = 1; the others come from one chain, order k's sums one
-    compensated pass over order k-1's, so the orders up to k_max cost k_max
-    passes.  Raises ValueError, before any work, unless k_max is an integer
+    each indexed like r = sieve.error_series(lam) and formed when it is
+    drawn.  rbar_0 is r itself, zero folds over C(n-1, 0) = 1; the others
+    come from one chain, order k's sums one compensated pass over order
+    k-1's, so the orders up to k_max cost k_max passes.  Raises ValueError, before any work, unless k_max is an integer
     in [0, MAX_ORDER]."""
     check_int("order k", k_max, 0, MAX_ORDER)
     values = chain([r], _chain(r[1:], int(k_max)))
-    return map(IteratedAverage, count(), repeat(len(r) - 1), values)
+    return map(IteratedAverage, count(), values)
 
 
 def iterated_average(r: np.ndarray, k: int) -> IteratedAverage:
@@ -272,7 +271,7 @@ def weighted_psi_hat_series(lam: np.ndarray, i_max: int):
 def _steps(avg: IteratedAverage) -> np.ndarray:
     """out[n] = rbar(n) - rbar(n-1), out[0..1] = nan: the array each
     differenced statistic is formed in."""
-    v, out = avg.values, np.full(avg.n_max + 1, np.nan)
+    v, out = avg.values, np.full(len(avg.values), np.nan)
     np.subtract(v[2:], v[1:-1], out=out[2:])
     return out
 
@@ -287,14 +286,14 @@ def hat_r_series(avg: IteratedAverage) -> np.ndarray:
 def hat_prime_r_series(avg: IteratedAverage) -> np.ndarray:
     """hat_prime_r for n = 2..n_max; out[0..1] = nan."""
     out = _steps(avg)
-    out[2:] *= np.arange(1.0, avg.n_max)  # n - 1
+    out[2:] *= np.arange(1.0, len(avg.values) - 1)  # n - 1
     return out
 
 
 def tilde_r_series(avg: IteratedAverage) -> np.ndarray:
     """tilde_r for n = 3..n_max; out[0..2] = nan."""
     check_int("average order", avg.order, 2)
-    fr = np.arange(2.0, avg.n_max + 1)  # n
+    fr = np.arange(2.0, len(avg.values))  # n
     fr *= fr - 1.0  # n (n - 1), formed before the step multiplies it
     out = _steps(avg)
     fr *= out[2:]

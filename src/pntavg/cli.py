@@ -227,8 +227,8 @@ def cmd_zerosum(args) -> int:
     if not args.zeros:
         print("error: --zeros PATH is required", file=sys.stderr)
         return EXIT_USAGE
-    zset = zeros.load_zeros(args.zeros)
-    res = zeros.zero_sum(zset, args.x, args.T, args.k)
+    gammas = zeros.load_zeros(args.zeros)
+    res = zeros.zero_sum(gammas, args.x, args.T, args.k)
     with _out_stream(args) as out:
         out.write("x,T,k,value,count_used\n")
         out.write(f"{_exact(res.x)},{_exact(res.T)},{res.k},{res.value!r},{res.count_used}\n")
@@ -307,16 +307,16 @@ def _check_perron() -> list[str]:
 def _check_zeros(path) -> list[str]:
     from . import zeros
 
-    zset = zeros.load_zeros(path)
-    if not len(zset):
+    gammas = zeros.load_zeros(path)
+    if not len(gammas):
         return [f"{path} holds no zeros"]
     failures = []
-    t1 = gamma = float(zset.gammas[0])
-    v = zeros.zero_sum(zset, 100.0, gamma, 1).value
+    t1 = gamma = float(gammas[0])
+    v = zeros.zero_sum(gammas, 100.0, gamma, 1).value
     bound = 2.0 * math.sqrt(100.0) / (gamma * gamma)
     if abs(v) > bound * 1.01:
         failures.append("single-term zero sum exceeds its bound")
-    if zeros.gamma_square_tail(zset, t1) > zeros.gamma_square_tail(zset, t1 * 10):
+    if zeros.gamma_square_tail(gammas, t1) > zeros.gamma_square_tail(gammas, t1 * 10):
         failures.append("gamma_square_tail not monotone")
     return failures
 

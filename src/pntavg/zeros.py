@@ -1,9 +1,10 @@
 """Riemann-zero ingestion and truncated explicit-formula sums.
 
 Zero ordinates gamma (with rho = 1/2 + i*gamma taken on the critical
-line) are read from plain text, one positive decimal per line, '#'
-comments allowed.  The sums evaluated here are the conjugate-paired
-truncations
+line) are read from a plain ASCII file, one positive decimal per line, '#'
+comments allowed, by load_zeros into a read-only float64 array, strictly
+increasing; every function here takes that array.  The sums evaluated
+here are the conjugate-paired truncations
 
     zero_sum(x, T, k) = sum_{gamma <= T} 2 Re[ x^rho / prod_{j=0}^{k} (rho + j) ]
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
 
 import numpy as np
 
@@ -29,16 +29,6 @@ class ZeroFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class ZeroSet:
-    """Strictly increasing positive ordinates, immutable after load."""
-
-    gammas: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.gammas)
-
-
-@dataclass(frozen=True)
 class ZeroSumResult:
     x: float
     T: float
@@ -47,54 +37,53 @@ class ZeroSumResult:
     count_used: int
 
 
-def _parse_lines(lines: Iterable[str]) -> list[float]:
-    out: list[float] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            g = float(line)
-        except ValueError as exc:
-            raise ZeroFormatError(f"line {lineno}: not a number: {line!r}") from exc
-        if not math.isfinite(g) or g <= 0:
-            raise ZeroFormatError(f"line {lineno}: ordinate must be finite and > 0")
-        if out and g <= out[-1]:
-            raise ZeroFormatError(
-                f"line {lineno}: ordinates must be strictly increasing "
-                f"({g} after {out[-1]})"
-            )
-        out.append(g)
-    return out
+def load_zeros(path) -> np.ndarray:
+    """The ordinates in the zeros file at path, a read-only float64 array,
+    strictly increasing and positive; a file with none gives an empty array
+    (all sums are then 0).
 
-
-def load_zeros(source: str | IO) -> ZeroSet:
-    """Parse a zeros table from a path or an open text stream.
-
-    Strict: any malformed line raises ZeroFormatError.  An empty stream
-    yields an empty ZeroSet (all sums are then 0).
+    Strict: a line that is not ASCII, or not a finite ordinate > 0 above
+    the one before, raises ZeroFormatError naming path and line.
     """
-    if hasattr(source, "read"):
-        gammas = _parse_lines(source)
-    else:
-        with open(source, "r", encoding="ascii") as f:
-            gammas = _parse_lines(f)
-    arr = np.asarray(gammas, dtype=float)
+    gammas: list[float] = []
+
+    def fault(why: str) -> ZeroFormatError:  # the location, built only to raise
+        return ZeroFormatError(f"{path}, line {lineno}: {why}")
+
+    # a non-ASCII byte reads as a lone surrogate, which isascii() refuses
+    with open(path, encoding="ascii", errors="surrogateescape") as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line.isascii():
+                raise fault("not ASCII")
+            if not line or line.startswith("#"):
+                continue
+            try:
+                g = float(line)
+            except ValueError as exc:
+                raise fault(f"not a number: {line!r}") from exc
+            if not math.isfinite(g) or g <= 0:
+                raise fault("ordinate must be finite and > 0")
+            if gammas and g <= gammas[-1]:
+                raise fault(f"ordinates must be strictly increasing ({g} after {gammas[-1]})")
+            gammas.append(g)
+    arr = np.array(gammas, dtype=float)
     arr.flags.writeable = False
-    return ZeroSet(arr)
+    return arr
 
 
-def _select(zeros: ZeroSet, T: float) -> np.ndarray:
-    if len(zeros) and T > zeros.gammas[-1]:
+def _select(gammas: np.ndarray, T: float) -> np.ndarray:
+    if len(gammas) and T > gammas[-1]:
         raise ValueError(
-            f"T = {T} exceeds last available ordinate {zeros.gammas[-1]:.6f}; "
+            f"T = {T} exceeds last available ordinate {gammas[-1]:.6f}; "
             "insufficient zero data"
         )
-    return zeros.gammas[zeros.gammas <= T]
+    return gammas[gammas <= T]
 
 
-def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
-    """Conjugate-paired truncated zero sum with kernel order k.
+def zero_sum(gammas: np.ndarray, x: float, T: float, k: int = 1) -> ZeroSumResult:
+    """Conjugate-paired truncated zero sum with kernel order k over the
+    ordinates gammas <= T, as load_zeros returns them.
 
     Terms are accumulated in ascending gamma with compensation; the
     decay 1/gamma^(k+1) makes the order fixed and reproducible.
@@ -109,7 +98,7 @@ def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
     if not 0 <= T < math.inf:
         raise ValueError(f"T must be finite and >= 0, got {T}")
     check_int("k", k, 1, MAX_ORDER)
-    gs = _select(zeros, T)
+    gs = _select(gammas, T)
     amp = math.sqrt(x)
     lx = math.log(x)
 
@@ -132,13 +121,13 @@ def zero_sum(zeros: ZeroSet, x: float, T: float, k: int = 1) -> ZeroSumResult:
 
 
 def explicit_formula_residual(
-    avg: IteratedAverage, zeros: ZeroSet, x: int, T: float
+    avg: IteratedAverage, gammas: np.ndarray, x: int, T: float
 ) -> float:
     """rbar(x) + zero_sum(x, T, 1).value, the truncation residual.
 
     Requires a first-order average (avg.order == 1) and an integer x in
-    [2, avg.n_max]: an int or a numpy integer.  With T below the first
-    ordinate the sum is empty and the residual is just rbar(x).
+    [2, len(avg.values) - 1]: an int or a numpy integer.  With T below the
+    first ordinate the sum is empty and the residual is just rbar(x).
 
     As T grows the residual tends not to 0 but to the explicit formula's
     non-oscillatory part
@@ -153,11 +142,11 @@ def explicit_formula_residual(
     """
     if avg.order != 1:
         raise ValueError("explicit_formula_residual needs a k = 1 average")
-    check_int("x", x, 2, avg.n_max)
-    return float(avg.values[x]) + zero_sum(zeros, float(x), T, 1).value
+    check_int("x", x, 2, len(avg.values) - 1)
+    return float(avg.values[x]) + zero_sum(gammas, float(x), T, 1).value
 
 
-def gamma_square_tail(zeros: ZeroSet, T: float) -> float:
+def gamma_square_tail(gammas: np.ndarray, T: float) -> float:
     """2 * sum over gamma <= T of 1/gamma^2 (conjugate-paired).
 
     Nondecreasing in T and bounded as T grows; T beyond the data is
@@ -165,5 +154,5 @@ def gamma_square_tail(zeros: ZeroSet, T: float) -> float:
     """
     if not T >= 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    gs = zeros.gammas[zeros.gammas <= T]
+    gs = gammas[gammas <= T]
     return 2.0 * neumaier_sum(1.0 / (gs * gs))

@@ -290,15 +290,15 @@ def weighted_psi_tilde_series(lam, i_max: int):
 def hat_r_formula(avg) -> np.ndarray:
     """hat_r as whole-array numpy formulas, out[0..1] = nan: the reference
     for averaging.hat_r_series."""
-    out = np.full(avg.n_max + 1, np.nan)
+    out = np.full(len(avg.values), np.nan)
     out[2:] = (avg.order + 1) * np.diff(avg.values[1:])
     return out
 
 
 def hat_prime_r_formula(avg) -> np.ndarray:
     """hat_prime_r = (n - 1.0) * step, out[0..1] = nan."""
-    out = np.full(avg.n_max + 1, np.nan)
-    n = np.arange(2, avg.n_max + 1, dtype=float)
+    out = np.full(len(avg.values), np.nan)
+    n = np.arange(2, len(avg.values), dtype=float)
     out[2:] = (n - 1.0) * np.diff(avg.values[1:])
     return out
 
@@ -306,8 +306,8 @@ def hat_prime_r_formula(avg) -> np.ndarray:
 def tilde_r_formula(avg) -> np.ndarray:
     """tilde_r = diff(n * (n - 1.0) * step) / 2.0, n (n - 1.0) formed first,
     out[0..2] = nan."""
-    out = np.full(avg.n_max + 1, np.nan)
-    n = np.arange(2, avg.n_max + 1, dtype=float)
+    out = np.full(len(avg.values), np.nan)
+    n = np.arange(2, len(avg.values), dtype=float)
     fr = n * (n - 1.0) * np.diff(avg.values[1:])
     out[3:] = np.diff(fr) / 2.0
     return out

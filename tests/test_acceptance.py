@@ -228,7 +228,7 @@ def test_criterion_10_explicit_formula_trend(zeros_2000):
     limit = explicit_formula_limit(xs)
     medians = {}
     for count in (20, 2000):
-        T = float(zeros_2000.gammas[count - 1])
+        T = float(zeros_2000[count - 1])
         res = np.array(
             [zeros.explicit_formula_residual(avg, zeros_2000, int(x), T) for x in xs]
         )

@@ -165,7 +165,7 @@ def test_chain_order_k_is_k_passes_over_the_comb_column(r_full):
         if k:
             sums = neumaier_prefix_sum(sums)
         want = np.concatenate(([0.0], sums / binom_column_comb(len(r_full) - 1, k)))
-        assert avg.order == k and avg.n_max == len(r_full) - 1
+        assert avg.order == k and len(avg.values) == len(r_full)
         assert_same_bits(avg.values, want, k)
         assert not avg.values.flags.writeable
         if k in (0, 5):
@@ -426,7 +426,7 @@ def test_scalar_differences_equal_the_difference_formulas(r_small):
         v = [float(x) for x in avg.values]
         hat, hat_prime = hat_r_series(avg), hat_prime_r_series(avg)
         tilde = tilde_r_series(avg) if i >= 2 else None
-        for n in range(2, avg.n_max + 1):
+        for n in range(2, len(avg.values)):
             step = v[n] - v[n - 1]
             assert hat[n] == (i + 1) * step, (i, n)
             assert hat_prime[n] == (n - 1) * step, (i, n)
@@ -500,7 +500,7 @@ def test_range_summary_errors():
 
 def test_rbar3_max_attained_at_1(r_small):
     avg = iterated_average(r_small, 3)
-    s = range_summary(avg.values, 1, avg.n_max)
+    s = range_summary(avg.values, 1, len(avg.values) - 1)
     assert s.argmax == 1
     assert s.max == -1.0
 
@@ -508,8 +508,9 @@ def test_rbar3_max_attained_at_1(r_small):
 def test_monotone_range_containment(averages_full):
     # range of rbar_(k+1) inside range of rbar_k, k = 1, 2
     for k in (1, 2):
-        outer = range_summary(averages_full[k].values, 1, averages_full[k].n_max)
-        inner = range_summary(averages_full[k + 1].values, 1, averages_full[k + 1].n_max)
+        top = len(averages_full[k].values) - 1
+        outer = range_summary(averages_full[k].values, 1, top)
+        inner = range_summary(averages_full[k + 1].values, 1, top)
         assert outer.min <= inner.min and inner.max <= outer.max
 
 

@@ -28,6 +28,20 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+def assert_same_rows(got: str, want: str) -> None:
+    """Assert that two CSV texts are equal, reporting the first row that
+    differs and both row counts.  The comparison is bound to a name before
+    the assert, so pytest does not build its difflib diff of two long
+    strings, which on thousands of differing rows takes minutes."""
+    same = got == want
+    if same:
+        return
+    got_rows, want_rows = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    pairs = zip(got_rows + [None], want_rows + [None])
+    i, (g, w) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+    assert same, f"row {i + 1}: got {g!r}, want {w!r} ({len(got_rows)} rows, want {len(want_rows)})"
+
+
 def test_tables_reduced_requires_allow_partial(capsys):
     code, out, err = run(["tables", "--n-max", "1000"], capsys)
     assert code == cli.EXIT_USAGE
@@ -132,7 +146,7 @@ def test_block_rows_match_per_row_fstring(xs, count):
     out = io.StringIO()
     cli._write_rows(out, values)
     rows = enumerate(values.tolist(), 1)
-    assert out.getvalue() == "".join(f"{n},{v:.6f}\n" for n, v in rows)
+    assert_same_rows(out.getvalue(), "".join(f"{n},{v:.6f}\n" for n, v in rows))
 
 
 # pieces whose n crosses a digit count (9,999 -> 10,000 and 99,999 ->
@@ -157,7 +171,7 @@ def test_fixed_rows_at_the_edges(n0, ties):
     p = np.abs(v) * 1e6
     assert np.any(np.abs(p - np.rint(p)) == 0.5) == ties
     want = "".join(f"{n},{x:.6f}\n" for n, x in enumerate(v.tolist(), n0))
-    assert cli._fixed_rows(n0, v) == want
+    assert_same_rows(cli._fixed_rows(n0, v), want)
 
 
 class CountingStringIO(io.StringIO):
@@ -184,11 +198,12 @@ def test_errors_rows_match_per_row_fstring(capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     r = sieve.error_series(sieve.build_lambda_table(n))
-    assert out == "".join(
+    want = "".join(
         f"# order={avg.order}\nn,value\n"
         + "".join(f"{j},{v:.6f}\n" for j, v in enumerate(avg.values[1:].tolist(), 1))
         for avg in averaging.iterated_averages(r, 8)
     )
+    assert_same_rows(out, want)
 
 
 @pytest.mark.parametrize("orders", [["1", "9"], ["-1"], ["0", "3", "9"]])
@@ -358,6 +373,16 @@ def test_zerosum_bad_file(tmp_path, capsys):
     assert "increasing" in err
 
 
+def test_zerosum_non_ascii_file_names_file_and_line(tmp_path, capsys):
+    # a minus sign pasted as U+2212, three bytes that are not ASCII
+    zpath = tmp_path / "bad_zeros.txt"
+    zpath.write_bytes("14.1\n21.0\n\u221225.0\n".encode())
+    code, out, err = run(["zerosum", "--zeros", str(zpath), "--x", "100", "--T", "10"], capsys)
+    assert code == cli.EXIT_FAILURE
+    assert out == ""
+    assert err == f"error: {zpath}, line 3: not ASCII\n"
+
+
 def test_output_file(tmp_path, capsys):
     dest = tmp_path / "out.csv"
     code, out, _ = run(
@@ -524,7 +549,7 @@ def test_check_catches_perturbed_average(monkeypatch, capsys):
         for avg in real(r, k_max):
             values = avg.values.copy()
             values[100] += 2e-9
-            yield averaging.IteratedAverage(avg.order, avg.n_max, values)
+            yield averaging.IteratedAverage(avg.order, values)
 
     monkeypatch.setattr(averaging, "iterated_averages", perturbed)
     code, out, _ = run(["check", "--n-max", "2000"], capsys)
@@ -875,28 +900,36 @@ def test_full_stdout_is_one_line_error():
 # numpy's dispatch targets above its X86_V2 baseline: disabling them caps
 # every dispatched kernel at X86_V2
 SIMD_CAP = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
-# prints which of SIMD_CAP's features the process reaches, then runs commands
-SIMD_RUN = """import sys
+# prints which of SIMD_CAP's features the process reaches, then runs
+# commands over the zeros file sys.argv[2], then the sha256 of Lambda to
+# 300,000: np.log and math.log first differ at the prime 285,343, so a
+# dispatched log in the sieve shows there
+SIMD_RUN = """import hashlib
+import sys
 try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_features__
-from pntavg import cli
+from pntavg import cli, sieve
 print(*[f for f in sys.argv[1].split() if __cpu_features__.get(f)])
 cli.main(["errors", "--n-max", "20000", "--order", "0", "--order", "6"])
 cli.main(["tables", "--n-max", "100000"])
+for k in ("1", "3"):
+    cli.main(["zerosum", "--zeros", sys.argv[2], "--x", "10000", "--T", "2500", "--k", k])
+print(hashlib.sha256(sieve.build_lambda_table(300_000).tobytes()).hexdigest())
 """
 
 
 def test_outputs_independent_of_simd_dispatch():
-    """The CSV writer's integer divisions, the folds and the limb columns
-    run numpy's run-time dispatched kernels; their output must be the
-    same, byte for byte, with the dispatch capped at X86_V2."""
+    """The CSV writer's integer divisions, the folds, the limb columns and
+    the zero sums' array arithmetic run numpy's run-time dispatched
+    kernels, and the sieve must not: their output, and Lambda's bytes, must
+    be the same, byte for byte, with the dispatch capped at X86_V2."""
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     default, capped = (
         subprocess.run(
-            [sys.executable, "-c", SIMD_RUN, SIMD_CAP],
+            [sys.executable, "-c", SIMD_RUN, SIMD_CAP, str(ZEROS)],
             capture_output=True,
             env=child_env,
             text=True,
@@ -913,7 +946,7 @@ def test_outputs_independent_of_simd_dispatch():
         pytest.skip(f"this CPU reaches none of {SIMD_CAP}: the cap changes no kernel")
     if kept:
         pytest.skip(f"numpy kept {kept} under the cap")
-    assert out.count("\n") == 2 * (2 + 20_000) + 20
+    assert out.count("\n") == 2 * (2 + 20_000) + 20 + 2 * 2 + 1
     assert capped_out == out
 
 

@@ -8,6 +8,8 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
+from inspect import signature
 
 import pytest
 
@@ -19,7 +21,6 @@ PUBLIC = [
     "IteratedAverage",
     "PerronResult",
     "RangeSummary",
-    "ZeroSet",
     "ZeroSumResult",
     "build_lambda_table",
     "dirichlet_perron_check",
@@ -38,6 +39,16 @@ PUBLIC = [
 def test_public_names():
     assert sorted(pntavg.__all__) == PUBLIC
     assert [n for n in PUBLIC if getattr(pntavg, n, None) is None] == []
+
+
+def test_layers_hand_out_plain_values():
+    """The ordinates are a plain array, an average is its order and values,
+    and a prefix sum is a new array: no wrapper, no second input route."""
+    from pntavg import accum, averaging, zeros
+
+    assert [f.name for f in fields(averaging.IteratedAverage)] == ["order", "values"]
+    assert list(signature(zeros.load_zeros).parameters) == ["path"]
+    assert list(signature(accum.neumaier_prefix_sum).parameters) == ["values"]
 
 
 def test_dir_lists_every_export():
