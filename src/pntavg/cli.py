@@ -32,7 +32,6 @@ from .accum import neumaier_prefix_sum
 DEFAULT_N_MAX = 100_000
 MAX_N_MAX = 2**53  # the largest n exact in float64, as r(n) = psi(n) - n needs
 TABLE_ORDER = 6  # the highest average order the tables read
-_ROWS = 1 << 14
 _PIECE = 1 << 12
 
 EXIT_OK = 0
@@ -92,24 +91,16 @@ def _digits(x, buf, keep, right: int, count: int) -> None:
 
 def _fixed_rows(n0: int, v) -> str:
     """The rows "%d,%.6f" % (n, v) from n = n0, for finite v with
-    |v| < 2**32, built in numpy.  |v|*10**6 is rounded half to even, as
-    "%.6f" rounds the exact binary value: p = fl(|v|*10**6) and, where
-    p - rint(p) = +-0.5 (the only entries it can move), its exact error e
-    from Dekker's two-product (|v| split by Veltkamp at 2**27; 10**6 has
-    14 bits) decides the tie.  p < 2**52, so p - rint(p) and the integer
-    cast are exact."""
+    |v| < 2**32, built in numpy.  |v|*10**6 is rounded by rint of
+    p = fl(|v|*10**6), except where p lies exactly halfway between two
+    integers, the only entries where rint can differ from "%.6f": there the
+    digits are read from f"{|v|:.6f}" itself, which rounds the exact binary
+    value half to even.  p < 2**52, so the halves and the cast are exact."""
     a = np.abs(v)
     p = a * 1e6
     q = np.rint(p)
-    t = p - q
-    ties = np.flatnonzero(np.abs(t) == 0.5)
-    if len(ties):
-        a, p, t = a[ties], p[ties], t[ties]
-        ah = a * 134217729.0
-        ah -= ah - a
-        e = (ah * 1e6 - p) + (a - ah) * 1e6
-        q[ties] += (t == 0.5) & (e > 0)
-        q[ties] -= (t == -0.5) & (e < 0)
+    ties = np.flatnonzero(np.abs(p - q) == 0.5)
+    q[ties] = [int(f"{x:.6f}".replace(".", "")) for x in a[ties].tolist()]
     q = q.astype(np.uint64)
     ip = q // 10**6
     frac = q - ip * 10**6
@@ -131,17 +122,15 @@ def _fixed_rows(n0: int, v) -> str:
 
 def _write_rows(out, values) -> None:
     """Write "n,value" rows from n = 1, the bytes of a per-row "%d,%.6f",
-    with one write per _ROWS rows.  A block of finite values below 2**32 in
-    magnitude is built by _fixed_rows, in pieces of _PIECE rows to keep its
-    temporaries small; any other block is one %-format, which rounds as
-    f"{v:.6f}" does, by PyOS_double_to_string."""
-    for lo in range(0, len(values), _ROWS):
-        block = values[lo : lo + _ROWS]
-        if np.abs(block).max() < 2.0**32:  # False on a nan
-            pieces = range(0, len(block), _PIECE)
-            out.write("".join(_fixed_rows(lo + 1 + i, block[i : i + _PIECE]) for i in pieces))
+    one write per _PIECE rows.  A piece of finite values below 2**32 in
+    magnitude is built by _fixed_rows; any other piece is one %-format,
+    which rounds as f"{v:.6f}" does, by PyOS_double_to_string."""
+    for lo in range(0, len(values), _PIECE):
+        piece = values[lo : lo + _PIECE]
+        if np.abs(piece).max() < 2.0**32:  # False on a nan
+            out.write(_fixed_rows(lo + 1, piece))
         else:
-            xs = block.tolist()
+            xs = piece.tolist()
             rows = chain.from_iterable(zip(range(lo + 1, lo + 1 + len(xs)), xs))
             out.write(("%d,%.6f\n" * len(xs)) % tuple(rows))
 

@@ -42,8 +42,9 @@ def load_zeros(path) -> np.ndarray:
     strictly increasing and positive; a file with none gives an empty array
     (all sums are then 0).
 
-    Strict: a line that is not ASCII, or not a finite ordinate > 0 above
-    the one before, raises ZeroFormatError naming path and line.
+    Strict: a line that is not ASCII, holds a digit-group "_", or is not
+    a finite ordinate > 0 above the one before, raises ZeroFormatError
+    naming path and line.
     """
     gammas: list[float] = []
 
@@ -58,6 +59,8 @@ def load_zeros(path) -> np.ndarray:
                 raise fault("not ASCII")
             if not line or line.startswith("#"):
                 continue
+            if "_" in line:  # float() reads "21_022.0" as 21022.0
+                raise fault(f"not a number: {line!r}")
             try:
                 g = float(line)
             except ValueError as exc:

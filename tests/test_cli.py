@@ -122,7 +122,7 @@ def test_fmt6_matches_dragon4_on_dyadic_ties(j, k):
     assert f"{v:.6f}" == "%.6f" % v == fmt6_dragon4(v)
 
 
-ROW_COUNTS = [cli._ROWS - 1, cli._ROWS, cli._ROWS + 1, 2 * cli._ROWS + 1]
+ROW_COUNTS = [16_383, 16_384, 16_385, 32_769]
 # values the numpy route takes: finite, |v| < 2**32, and decimal near-ties
 # (2j + 1)/(2 * 10**6), where fl(v * 10**6) often lands on a half
 NEAR_TIES = st.integers(-(2**42), 2**42).map(lambda j: (2 * j + 1) / 2e6)
@@ -134,13 +134,13 @@ FIXED = st.floats(-(2.0**32), 2.0**32, exclude_min=True, exclude_max=True) | NEA
     st.lists(st.floats(), min_size=1, max_size=40) | st.lists(FIXED, min_size=1, max_size=40),
     st.sampled_from(ROW_COUNTS),
 )
-@example([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.0078125, 1e300], cli._ROWS + 1)
+@example([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.0078125, 1e300], 16_385)
 # near-ties that a plain rint(v * 1e6) rounds to 164 and 66
-@example([0.00016450000000000001, 6.549999999999999e-05], cli._ROWS - 1)
+@example([0.00016450000000000001, 6.549999999999999e-05], 16_383)
 # the last rounds to -2**32 at 6 decimals, an integer part past uint32
-@example([0.0078125, -0.0, -4e-7, 5e-324, 2**32 - 2**-20, -(2**32 - 2**-21)], cli._ROWS)
+@example([0.0078125, -0.0, -4e-7, 5e-324, 2**32 - 2**-20, -(2**32 - 2**-21)], 16_384)
 @example([2**32], 1)
-@example([0.5] * (2 * cli._ROWS) + [math.nan], 2 * cli._ROWS + 1)  # only the last block has a nan
+@example([0.5] * 32_768 + [math.nan], 32_769)  # only the last piece has a nan
 def test_block_rows_match_per_row_fstring(xs, count):
     values = np.resize(np.array(xs), count)
     out = io.StringIO()
@@ -155,21 +155,25 @@ def test_block_rows_match_per_row_fstring(xs, count):
 PIECE_STARTS = [10_000 - 100, 100_000 - 100, 65_536 - cli._PIECE, 65_536 - 100, 2**32 - 100]
 
 
-@pytest.mark.parametrize("ties", [False, True], ids=["no-ties", "near-ties"])
+@pytest.mark.parametrize("kind", ["no-ties", "near-ties", "exact-ties"])
 @pytest.mark.parametrize("n0", PIECE_STARTS)
-def test_fixed_rows_at_the_edges(n0, ties):
+def test_fixed_rows_at_the_edges(n0, kind):
     """_fixed_rows is the per-row "%d,%.6f" on a whole piece of rows: one of
-    random values with no exact half at the sixth decimal, where no
-    two-product is formed, and one of near-ties (2j + 1)/2e6, many of
-    which fl(v * 1e6) rounds onto a half that only the two-product
+    random values with no exact half at the sixth decimal, where rint
+    decides every entry; one of near-ties (2j + 1)/2e6, many of which
+    fl(v * 1e6) rounds onto a half that only "%.6f" decides; and one of odd
+    multiples of 1/128, where v * 1e6 is exactly k + 1/2 and half to even
     decides."""
     rng = np.random.default_rng(n0)
-    if ties:
+    if kind == "near-ties":
         v = (2 * rng.integers(-(2**41), 2**41, cli._PIECE) + 1) / 2e6
+    elif kind == "exact-ties":
+        v = (2 * rng.integers(-(2**38), 2**38, cli._PIECE) + 1) / 128
     else:
         v = rng.uniform(-1e4, 1e4, cli._PIECE)
     p = np.abs(v) * 1e6
-    assert np.any(np.abs(p - np.rint(p)) == 0.5) == ties
+    half = np.abs(p - np.rint(p)) == 0.5
+    assert {"no-ties": not half.any(), "near-ties": half.any(), "exact-ties": half.all()}[kind]
     want = "".join(f"{n},{x:.6f}\n" for n, x in enumerate(v.tolist(), n0))
     assert_same_rows(cli._fixed_rows(n0, v), want)
 
@@ -183,12 +187,13 @@ class CountingStringIO(io.StringIO):
 
 
 def test_errors_writes_once_per_block(monkeypatch):
+    # per order: the "# order=" line, the header, then one write per piece
     stdout = CountingStringIO()
     monkeypatch.setattr(sys, "stdout", stdout)
     n = 40_000
     assert cli.main(["errors", "--n-max", str(n), "--order", "0", "--order", "3"]) == 0
     assert stdout.getvalue().count("\n") == 2 * (2 + n)
-    assert stdout.writes <= 2 * (2 + math.ceil(n / cli._ROWS))
+    assert stdout.writes == 2 * (2 + math.ceil(n / cli._PIECE))
 
 
 def test_errors_rows_match_per_row_fstring(capsys):
@@ -381,6 +386,17 @@ def test_zerosum_non_ascii_file_names_file_and_line(tmp_path, capsys):
     assert code == cli.EXIT_FAILURE
     assert out == ""
     assert err == f"error: {zpath}, line 3: not ASCII\n"
+
+
+def test_zerosum_digit_group_file_names_file_and_line(tmp_path, capsys):
+    # float() reads "21_022.0" as 21022.0; a zeros file may not
+    zpath = tmp_path / "grouped_zeros.txt"
+    zpath.write_text("14.134_725\n21_022.0\n")
+    argv = ["zerosum", "--zeros", str(zpath), "--x", "100", "--T", "30000"]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_FAILURE
+    assert out == ""
+    assert err == f"error: {zpath}, line 1: not a number: '14.134_725'\n"
 
 
 def test_output_file(tmp_path, capsys):
