@@ -11,8 +11,15 @@ Subcommands:
     check    reduced-scale invariant suites
 
 Exit codes: 0 success, 1 computation or invariant failure, 2 usage error.
-All numeric CSV output is deterministic for fixed flags.  The zeros and
-perron modules are imported only by the commands that call them.
+A command whose output goes to stdout exits 1 with "I/O error: stdout is
+closed" when the process has no stdout.  All numeric CSV output is
+deterministic for fixed flags.  The averaging, zeros and perron modules are
+imported only by the commands that call them.
+
+run(), the entry point of ``python -m pntavg.cli`` and of the installed
+``pntavg`` script, flushes stdout and stderr after main() and ends the
+process with os._exit, skipping the interpreter's teardown: every file a
+command writes is closed before main() returns.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from . import _args, averaging, sieve
+from . import _args, sieve
 from .accum import neumaier_prefix_sum
 
 DEFAULT_N_MAX = 100_000
@@ -136,6 +143,8 @@ def _write_rows(out, values) -> None:
 
 
 def cmd_errors(args) -> int:
+    from . import averaging
+
     orders = args.order or [1]
     for order in orders:
         _args.check_int("order", order, 0, averaging.MAX_ORDER)
@@ -160,6 +169,8 @@ def _table_rows(r):
     """The four summary tables over the whole error series r as
     (name, RangeSummary) rows.  One chain gives rbar_1..6; each order is
     summarised as it comes and dropped before the next is formed."""
+    from . import averaging
+
     n_max = len(r) - 1
     lo2 = min(100, n_max)
 
@@ -259,6 +270,8 @@ def _check_sieve(lam) -> list[str]:
 
 
 def _check_averaging(lam) -> list[str]:
+    from . import averaging
+
     failures = []
     chains = zip(  # orders 1..3 of the three chains, side by side
         islice(averaging.iterated_averages(sieve.error_series(lam), 3), 1, None),
@@ -393,7 +406,10 @@ def _settle_stdout() -> None:
     """Flush stdout; if it cannot take the bytes, point fd 1 at os.devnull so
     the flush at interpreter exit has nothing left to fail on (the idiom of
     the SIGPIPE note in the signal module's docs).  A stdout without a file
-    descriptor, such as a test's capture, is left as it is."""
+    descriptor, such as a test's capture, or no stdout at all, is left as
+    it is."""
+    if sys.stdout is None:
+        return
     try:
         sys.stdout.flush()
     except OSError:
@@ -410,10 +426,13 @@ def _n_max_ceiling(args) -> tuple[int, str]:
     n + k - 1 < 2**32.  An order outside that range the command refuses."""
     orders = {"tables": [TABLE_ORDER], "errors": getattr(args, "order", None) or [1]}
     k = max(orders.get(args.command, [0]))
-    if not 1 <= k <= averaging.MAX_ORDER:
-        return MAX_N_MAX, f"2**53 = {MAX_N_MAX}"
-    top = averaging.max_column_n(k)
-    return top, f"2**32 - {k} = {top} for order {k}"
+    if k >= 1:  # a command with no average does not import averaging
+        from . import averaging
+
+        if k <= averaging.MAX_ORDER:
+            top = averaging.max_column_n(k)
+            return top, f"2**32 - {k} = {top} for order {k}"
+    return MAX_N_MAX, f"2**53 = {MAX_N_MAX}"
 
 
 def main(argv=None) -> int:
@@ -426,8 +445,11 @@ def main(argv=None) -> int:
         print(f"error: {args.command} needs --n-max {bound}, got {n_max}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if sys.stdout is None and not getattr(args, "output", None):
+            raise OSError("stdout is closed")  # started with fd 1 closed
         status = args.fn(args)
-        sys.stdout.flush()  # a full stdout fails here, not at interpreter exit
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a full stdout fails here, not at interpreter exit
         return status
     except (ValueError, ArithmeticError) as exc:
         message, status = f"error: {exc}", EXIT_FAILURE
@@ -440,5 +462,20 @@ def main(argv=None) -> int:
     return status
 
 
+def run() -> None:
+    """Exit with main()'s status, without the interpreter's teardown: once
+    stdout and stderr are flushed, os._exit skips module cleanup and the
+    final garbage collection.  A flush that fails leaves the ordinary exit
+    to report it, and an exception out of main(), SystemExit included,
+    leaves through the interpreter as usual."""
+    status = main()
+    with contextlib.suppress(OSError, ValueError):  # ValueError: a closed stream
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        os._exit(status)
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -913,6 +913,73 @@ def test_full_stdout_is_one_line_error():
     assert proc.stderr.startswith("I/O error: ") and proc.stderr.count("\n") == 1
 
 
+def child(argv, closed_stdout=False):
+    """python -m pntavg.cli argv, run to exit as a shell would start it:
+    PYTHONUNBUFFERED is removed, so stdout through a pipe is block-buffered
+    and reaches the pipe only when flushed; with closed_stdout, fd 1 is
+    closed (sh's >&-), so the child has no sys.stdout."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    close = " >&-" if closed_stdout else ""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" -m pntavg.cli "$@"{close}', sys.executable, *argv],
+        capture_output=True,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["errors --n-max 20000 --order 0 --order 6", "sieve --n-max 1000"],
+    ids=["errors", "sieve"],
+)
+def test_piped_stdout_matches_main(argv, capsys):
+    """run() ends the child with os._exit, so no interpreter exit flushes
+    stdout for it: every byte main() prints must reach the pipe first."""
+    code, out, _ = run(argv.split(), capsys)
+    proc = child(argv.split())
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert_same_rows(proc.stdout.decode("ascii"), out)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [("sieve --n-max 10", 0), ("perron --a 2 --T inf", 1), ("tables --n-max 2", 2)],
+    ids=["ok", "failure", "usage"],
+)
+def test_child_exit_code(argv, code):
+    proc = child(argv.split())
+    assert proc.returncode == code
+    if code == cli.EXIT_OK:
+        assert proc.stderr == b"" and proc.stdout.startswith(b"n_max=10\n")
+    else:
+        assert proc.stdout == b"" and proc.stderr.count(b"\n") == 1
+        assert proc.stderr.startswith(b"error: ")
+
+
+def test_child_output_file_is_complete_at_exit(tmp_path, capsys):
+    argv = ["errors", "--n-max", "20000", "--order", "0", "--order", "6"]
+    out = tmp_path / "o.csv"
+    proc = child(argv + ["--output", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert_same_rows(out.read_text(encoding="ascii"), run(argv, capsys)[1])
+
+
+@pytest.mark.parametrize("command", ["sieve", "errors"])
+def test_closed_stdout_is_one_line_error(command):
+    proc = child([command, "--n-max", "10"], closed_stdout=True)
+    assert proc.returncode == cli.EXIT_FAILURE
+    assert proc.stderr == b"I/O error: stdout is closed\n"
+
+
+def test_closed_stdout_with_output_file(tmp_path, capsys):
+    argv = ["errors", "--n-max", "10"]
+    out = tmp_path / "o.csv"
+    proc = child(argv + ["--output", str(out)], closed_stdout=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_text(encoding="ascii") == run(argv, capsys)[1]
+
+
 # numpy's dispatch targets above its X86_V2 baseline: disabling them caps
 # every dispatched kernel at X86_V2
 SIMD_CAP = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"

@@ -67,15 +67,22 @@ def test_unknown_name_is_attribute_error():
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["-c", "import pntavg.cli"], ["-m", "pntavg.cli", "sieve", "--n-max", "100"]],
-    ids=["import", "sieve"],
+    "argv, loaded, absent",
+    [
+        (["-c", "import pntavg.cli"], "pntavg.sieve", {"pntavg.averaging", "dataclasses"}),
+        (["-m", "pntavg.cli", "sieve", "--n-max", "100"], "pntavg.sieve",
+         {"pntavg.averaging", "dataclasses"}),
+        (["-m", "pntavg.cli", "tables", "--n-max", "100", "--allow-partial"],
+         "pntavg.averaging", set()),
+    ],
+    ids=["import", "sieve", "tables"],
 )
-def test_cli_loads_neither_zeros_nor_perron(argv):
-    """Importing the CLI, or running a command that reads no zeros and no
-    Perron integral, imports neither module nor mpmath: -X importtime
-    names on stderr every module the child imports, so every module it
-    puts in sys.modules."""
+def test_cli_loads_only_what_its_command_runs(argv, loaded, absent):
+    """Importing the CLI, or running a command, imports only the modules
+    that command calls: never zeros, perron or mpmath unless it reads zeros
+    or a Perron integral, and averaging (with dataclasses) only for an
+    average.  -X importtime names on stderr every module the child imports,
+    so every module it puts in sys.modules."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -87,5 +94,5 @@ def test_cli_loads_neither_zeros_nor_perron(argv):
         check=True,
     )
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert "pntavg.sieve" in imported
-    assert {"pntavg.perron", "pntavg.zeros", "mpmath"} & imported == set()
+    assert loaded in imported
+    assert {"pntavg.perron", "pntavg.zeros", "mpmath", *absent} & imported == set()
