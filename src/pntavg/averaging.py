@@ -32,7 +32,7 @@ from the prefix sums of r.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, islice
 from math import factorial, prod
 
 import numpy as np
@@ -44,7 +44,6 @@ MAX_ORDER = 8
 _FACTOR_LIMIT = 1 << 32  # every factor n + j of a binomial column lies below it
 _BLOCK = 1 << 13  # n per binomial column block; bounds the limb work arrays
 _MASK = np.uint64(0xFFFF_FFFF)  # one 32-bit limb
-_POWERS_OF_2 = np.array([1 << b for b in range(33)], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -73,51 +72,36 @@ def _limbs_to_float(limbs: np.ndarray, out: np.ndarray, work: np.ndarray) -> Non
     """out[m] = the integer sum_i limbs[i, m] * 2^(32 i), rounded once to the
     nearest float, ties to even.
 
-    limbs holds 32-bit limbs in uint64, at least two of them, and its values
-    must ascend with m: then the index of the top non-zero limb, and the bit
-    length b of that limb, each change on a few contiguous runs.  Values
-    below 2^64 convert directly.  On a run of bit length B > 64 the 64-bit
-    window at shift B - 64 takes a sticky bit in bit 0 when any bit below it
-    is set, which decides the tie exactly; the uint64 -> float64 cast then
-    rounds half to even and ldexp restores the scale.  work is a (2, m)
-    uint64 scratch array.
+    limbs holds 32-bit limbs L_i in uint64, at least two of them, and its
+    values must ascend with m, so the values whose top non-zero limb is t
+    form one contiguous run.  Values below 2^64 convert directly.  On the
+    run of t >= 2, a value of bit length 32 t + b, b that of L_t (read from
+    np.frexp, exact below 2^32), is rounded in one step: its 64-bit window
+    ((L_t << 32 | L_{t-1}) << (32 - b)) | (L_{t-2} >> b) takes in bit 0 a
+    sticky bit, set when any bit below the window is, (L_{t-2} << (64 - b))
+    | L_{t-3} | ... | L_0, which decides the tie exactly; the uint64 ->
+    float64 cast then rounds half to even and ldexp restores the scale
+    2^(32 (t - 2) + b).  Every shift count lies in [0, 63].  work is a
+    (2, m) uint64 scratch array.
     """
-    x, low = work
     end = limbs.shape[1]
     for t in range(len(limbs) - 1, 1, -1):
-        top = limbs[t, :end]  # ascends: the values here lie below 2^(32 (t + 1))
-        start = int(np.searchsorted(top, 1))
-        edges = (start + np.searchsorted(top[start:], _POWERS_OF_2)).tolist()
-        for b in range(1, 33):
-            if edges[b] > edges[b - 1]:
-                _round_window(limbs, 32 * t + b - 64, slice(edges[b - 1], edges[b]), out, x, low)
+        start = int(np.searchsorted(limbs[t, :end], 1))  # the values here lie below 2^(32 (t + 1))
+        run = slice(start, end)
+        top, mid, low = limbs[t, run], limbs[t - 1, run], limbs[t - 2, run]
+        window, sticky = work[:, run]
+        e = np.frexp(top)[1]  # b, per value
+        b = e.astype(np.uint64)
+        np.left_shift(top, 32, out=window)
+        window |= mid
+        window <<= np.subtract(32, b, out=sticky)
+        window |= np.right_shift(low, b, out=sticky)
+        np.left_shift(low, np.subtract(64, b, out=sticky), out=sticky)  # limb t - 2's bits below the window
+        sticky |= np.bitwise_or.reduce(limbs[: t - 2, run], axis=0)
+        window |= np.minimum(sticky, 1, out=sticky)
+        np.ldexp(window, e + 32 * (t - 2), out=out[run])
         end = start
-    np.left_shift(limbs[1, :end], 32, out=x[:end])
-    np.bitwise_or(x[:end], limbs[0, :end], out=x[:end])
-    out[:end] = x[:end]
-
-
-def _round_window(limbs, s, run, out, x, low) -> None:
-    """out[run] = the limb values in run, whose bit length is s + 64, rounded
-    once through the window of bits s .. s + 63 and a sticky bit 0."""
-    q, r = divmod(s, 32)
-    x, low = x[run], low[run]
-    np.right_shift(limbs[q, run], r, out=x)
-    np.left_shift(limbs[q + 1, run], 32 - r, out=low)
-    np.bitwise_or(x, low, out=x)
-    if r:
-        np.left_shift(limbs[q + 2, run], 64 - r, out=low)
-        np.bitwise_or(x, low, out=x)
-        np.left_shift(limbs[q, run], 64 - r, out=low)  # limb q's bits below the window
-    else:
-        low.fill(0)
-    for i in range(q):
-        np.bitwise_or(low, limbs[i, run], out=low)
-    np.minimum(low, 1, out=low)
-    np.bitwise_or(x, low, out=x)
-    o = out[run]
-    o[...] = x
-    np.ldexp(o, s, out=o)
+    out[:end] = limbs[1, :end] << 32 | limbs[0, :end]
 
 
 def _limb_count(v: int) -> int:
@@ -185,8 +169,7 @@ def _binom_column(k: int, lo: int, hi: int):
                 if i:
                     np.multiply(limbs[i], d, out=c)
                     np.subtract(t, c, out=c)
-        quotient = max(2, _limb_count(_product(n0 + m - 1, k) // d))
-        _limbs_to_float(limbs[:quotient], col[:m], work[-2:, :m])
+        _limbs_to_float(limbs[: max(2, used[k])], col[:m], work[-2:, :m])
         yield n0, col[:m]
         np.add(n, _BLOCK, out=n)
 
@@ -221,20 +204,19 @@ def iterated_averages(r: np.ndarray, k_max: int):
     each indexed like r = sieve.error_series(lam) and formed when it is
     drawn.  rbar_0 is r itself, zero folds over C(n-1, 0) = 1; the others
     come from one chain, order k's sums one compensated pass over order
-    k-1's, so the orders up to k_max cost k_max passes.  Raises ValueError, before any work, unless k_max is an integer
-    in [0, MAX_ORDER]."""
+    k-1's, so the orders up to k_max cost k_max passes.  Raises
+    ValueError, before any work, unless k_max is an integer in
+    [0, MAX_ORDER]."""
     check_int("order k", k_max, 0, MAX_ORDER)
     values = chain([r], _chain(r[1:], int(k_max)))
     return map(IteratedAverage, count(), values)
 
 
 def iterated_average(r: np.ndarray, k: int) -> IteratedAverage:
-    """rbar_k(n) for every n of r, the last average of the chain to k;
-    k = 0 is r.  Raises ValueError unless k is an integer in
-    [0, MAX_ORDER]."""
-    for avg in iterated_averages(r, k):
-        pass
-    return avg
+    """rbar_k(n) for every n of r, the last average of the chain to k,
+    each lower order dropped before the next is formed; k = 0 is r.
+    Raises ValueError unless k is an integer in [0, MAX_ORDER]."""
+    return next(islice(iterated_averages(r, k), k, None))
 
 
 # -- weighted Lambda sums ---------------------------------------------------

@@ -19,7 +19,8 @@ imported only by the commands that call them.
 run(), the entry point of ``python -m pntavg.cli`` and of the installed
 ``pntavg`` script, flushes stdout and stderr after main() and ends the
 process with os._exit, skipping the interpreter's teardown: every file a
-command writes is closed before main() returns.
+command writes is closed before main() returns.  A final flush that fails
+is not retried, as main() has already reported the stdout it failed on.
 """
 
 from __future__ import annotations
@@ -157,9 +158,11 @@ def cmd_errors(args) -> int:
                 out.write(f"# order={order}\n")
             if held is None or held.order != order:
                 if held is None or order < held.order:  # (re)start the chain at rbar_0
-                    averages = averaging.iterated_averages(r, max(orders))
-                held = None  # dropped before the next order is formed
-                held = next(avg for avg in averages if avg.order == order)
+                    averages, skip = averaging.iterated_averages(r, max(orders)), order
+                else:
+                    skip = order - held.order - 1
+                held = None  # dropped before the next order is formed; islice drops each it skips
+                held = next(islice(averages, skip, None))
             out.write("n,value\n")
             _write_rows(out, held.values[1:])
     return EXIT_OK
@@ -402,24 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _settle_stdout() -> None:
-    """Flush stdout; if it cannot take the bytes, point fd 1 at os.devnull so
-    the flush at interpreter exit has nothing left to fail on (the idiom of
-    the SIGPIPE note in the signal module's docs).  A stdout without a file
-    descriptor, such as a test's capture, or no stdout at all, is left as
-    it is."""
-    if sys.stdout is None:
-        return
-    try:
-        sys.stdout.flush()
-    except OSError:
-        with contextlib.suppress(OSError):  # io.UnsupportedOperation: no fd
-            fd = sys.stdout.fileno()
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
-
-
 def _n_max_ceiling(args) -> tuple[int, str]:
     """The largest --n-max the command takes, and why: 2**53, or, for an
     average of order k in [1, MAX_ORDER], its binomial column's ceiling
@@ -457,7 +442,9 @@ def main(argv=None) -> int:
         message, status = f"I/O error: {exc}", EXIT_FAILURE
     except MemoryError:
         message, status = "error: out of memory; try a smaller --n-max", EXIT_USAGE
-    _settle_stdout()
+    if sys.stdout is not None:
+        with contextlib.suppress(OSError):  # rows already written come before the message
+            sys.stdout.flush()
     print(message, file=sys.stderr)
     return status
 
@@ -465,16 +452,15 @@ def main(argv=None) -> int:
 def run() -> None:
     """Exit with main()'s status, without the interpreter's teardown: once
     stdout and stderr are flushed, os._exit skips module cleanup and the
-    final garbage collection.  A flush that fails leaves the ordinary exit
-    to report it, and an exception out of main(), SystemExit included,
-    leaves through the interpreter as usual."""
+    final garbage collection.  A flush that fails is not retried: main()
+    has reported a stdout that cannot take its bytes.  An exception out of
+    main(), SystemExit included, leaves through the interpreter as usual."""
     status = main()
-    with contextlib.suppress(OSError, ValueError):  # ValueError: a closed stream
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            with contextlib.suppress(OSError, ValueError):  # ValueError: a closed stream
                 stream.flush()
-        os._exit(status)
-    sys.exit(status)
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -77,13 +77,13 @@ def _limbs(values, count):
     return np.array(rows, dtype=np.uint64)
 
 
-def test_limbs_round_once_to_nearest_even():
-    """Every bit length up to 161, so every shift of the 64-bit window
-    within its limb; at each, mantissas even and odd with an exact halfway
-    tail, the tie +- 1, and the tie plus a bit set only in the lowest limb,
-    where the sticky bit alone rounds up; then random integers below 2^160."""
+def _rounding_cases(max_bits, random_bytes):
+    """Ascending integers below 2^max_bits, as _limbs_to_float needs them:
+    at every bit length, mantissas even and odd with an exact halfway tail,
+    the tie +- 1 and the tie plus a quarter ulp; then 2000 random integers
+    of random_bytes bytes, each shifted right by a random count."""
     cases = set()
-    for bits in range(1, 162):
+    for bits in range(1, max_bits + 1):
         least = 1 << (bits - 1)
         cases.update({least, least + 1, 2 * least - 1})
         if bits > 54:
@@ -93,12 +93,32 @@ def test_limbs_round_once_to_nearest_even():
                 cases.update({tie - 1, tie, tie + 1, tie + ulp // 4})
     rng = np.random.default_rng(20)
     for _ in range(2000):
-        cases.add(int.from_bytes(rng.bytes(20), "big") >> int(rng.integers(160)))
-    values = sorted(cases)  # the helper needs ascending values
-    assert values[-1] < 1 << 161
+        v = int.from_bytes(rng.bytes(random_bytes), "big")
+        cases.add(v >> int(rng.integers(8 * random_bytes)))
+    values = sorted(cases)
+    assert values[-1] < 1 << max_bits
+    return values
+
+
+def test_limbs_round_once_to_nearest_even():
+    """Every bit length up to 161, so every shift of the 64-bit window
+    within its limb; at each, mantissas even and odd with an exact halfway
+    tail, the tie +- 1, and the tie plus a bit set only in the lowest limb,
+    where the sticky bit alone rounds up; then random integers below 2^160."""
+    values = _rounding_cases(161, 20)
     got = np.empty(len(values))
     averaging._limbs_to_float(_limbs(values, 6), got, np.empty((2, len(values)), np.uint64))
     assert_same_bits(got, np.array([float(v) for v in values]), "crafted")
+
+
+def test_limbs_below_2_64_with_empty_top_limbs():
+    """Values below 2^64 in four limbs, as a column whose exact division
+    empties its top limbs: limbs 2 and 3 hold no run, and every value,
+    ties among them, converts directly, rounded once."""
+    values = _rounding_cases(64, 8)
+    got = np.empty(len(values))
+    averaging._limbs_to_float(_limbs(values, 4), got, np.empty((2, len(values)), np.uint64))
+    assert_same_bits(got, np.array([float(v) for v in values]), "below 2^64")
 
 
 def _crossings(k, limit):
@@ -197,9 +217,11 @@ def r_peak():
 
 def test_chain_keeps_no_order_its_caller_dropped(r_peak):
     """Drawing rbar_0..rbar_6 and dropping each before the next holds the
-    fold sums and the order being formed, 8 B per n each."""
+    fold sums and the order being formed, 8 B per n each; iterated_average
+    drops each order below the one it returns as the same drain does."""
     averages = iterated_averages(r_peak, 6)
     assert traced_peak(deque, averages, 0) <= 16 * N_PEAK + MIB
+    assert traced_peak(iterated_average, r_peak, 6) <= 16 * N_PEAK + MIB
 
 
 def test_chain_checks_its_order_before_any_work(r_small):

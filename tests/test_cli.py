@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from pntavg import averaging, cli, perron, sieve, zeros
 
+from conftest import MIB, N_PEAK, traced_peak
 from oracles import fmt6_dragon4
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -896,14 +897,23 @@ def test_bare_cache_name_is_relative_to_cwd(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_full_stdout_is_one_line_error():
-    # buffered stdout, as outside a test run, is written out only at
-    # interpreter exit unless the command flushes it itself
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    ["sieve --n-max 100", "errors --n-max 20000 --order 0 --order 6"],
+    ids=["sieve", "errors"],
+)
+def test_full_stdout_is_one_line_error(argv, unbuffered):
+    """A stdout that takes no bytes is one I/O error line and exit 1, written
+    at once or, buffered as outside a test run, at main()'s flush; run()
+    then ends the process without a flush at interpreter exit to fail."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "pntavg.cli", "sieve", "--n-max", "100"],
+            [sys.executable, "-m", "pntavg.cli", *argv.split()],
             stdout=full,
             stderr=subprocess.PIPE,
             env=env,
@@ -911,6 +921,7 @@ def test_full_stdout_is_one_line_error():
         )
     assert proc.returncode == cli.EXIT_FAILURE
     assert proc.stderr.startswith("I/O error: ") and proc.stderr.count("\n") == 1
+    assert "Exception ignored" not in proc.stderr
 
 
 def child(argv, closed_stdout=False):
@@ -963,6 +974,17 @@ def test_child_output_file_is_complete_at_exit(tmp_path, capsys):
     proc = child(argv + ["--output", str(out)])
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
     assert_same_rows(out.read_text(encoding="ascii"), run(argv, capsys)[1])
+
+
+@pytest.mark.parametrize("orders", ["1", "6", "3 1", "1 2 3 4 5 6"])
+def test_errors_holds_one_order(tmp_path, orders):
+    """errors holds r, the chain's fold sums and the one order it writes,
+    8 B per n each: every order it skips or leaves is dropped before the
+    next is formed, so --order 6 holds what --order 1 holds."""
+    argv = ["errors", "--n-max", str(N_PEAK), "--output", str(tmp_path / "o.csv")]
+    for k in orders.split():
+        argv += ["--order", k]
+    assert traced_peak(cli.main, argv) <= 24 * N_PEAK + 2 * MIB
 
 
 @pytest.mark.parametrize("command", ["sieve", "errors"])
