@@ -1,15 +1,17 @@
 """Von Mangoldt sieve and the Chebyshev functions psi, theta, pi.
 
 Lambda(n) = log p when n = p^m for a prime p, else 0.  lambda_blocks
-yields Lambda and primality _SEGMENT values of n at a time from a
-segmented sieve of Eratosthenes (Bays and Hudson, BIT 17, 1977): in each
-segment every base prime p <= sqrt(n_max) strikes out its multiples from
-p^2 on, with one slice assignment.  Each prime takes log p, and each higher
-power p^k <= n_max takes the same value, so the blocks hold O(sqrt(n_max)).
-chebyshev folds them into psi, theta and pi, as `pntavg sieve` prints
-them.  The commands that read whole series take plain read-only float64
-arrays indexed by n: build_lambda_table gives Lambda, lam[n] = Lambda(n),
-and error_series gives r[n] = psi(n) - n from it.
+yields Lambda and the offsets of the primes _SEGMENT values of n at a time
+from a segmented sieve of Eratosthenes (Bays and Hudson, BIT 17, 1977): in
+each strike segment of _STRIKE values every base prime p <= sqrt(n_max)
+strikes out its multiples from p^2 on, with one slice assignment, and the
+segment's flags serve the blocks inside it.  Each prime takes log p, and
+each higher power p^k <= n_max takes the same value, so the sieve holds
+O(sqrt(n_max) + _STRIKE).  chebyshev folds the blocks into psi, theta and
+pi, as `pntavg sieve` prints them.  The commands that read whole series
+take plain read-only float64 arrays indexed by n: build_lambda_table gives
+Lambda, lam[n] = Lambda(n), and error_series gives r[n] = psi(n) - n from
+it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from ._args import check_int
 from .accum import neumaier_fold, neumaier_prefix_sum
 
 CACHE_MAGIC = b"PNTSIEVE1"
-_SEGMENT = 1 << 16  # values of n per sieve segment, cache block and fold step
+_SEGMENT = 1 << 16  # values of n per yielded block, cache block and fold step
+_STRIKE = 1 << 18  # values of n per strike segment: four blocks
 
 
 class CacheError(ValueError):
@@ -36,10 +39,12 @@ class CacheError(ValueError):
 
 
 def lambda_blocks(n_max: int):
-    """(lo, lam, is_prime) per segment, with lam[i] = Lambda(lo + i) for
-    _SEGMENT values of n from lo = 1, 1 + _SEGMENT, ..., the last one shorter.
-    Checks n_max (an integer >= 1) when called, then sieves each segment
-    when it is asked for."""
+    """(lo, lam, primes) per block, with lam[i] = Lambda(lo + i) for _SEGMENT
+    values of n from lo = 1, 1 + _SEGMENT, ..., the last one shorter, and
+    primes the sorted offsets i at which lo + i is prime.  The sieve strikes
+    _STRIKE values at a time, and each strike segment serves the blocks
+    inside it.  Checks n_max (an integer >= 1) when called, then sieves
+    each strike segment when its first block is asked for."""
     check_int("n_max", n_max, 1)
     n_max = int(n_max)
     root = math.isqrt(n_max)
@@ -49,27 +54,32 @@ def lambda_blocks(n_max: int):
         if small[p]:
             small[p * p :: p] = False
     base = np.flatnonzero(small).tolist()
-    # (p^k, log p) for each higher power p^k <= n_max of a base prime p
-    powers = sorted(
-        (p**k, math.log(p)) for p in base for k in range(2, n_max.bit_length()) if p**k <= n_max
-    )
+    powers = []  # (p^k, log p) for each higher power p^k <= n_max of a base prime p
+    for p in base:
+        q, log_p = p * p, math.log(p)
+        while q <= n_max:
+            powers.append((q, log_p))
+            q *= p
+    powers.sort()
 
     def segments():
-        for lo in range(1, n_max + 1, _SEGMENT):
-            hi = min(lo + _SEGMENT, n_max + 1)
-            is_prime = np.ones(hi - lo, dtype=bool)
-            is_prime[0] = lo > 1  # 1 is not prime
+        for start in range(1, n_max + 1, _STRIKE):
+            end = min(start + _STRIKE, n_max + 1)
+            is_prime = np.ones(end - start, dtype=bool)
+            is_prime[0] = start > 1  # 1 is not prime
             for p in base:
-                if p * p >= hi:
+                if p * p >= end:
                     break
-                is_prime[max(p * p, -(-lo // p) * p) - lo :: p] = False
-            primes = np.flatnonzero(is_prime)
-            lam = np.zeros(hi - lo)
-            # math.log, not np.log: np.log is 1 ulp off on some primes below 1e6.
-            lam[primes] = [math.log(n) for n in (primes + lo).tolist()]
-            for q, log_p in powers[bisect.bisect(powers, (lo,)) : bisect.bisect(powers, (hi,))]:
-                lam[q - lo] = log_p
-            yield lo, lam, is_prime
+                is_prime[max(p * p, -(-start // p) * p) - start :: p] = False
+            for lo in range(start, end, _SEGMENT):
+                hi = min(lo + _SEGMENT, end)
+                primes = np.flatnonzero(is_prime[lo - start : hi - start])
+                lam = np.zeros(hi - lo)
+                # math.log, not np.log: np.log is 1 ulp off on some primes below 1e6.
+                lam[primes] = np.fromiter(map(math.log, (primes + lo).tolist()), float, len(primes))
+                for q, log_p in powers[bisect.bisect(powers, (lo,)) : bisect.bisect(powers, (hi,))]:
+                    lam[q - lo] = log_p
+                yield lo, lam, primes
 
     return segments()
 
@@ -96,16 +106,16 @@ def build_lambda_table(n_max: int) -> np.ndarray:
 def chebyshev(blocks) -> tuple[float, float, int]:
     """(psi(x), theta(x), pi(x)) at x, the last n of blocks, folded block by
     block: psi carries the compensated sum of Lambda, theta that of Lambda
-    over the primes, and pi counts the primes.  The split into blocks moves
-    no bit, since each block carries the Neumaier state of the one before,
-    and neither does folding psi over the nonzero Lambda alone: a zero adds
-    exactly 0 to both the sum and its compensation."""
+    at the prime offsets, and pi counts the offsets.  The split into blocks
+    moves no bit, since each block carries the Neumaier state of the one
+    before, and neither does folding psi over the nonzero Lambda alone: a
+    zero adds exactly 0 to both the sum and its compensation."""
     psi = theta = (0.0, 0.0)
     pi = 0
-    for _, lam, is_prime in blocks:
-        psi = neumaier_fold(lam[lam != 0], psi)
-        theta = neumaier_fold(lam[is_prime], theta)
-        pi += int(np.count_nonzero(is_prime))
+    for _, lam, primes in blocks:
+        psi = neumaier_fold(np.compress(lam != 0, lam), psi)
+        theta = neumaier_fold(lam[primes], theta)
+        pi += len(primes)
     return float(psi[0] + psi[1]), float(theta[0] + theta[1]), pi
 
 
@@ -156,14 +166,18 @@ def atomic_open(path, mode: str, **kwargs):
 
 def _passed(f, blocks, write: bool):
     """The blocks, each one's Lambda values first written to f or, unless
-    write, compared bitwise with the next entries of f: the first difference,
-    or entries cut short, raises CacheError."""
+    write, read into a fresh array and compared bitwise with it: the first
+    difference, or entries cut short, raises CacheError.  The array read is
+    dropped before the block is yielded, so it never meets the consumer's."""
     for block in blocks:
         lam = block[1].astype("<f8", copy=False)
         if write:
             f.write(lam)
-        elif not np.array_equal(np.fromfile(f, dtype="<u8", count=len(lam)), lam.view("<u8")):
-            raise CacheError("cache integrity check failed: Lambda differs from a fresh sieve")
+        else:
+            cached = np.empty(len(lam), dtype="<u8")
+            if f.readinto(cached) != cached.nbytes or not np.array_equal(cached, lam.view("<u8")):
+                raise CacheError("cache integrity check failed: Lambda differs from a fresh sieve")
+            del cached
         yield block
 
 

@@ -37,9 +37,12 @@ def test_lambda_positive_iff_prime_power(lam_small):
 
 
 def _flags(n_max: int) -> np.ndarray:
-    """The primality flags of lambda_blocks(n_max) joined, 1-indexed."""
-    blocks = sieve.lambda_blocks(n_max)
-    return np.concatenate([[False], *(is_prime for _, _, is_prime in blocks)])
+    """The primality flags that the prime offsets of lambda_blocks(n_max)
+    set, 1-indexed."""
+    flags = np.zeros(n_max + 1, dtype=bool)
+    for lo, _, primes in sieve.lambda_blocks(n_max):
+        flags[lo + primes] = True
+    return flags
 
 
 def _theta(n_max: int) -> float:
@@ -49,12 +52,14 @@ def _theta(n_max: int) -> float:
 def test_table_bitwise_equals_spf_loop():
     # 300_000 passes 285343, the first prime whose np.log is 1 ulp away
     # from math.log with numpy's vectorised log.
-    # and each segment edge: the fold of the blocks is psi, theta and pi
+    # and each block and strike segment edge: the fold of the blocks is psi, theta and pi
     # bit for bit, at every x <= 300 and at each listed n_max
     # the psi prefix error_series and weighted_psi_series form is the
     # oracle's, bit for bit
-    seg = sieve._SEGMENT
-    for n_max in [*range(1, 301), 961, 1024, seg - 1, seg, seg + 1, 100_000, 2 * seg + 1, 300_000]:
+    seg, strike = sieve._SEGMENT, sieve._STRIKE
+    edges = [seg - 1, seg, seg + 1, 100_000, 2 * seg + 1]
+    edges += [strike - 1, strike, strike + 1, strike + seg + 1, 300_000]
+    for n_max in [*range(1, 301), 961, 1024, *edges]:
         lam = sieve.build_lambda_table(n_max)
         want = lambda_spf_loop(n_max)
         assert lam.dtype == want["lam"].dtype, n_max
@@ -73,15 +78,35 @@ def test_table_bitwise_equals_spf_loop():
 def test_chebyshev_equals_whole_array_fold():
     """chebyshev folds psi over the nonzero Lambda of each block alone; a
     zero moves neither the sum nor its compensation, so psi is bitwise the
-    fold over every Lambda value, at every x below 300, at the segment
-    edges and up to 2,000,007."""
-    seg = sieve._SEGMENT
-    for n_max in [*range(1, 300), seg - 1, seg + 1, 2 * seg, 100_000, 10**6, 2_000_007]:
+    fold over every Lambda value, at every x below 300, at the block and
+    strike segment edges and up to 2,000,007."""
+    seg, strike = sieve._SEGMENT, sieve._STRIKE
+    edges = [seg - 1, seg + 1, 2 * seg, 100_000, strike - 1, strike + 1, 3 * strike + 5]
+    for n_max in [*range(1, 300), *edges, 10**6, 2_000_007]:
         lam = sieve.build_lambda_table(n_max)
         is_prime = _flags(n_max)
         want = (neumaier_whole(lam[1:]), neumaier_whole(lam[is_prime]), int(is_prime.sum()))
         psi, theta, pi = sieve.chebyshev(sieve.lambda_blocks(n_max))
         assert (psi.hex(), theta.hex(), pi) == (want[0].hex(), want[1].hex(), want[2]), n_max
+
+
+@pytest.mark.parametrize("n_max", [1, 10, sieve._SEGMENT + 1, sieve._STRIKE + 5])
+def test_blocks_carry_the_prime_offsets(n_max):
+    """Each block's offsets are sorted integers, Lambda at lo + i is
+    math.log(lo + i) bit for bit at each, every other nonzero Lambda is at
+    a prime power p^k with k >= 2, and the offsets count pi(n_max)."""
+    count = 0
+    for lo, lam, primes in sieve.lambda_blocks(n_max):
+        assert primes.dtype.kind == "i" and np.all(np.diff(primes) > 0), lo
+        want = np.array([math.log(n) for n in (lo + primes).tolist()])
+        assert lam[primes].tobytes() == want.tobytes(), lo
+        others = np.setdiff1d(np.flatnonzero(lam), primes)
+        for n in (lo + others).tolist():
+            p = next(p for p in range(2, math.isqrt(n) + 1) if n % p == 0)
+            k = round(math.log(n, p))
+            assert k >= 2 and p**k == n and is_prime_trial(p), n
+        count += len(primes)
+    assert count == sum(map(is_prime_trial, range(1, n_max + 1)))
 
 
 def test_psi_trivial(psi_small):
