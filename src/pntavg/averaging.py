@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count, islice
-from math import factorial, prod
+from math import factorial
 
 import numpy as np
 
@@ -104,16 +104,6 @@ def _limbs_to_float(limbs: np.ndarray, out: np.ndarray, work: np.ndarray) -> Non
     out[:end] = limbs[1, :end] << 32 | limbs[0, :end]
 
 
-def _limb_count(v: int) -> int:
-    """The number of 32-bit limbs that hold v."""
-    return -(-v.bit_length() // 32)
-
-
-def _product(n: int, k: int) -> int:
-    """n (n+1) ... (n+k-1), exactly."""
-    return prod(range(n, n + k))
-
-
 def max_column_n(k: int) -> int:
     """The largest n at which an average of order k >= 1 has its binomial
     column: the factors n, n+1, ..., n+k-1 of C(n+k-1, k) lie below 2^32,
@@ -138,17 +128,19 @@ def _binom_column(k: int, lo: int, hi: int):
         raise ValueError(f"C(n+k-1, k) needs n + k - 1 < 2^32, got n = {hi - 1}, k = {k}")
     d = factorial(k)
     block = min(_BLOCK, max(hi - lo, 0))
+    # limb counts after each factor, one bound for every block: j factors
+    # below 2^bits multiply to below 2^(j bits); a smaller value's top limbs are 0
+    bits = (hi + k - 2).bit_length()
+    used = [-(-j * bits // 32) for j in range(k + 1)]
     # one allocation for every block: the limbs, then rows for n, the factor
     # n + j, the limb product t and its carry c
-    work = np.zeros((max(2, _limb_count(_product(hi - 1, k))) + 4, block), np.uint64)
+    work = np.zeros((max(2, used[k]) + 4, block), np.uint64)
     col = np.empty(block)
     work[-4] = np.arange(lo, lo + block, dtype=np.uint64)
     for n0 in range(lo, hi, _BLOCK):
         m = min(_BLOCK, hi - n0)
         limbs, (n, f, t, c) = work[:-4, :m], work[-4:, :m]
         limbs[0] = n
-        # limb counts after each factor, at the largest n of the block
-        used = [_limb_count(_product(n0 + m - 1, j)) for j in range(k + 1)]
         for j in range(1, k):
             np.add(n, j, out=f)
             np.multiply(limbs[0], f, out=t)

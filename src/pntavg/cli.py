@@ -149,8 +149,8 @@ def cmd_errors(args) -> int:
     orders = args.order or [1]
     for order in orders:
         _args.check_int("order", order, 0, averaging.MAX_ORDER)
-    # Lambda is dropped once r exists: nothing below reads it
-    r = sieve.error_series(sieve.load_or_build_table(args.cache, args.n_max))
+    n = args.n_max
+    r = sieve.through_cache(args.cache, n, lambda blocks: sieve.error_fold(n, blocks))
     with _out_stream(args) as out:
         held = None  # the one order in memory, the chain's last
         for order in orders:
@@ -206,8 +206,7 @@ def cmd_tables(args) -> int:
             f"warning: tables computed over reduced range n <= {args.n_max}",
             file=sys.stderr,
         )
-    # Lambda is dropped once r exists: the tables read r alone
-    rows = _table_rows(sieve.error_series(sieve.build_lambda_table(args.n_max)))
+    rows = _table_rows(sieve.error_fold(args.n_max, sieve.lambda_blocks(args.n_max)))
     with _out_stream(args) as out:
         if args.pretty:
             out.write(f"{'statistic':<10} {'range':<14} {'min':>14} {'max':>14}\n")

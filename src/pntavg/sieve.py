@@ -8,10 +8,10 @@ strikes out its multiples from p^2 on, with one slice assignment, and the
 segment's flags serve the blocks inside it.  Each prime takes log p, and
 each higher power p^k <= n_max takes the same value, so the sieve holds
 O(sqrt(n_max) + _STRIKE).  chebyshev folds the blocks into psi, theta and
-pi, as `pntavg sieve` prints them.  The commands that read whole series
-take plain read-only float64 arrays indexed by n: build_lambda_table gives
-Lambda, lam[n] = Lambda(n), and error_series gives r[n] = psi(n) - n from
-it.
+pi, as `pntavg sieve` prints them, and error_fold into r[n] = psi(n) - n,
+which `tables` and `errors` read without holding Lambda.  The whole arrays
+are read-only float64 arrays indexed by n: build_lambda_table gives
+lam[n] = Lambda(n), and error_series gives r from it by the same fold.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from ._args import check_int
-from .accum import neumaier_fold, neumaier_prefix_sum
+from .accum import neumaier_fold
 
 CACHE_MAGIC = b"PNTSIEVE1"
 _SEGMENT = 1 << 16  # values of n per yielded block, cache block and fold step
@@ -119,17 +119,32 @@ def chebyshev(blocks) -> tuple[float, float, int]:
     return float(psi[0] + psi[1]), float(theta[0] + theta[1]), pi
 
 
-def error_series(lam: np.ndarray) -> np.ndarray:
-    """r[n] = psi(n) - n for every n of lam = build_lambda_table(n_max),
-    r[0] = 0, read-only.  r is the one whole array it allocates: the psi
-    prefix, psi(n) = sum_{m <= n} Lambda(m), is formed in r, and n is
-    subtracted from it _SEGMENT values at a time."""
-    r = neumaier_prefix_sum(lam)  # psi, as lam[0] = 0
-    for lo in range(0, len(r), _SEGMENT):
-        part = r[lo : lo + _SEGMENT]
+def error_fold(n_max: int, blocks) -> np.ndarray:
+    """r[n] = psi(n) - n for n <= n_max, r[0] = 0, read-only, folded from
+    blocks, which cover 1..n_max: each block's psi prefix is written into
+    its slice of r, the Neumaier state carried from the block before, and
+    n is subtracted there.  r is the one whole array it allocates."""
+    r = np.zeros(n_max + 1)
+    state = (0.0, 0.0)
+    for lo, lam, _ in blocks:
+        part = r[lo : lo + len(lam)]
+        state = neumaier_fold(lam, state, out=part)
         part -= np.arange(lo, lo + len(part), dtype=float)
     r.flags.writeable = False
     return r
+
+
+def _slices(lam: np.ndarray):
+    """Blocks (lo, lam[lo : lo + _SEGMENT], None) of lam[1:], views, as
+    lambda_blocks yields them but without the prime offsets."""
+    return ((lo, lam[lo : lo + _SEGMENT], None) for lo in range(1, len(lam), _SEGMENT))
+
+
+def error_series(lam: np.ndarray) -> np.ndarray:
+    """r[n] = psi(n) - n for every n of lam = build_lambda_table(n_max),
+    r[0] = 0, read-only: error_fold over lam's blocks, so bit for bit the r
+    that `tables` and `errors` fold from the sieve."""
+    return error_fold(len(lam) - 1, _slices(lam))
 
 
 # -- binary cache -----------------------------------------------------------
@@ -193,9 +208,7 @@ def _written(path, n_max: int, blocks, fold):
 def write_cache(lam: np.ndarray, path) -> None:
     """Write lam[1:], the Lambda values of build_lambda_table, as a cache
     at path, _SEGMENT at a time."""
-    n_max = len(lam) - 1
-    blocks = ((lo, lam[lo : lo + _SEGMENT], None) for lo in range(1, n_max + 1, _SEGMENT))
-    _written(path, n_max, blocks, list)  # the list holds views of lam alone
+    _written(path, len(lam) - 1, _slices(lam), list)  # the list holds views of lam alone
 
 
 def _read_header(f) -> int:
@@ -236,8 +249,3 @@ def through_cache(path, n_max: int, fold):
     path.parent.mkdir(parents=True, exist_ok=True)
     return _written(path, n_max, blocks, fold)
 
-
-def load_or_build_table(path, n_max: int) -> np.ndarray:
-    """build_lambda_table(n_max), filled from one pass of lambda_blocks
-    through the cache at path (see through_cache)."""
-    return through_cache(path, n_max, lambda blocks: _table(n_max, blocks))

@@ -698,17 +698,13 @@ def test_check_small_n_max(n_max, capsys):
 
 
 def test_out_of_memory_is_usage_error(monkeypatch, capsys):
-    # sieve streams lambda_blocks; tables builds a whole table from them
+    # sieve, tables and errors each fold the blocks of lambda_blocks
     def no_memory(n_max):
         raise MemoryError
 
-    for argv, sieved_by in (
-        (["sieve", "--n-max", "10"], "lambda_blocks"),
-        (["tables", "--n-max", "100000"], "build_lambda_table"),
-    ):
-        with monkeypatch.context() as m:
-            m.setattr(f"pntavg.sieve.{sieved_by}", no_memory)
-            code, out, err = run(argv, capsys)
+    monkeypatch.setattr("pntavg.sieve.lambda_blocks", no_memory)
+    for argv in (["sieve", "--n-max", "10"], ["tables", "--n-max", "100000"], ["errors"]):
+        code, out, err = run(argv, capsys)
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -985,6 +981,15 @@ def test_errors_holds_one_order(tmp_path, orders):
     for k in orders.split():
         argv += ["--order", k]
     assert traced_peak(cli.main, argv) <= 24 * N_PEAK + 2 * MIB
+
+
+def test_errors_order_0_holds_r_alone():
+    """errors folds r from the sieve's blocks and never holds Lambda, so
+    order 0 holds r alone, 8 B per n.  At N_PEAK the fixed block and fold
+    temporaries would hide a whole Lambda; at 10^6 they do not."""
+    n_max = 10**6
+    argv = ["errors", "--n-max", str(n_max), "--order", "0", "--output", os.devnull]
+    assert traced_peak(cli.main, argv) <= 8 * n_max + 4 * MIB
 
 
 @pytest.mark.parametrize("command", ["sieve", "errors"])

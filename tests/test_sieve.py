@@ -55,7 +55,8 @@ def test_table_bitwise_equals_spf_loop():
     # and each block and strike segment edge: the fold of the blocks is psi, theta and pi
     # bit for bit, at every x <= 300 and at each listed n_max
     # the psi prefix error_series and weighted_psi_series form is the
-    # oracle's, bit for bit
+    # oracle's, bit for bit, and so is the r that error_fold folds from the
+    # blocks, the Neumaier state carried across each edge
     seg, strike = sieve._SEGMENT, sieve._STRIKE
     edges = [seg - 1, seg, seg + 1, 100_000, 2 * seg + 1]
     edges += [strike - 1, strike, strike + 1, strike + seg + 1, 300_000]
@@ -66,6 +67,7 @@ def test_table_bitwise_equals_spf_loop():
         assert lam.tobytes() == want["lam"].tobytes(), n_max
         r = want["psi_prefix"] - np.arange(n_max + 1)
         assert sieve.error_series(lam).tobytes() == r.tobytes(), n_max
+        assert sieve.error_fold(n_max, sieve.lambda_blocks(n_max)).tobytes() == r.tobytes(), n_max
         psi_0 = next(averaging.weighted_psi_series(lam, 0))
         assert psi_0.tobytes() == want["psi_prefix"].tobytes(), n_max
         assert _flags(n_max).tobytes() == want["is_prime"].tobytes(), n_max
@@ -73,6 +75,20 @@ def test_table_bitwise_equals_spf_loop():
         assert psi.hex() == float(want["psi_prefix"][n_max]).hex(), n_max
         assert theta.hex() == float(want["theta_prefix"][n_max]).hex(), n_max
         assert pi == int(want["pi_prefix"][n_max]), n_max
+
+
+def test_errors_through_a_warm_cache_prints_the_uncached_bytes(tmp_path, capsys):
+    # the r folded from the cache's blocks past a strike segment edge and a
+    # block edge is the r folded from the sieve's, bit for bit
+    n_max = sieve._STRIKE + sieve._SEGMENT + 1
+    argv = ["errors", "--n-max", str(n_max), "--order", "0", "--order", "1"]
+    cached = argv + ["--cache", str(tmp_path / "sieve.bin")]
+    outputs = []
+    for args in (argv, cached, cached):  # uncached, then cold, then warm
+        assert cli.main(args) == 0
+        outputs.append(capsys.readouterr().out)
+    same = outputs == [outputs[0]] * 3  # bound first: pytest diffs no megabyte strings
+    assert same
 
 
 def test_chebyshev_equals_whole_array_fold():
