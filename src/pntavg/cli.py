@@ -49,15 +49,13 @@ EXIT_USAGE = 2
 
 def _out_stream(args):
     """Context manager yielding --output for writing, or stdout, which it
-    leaves open.  A new or writable regular file is replaced only when the
-    command completes; a symlink, device, FIFO or read-only file is opened
-    as given, so it is written through or refused exactly as open() does."""
+    leaves open.  A new or writable regular file, through any symlink, is
+    replaced only when the command completes; a device, FIFO or read-only
+    file is opened as given, written through or refused as open() does."""
     p = args.output
     if not p:
         return contextlib.nullcontext(sys.stdout)
-    if os.path.lexists(p) and (
-        os.path.islink(p) or not os.path.isfile(p) or not os.access(p, os.W_OK)
-    ):
+    if os.path.exists(p) and (not os.path.isfile(p) or not os.access(p, os.W_OK)):
         return open(p, "w", encoding="ascii")
     return sieve.atomic_open(p, "w", encoding="ascii")
 

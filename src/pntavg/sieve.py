@@ -3,15 +3,16 @@
 Lambda(n) = log p when n = p^m for a prime p, else 0.  lambda_blocks
 yields Lambda and the offsets of the primes _SEGMENT values of n at a time
 from a segmented sieve of Eratosthenes (Bays and Hudson, BIT 17, 1977): in
-each strike segment of _STRIKE values every base prime p <= sqrt(n_max)
-strikes out its multiples from p^2 on, with one slice assignment, and the
-segment's flags serve the blocks inside it.  Each prime takes log p, and
-each higher power p^k <= n_max takes the same value, so the sieve holds
-O(sqrt(n_max) + _STRIKE).  chebyshev folds the blocks into psi, theta and
-pi, as `pntavg sieve` prints them, and error_fold into r[n] = psi(n) - n,
-which `tables` and `errors` read without holding Lambda.  The whole arrays
-are read-only float64 arrays indexed by n: build_lambda_table gives
-lam[n] = Lambda(n), and error_series gives r from it by the same fold.
+each strike segment of _STRIKE values every base prime p <= sqrt(n_max),
+from lambda_blocks(isqrt(n_max)), strikes out its multiples from p^2 on,
+with one slice assignment, and the segment's flags serve the blocks inside
+it.  Each prime takes log p, and each higher power p^k <= n_max the same
+value, so the sieve holds O(sqrt(n_max) + _STRIKE).  chebyshev folds the
+blocks into psi, theta and pi, as `pntavg sieve` prints them, and
+error_fold into r[n] = psi(n) - n, which `tables` and `errors` read without
+holding Lambda.  The whole arrays are read-only float64 arrays indexed by
+n: build_lambda_table gives lam[n] = Lambda(n), and error_series gives r
+from it by the same fold.
 """
 
 from __future__ import annotations
@@ -43,17 +44,15 @@ def lambda_blocks(n_max: int):
     values of n from lo = 1, 1 + _SEGMENT, ..., the last one shorter, and
     primes the sorted offsets i at which lo + i is prime.  The sieve strikes
     _STRIKE values at a time, and each strike segment serves the blocks
-    inside it.  Checks n_max (an integer >= 1) when called, then sieves
-    each strike segment when its first block is asked for."""
+    inside it.  Checks n_max (an integer >= 1) and sieves the base primes,
+    lambda_blocks(isqrt(n_max)), when called, then each strike segment when
+    its first block is asked for."""
     check_int("n_max", n_max, 1)
     n_max = int(n_max)
     root = math.isqrt(n_max)
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if small[p]:
-            small[p * p :: p] = False
-    base = np.flatnonzero(small).tolist()
+    base = []  # the primes up to root, from this sieve one level down; none below 4
+    if root > 1:
+        base = np.concatenate([primes + lo for lo, _, primes in lambda_blocks(root)]).tolist()
     powers = []  # (p^k, log p) for each higher power p^k <= n_max of a base prime p
     for p in base:
         q, log_p = p * p, math.log(p)
@@ -158,22 +157,23 @@ _HEADER = len(CACHE_MAGIC) + 8
 
 @contextlib.contextmanager
 def atomic_open(path, mode: str, **kwargs):
-    """open() a temporary file beside path, os.replace it onto path when the
-    block completes, remove it on any exception: path is never half-written.
-    The new file keeps the permission bits of the file it replaces."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    """open() a temporary file beside the file path names, through any
+    symlink, os.replace it onto that file when the block completes, remove
+    it on any exception: the file is never half-written, and a link stays a
+    link.  The new file keeps the permission bits of the file it replaces."""
+    real = Path(os.path.realpath(path))
+    tmp = real.with_name(f"{real.name}.{os.getpid()}.tmp")
     try:
         f = open(tmp, mode, **kwargs)
     except OSError as exc:  # name the path asked for, not the temporary
-        exc.filename = str(path)
+        exc.filename = str(Path(path))
         raise
     try:
         with f:
             with contextlib.suppress(FileNotFoundError):
-                os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
+                os.chmod(tmp, stat.S_IMODE(real.stat().st_mode))
             yield f
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -198,9 +198,8 @@ def _passed(f, blocks, write: bool):
 
 def _written(path, n_max: int, blocks, fold):
     """fold(blocks), the blocks written as they pass to the cache for n_max
-    through atomic_open, so a failure keeps any old cache.  A symlink at
-    path stays a link; the file it points to takes the cache."""
-    with atomic_open(os.path.realpath(path), "wb") as f:
+    through atomic_open: a failure keeps any old cache, a link stays a link."""
+    with atomic_open(path, "wb") as f:
         f.write(CACHE_MAGIC + struct.pack("<Q", n_max))
         return fold(_passed(f, blocks, write=True))
 

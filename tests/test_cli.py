@@ -410,9 +410,15 @@ def test_output_file(tmp_path, capsys):
     assert dest.read_text().splitlines()[0] == "n,value"
 
 
-@pytest.mark.parametrize("before", [None, b"previous bytes\n"], ids=["new", "existing"])
-def test_failed_output_leaves_no_partial_file(tmp_path, capsys, monkeypatch, before):
-    # the chain fails at order 2, after order 1's rows have gone to the output
+@pytest.mark.parametrize(
+    "before, link",
+    [(None, False), (b"previous bytes\n", False), (None, True), (b"previous bytes\n", True)],
+    ids=["new", "existing", "dangling-link", "link"],
+)
+def test_failed_output_leaves_no_partial_file(tmp_path, capsys, monkeypatch, before, link):
+    # the chain fails at order 2, after order 1's rows have gone to the output;
+    # through a symlink, dangling or not, the file it names is kept as a plain
+    # path would be, and the link stays a link
     chain = averaging.iterated_averages
     orders_seen = []
 
@@ -427,14 +433,21 @@ def test_failed_output_leaves_no_partial_file(tmp_path, capsys, monkeypatch, bef
     dest = tmp_path / "f.csv"
     if before is not None:
         dest.write_bytes(before)
+    given = dest
+    if link:
+        given = tmp_path / "link.csv"
+        given.symlink_to(dest)
     argv = ["errors", "--n-max", "5", "--order", "1", "--order", "2"]
-    code, out, err = run(argv + ["--output", str(dest)], capsys)
+    code, out, err = run(argv + ["--output", str(given)], capsys)
     assert code == cli.EXIT_FAILURE
     assert orders_seen == [0, 1]
     assert "order 2 failed midway" in err
-    assert os.listdir(tmp_path) == ([] if before is None else ["f.csv"])
+    left = ([] if before is None else ["f.csv"]) + (["link.csv"] if link else [])
+    assert sorted(os.listdir(tmp_path)) == left
     if before is not None:
         assert dest.read_bytes() == before
+    if link:
+        assert given.is_symlink() and os.readlink(given) == str(dest)
 
 
 def test_errors_orders_out_of_order_and_repeated(capsys):
@@ -849,12 +862,19 @@ def test_check_with_no_zeros_fails_the_zero_suite(tmp_path, capsys, text):
 def test_cache_of_other_size_sieves_once(tmp_path, monkeypatch, capsys, cached, wanted):
     cache = tmp_path / "sieve.bin"
     assert run(["sieve", "--n-max", str(cached), "--cache", str(cache)], capsys)[0] == 0
-    built = []
+    built, depth = [], []
     blocks = sieve.lambda_blocks
 
     def counting_blocks(n_max):
-        built.append(n_max)
-        return blocks(n_max)
+        # the top-level sieves alone: a call sieves its base primes through
+        # lambda_blocks(isqrt(n_max)) before it returns, one level deeper
+        if not depth:
+            built.append(n_max)
+        depth.append(n_max)
+        try:
+            return blocks(n_max)
+        finally:
+            depth.pop()
 
     monkeypatch.setattr("pntavg.sieve.lambda_blocks", counting_blocks)
     argv = ["sieve", "--n-max", str(wanted), "--cache", str(cache)]

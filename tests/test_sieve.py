@@ -77,6 +77,18 @@ def test_table_bitwise_equals_spf_loop():
         assert pi == int(want["pi_prefix"][n_max]), n_max
 
 
+@pytest.mark.parametrize("n_max", [4224, 4225, 4226, 20_000])
+def test_base_primes_cross_blocks_and_strike_segments(n_max, monkeypatch):
+    # with 16-value blocks and 64-value strike segments the base primes, which
+    # lambda_blocks sieves at isqrt(n_max), fill several blocks and, from
+    # 65^2 = 4225 on, more than one strike segment of that inner sieve
+    monkeypatch.setattr(sieve, "_SEGMENT", 16)
+    monkeypatch.setattr(sieve, "_STRIKE", 64)
+    want = lambda_spf_loop(n_max)
+    assert sieve.build_lambda_table(n_max).tobytes() == want["lam"].tobytes()
+    assert _flags(n_max).tobytes() == want["is_prime"].tobytes()
+
+
 def test_errors_through_a_warm_cache_prints_the_uncached_bytes(tmp_path, capsys):
     # the r folded from the cache's blocks past a strike segment edge and a
     # block edge is the r folded from the sieve's, bit for bit
@@ -297,18 +309,22 @@ def test_failed_cache_write_keeps_previous(tmp_path, lam_small):
 
 def test_failed_cold_write_keeps_previous_cache(tmp_path, monkeypatch, capsys):
     # a cache for another n_max is replaced, and the sieve fails once the
-    # header and the first segment are written
+    # header and the first segment are written; the base primes, sieved at
+    # isqrt(n_max), are left whole
     path = tmp_path / "sieve.bin"
     assert cli.main(["sieve", "--n-max", "500", "--cache", str(path)]) == 0
     before = path.read_bytes()
     blocks = sieve.lambda_blocks
+    n_max = 3 * sieve._SEGMENT
 
-    def fails_after_one_segment(n_max):
+    def fails_after_one_segment():
         yield next(blocks(n_max))
         raise MemoryError
 
-    monkeypatch.setattr(sieve, "lambda_blocks", fails_after_one_segment)
-    argv = ["sieve", "--n-max", str(3 * sieve._SEGMENT), "--cache", str(path)]
+    monkeypatch.setattr(
+        sieve, "lambda_blocks", lambda n: fails_after_one_segment() if n == n_max else blocks(n)
+    )
+    argv = ["sieve", "--n-max", str(n_max), "--cache", str(path)]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["sieve.bin"]
