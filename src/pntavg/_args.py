@@ -2,6 +2,8 @@
 
 import numpy as np
 
+MAX_ORDER = 8  # the highest order of average; averaging and zeros both check it
+
 
 def check_int(name: str, v, lo: int, hi: int | None = None) -> None:
     """Raise ValueError naming the argument unless v is an int or numpy

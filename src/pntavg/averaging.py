@@ -37,10 +37,9 @@ from math import factorial
 
 import numpy as np
 
-from ._args import check_int
+from ._args import MAX_ORDER, check_int
 from .accum import neumaier_fold, neumaier_prefix_sum
 
-MAX_ORDER = 8
 _FACTOR_LIMIT = 1 << 32  # every factor n + j of a binomial column lies below it
 _BLOCK = 1 << 13  # n per binomial column block; bounds the limb work arrays
 _MASK = np.uint64(0xFFFF_FFFF)  # one 32-bit limb

@@ -408,12 +408,11 @@ def _n_max_ceiling(args) -> tuple[int, str]:
     n + k - 1 < 2**32.  An order outside that range the command refuses."""
     orders = {"tables": [TABLE_ORDER], "errors": getattr(args, "order", None) or [1]}
     k = max(orders.get(args.command, [0]))
-    if k >= 1:  # a command with no average does not import averaging
+    if 1 <= k <= _args.MAX_ORDER:
         from . import averaging
 
-        if k <= averaging.MAX_ORDER:
-            top = averaging.max_column_n(k)
-            return top, f"2**32 - {k} = {top} for order {k}"
+        top = averaging.max_column_n(k)
+        return top, f"2**32 - {k} = {top} for order {k}"
     return MAX_N_MAX, f"2**53 = {MAX_N_MAX}"
 
 

@@ -236,15 +236,15 @@ def through_cache(path, n_max: int, fold):
     """fold(lambda_blocks(n_max)), each block passed through the cache at
     path, if any: compared with a cache whose header holds n_max, else
     written in place of a missing file or a cache for any other n_max.  A
-    bad header or length raises CacheError and leaves the file as it is."""
-    blocks = lambda_blocks(n_max)
+    path that is not a regular file, or a bad header or length, raises
+    CacheError and leaves the file as it is; a missing directory, OSError."""
     if not path:
-        return fold(blocks)
-    path = Path(path)
-    if path.exists():
+        return fold(lambda_blocks(n_max))
+    if os.path.exists(path):
+        if not os.path.isfile(path):  # opening a FIFO to read would block
+            raise CacheError(f"cache {path} is not a regular file")
         with open(path, "rb") as f:
             if _read_header(f) == n_max:
-                return fold(_passed(f, blocks, write=False))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return _written(path, n_max, blocks, fold)
+                return fold(_passed(f, lambda_blocks(n_max), write=False))
+    return _written(path, n_max, lambda_blocks(n_max), fold)
 

@@ -9,7 +9,7 @@ here are the conjugate-paired truncations
     zero_sum(x, T, k) = sum_{gamma <= T} 2 Re[ x^rho / prod_{j=0}^{k} (rho + j) ]
 
 which bound the averaged psi error when paired with the appropriate
-kernel order k.
+kernel order k in [1, MAX_ORDER], the ceiling _args holds for every layer.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._args import check_int
+from ._args import MAX_ORDER, check_int
 from .accum import neumaier_sum
-from .averaging import MAX_ORDER, IteratedAverage
 
 
 class ZeroFormatError(ValueError):
@@ -123,12 +122,11 @@ def zero_sum(gammas: np.ndarray, x: float, T: float, k: int = 1) -> ZeroSumResul
     return ZeroSumResult(x=x, T=T, k=k, value=neumaier_sum(2.0 * qr), count_used=len(gs))
 
 
-def explicit_formula_residual(
-    avg: IteratedAverage, gammas: np.ndarray, x: int, T: float
-) -> float:
+def explicit_formula_residual(avg, gammas: np.ndarray, x: int, T: float) -> float:
     """rbar(x) + zero_sum(x, T, 1).value, the truncation residual.
 
-    Requires a first-order average (avg.order == 1) and an integer x in
+    Requires a first-order average, an averaging.IteratedAverage read only
+    through avg.order == 1 and avg.values, and an integer x in
     [2, len(avg.values) - 1]: an int or a numpy integer.  With T below the
     first ordinate the sum is empty and the residual is just rbar(x).
 

@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import io
 import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import time
@@ -555,10 +557,22 @@ def test_output_unwritable(capsys):
     assert "error" in err.lower()
 
 
-def test_output_into_missing_directory_names_the_path(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["errors", "--n-max", "5", "--output"],
+        ["sieve", "--n-max", "5", "--cache"],
+        ["errors", "--n-max", "5", "--cache"],
+    ],
+    ids=["output", "sieve-cache", "errors-cache"],
+)
+def test_output_into_missing_directory_names_the_path(tmp_path, capsys, argv):
+    """--cache is a plain path like --output: a missing directory is one
+    I/O error naming the path asked for, and no directory is created."""
     dest = tmp_path / "missing" / "f.csv"
-    code, out, err = run(["errors", "--n-max", "5", "--output", str(dest)], capsys)
+    code, out, err = run(argv + [str(dest)], capsys)
     assert (code, out) == (cli.EXIT_FAILURE, "")
+    assert err.startswith("I/O error: ") and err.count("\n") == 1
     assert str(dest) in err and ".tmp" not in err
     assert os.listdir(tmp_path) == []
 
@@ -897,6 +911,48 @@ def test_malformed_cache_is_not_overwritten(tmp_path, capsys, damage):
     assert code == cli.EXIT_FAILURE
     assert "cache" in err
     assert cache.read_bytes() == data
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail the test if the block is still running after seconds, where a
+    timer signal can interrupt it.  pytest.fail raises no OSError, so
+    cli.main cannot report it as an I/O error."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def late(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("kind", ["fifo", "devnull", "directory"])
+def test_cache_that_is_not_a_regular_file_fails_at_once(tmp_path, monkeypatch, capsys, kind):
+    """Opening a FIFO to read a cache header blocks until a writer comes: a
+    --cache that exists but is not a regular file is refused before it is
+    opened and before any sieve, with one line, within 1 s."""
+    path = {"fifo": tmp_path / "fifo", "devnull": os.devnull, "directory": tmp_path}[kind]
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        os.mkfifo(path)
+
+    def forbidden(n_max):
+        raise AssertionError("sieved for a cache it cannot use")
+
+    monkeypatch.setattr(sieve, "lambda_blocks", forbidden)
+    with within(1.0):
+        code, out, err = run(["sieve", "--n-max", "100", "--cache", str(path)], capsys)
+    assert (code, out) == (cli.EXIT_FAILURE, "")
+    assert err == f"error: cache {path} is not a regular file\n"
 
 
 def test_bare_cache_name_is_relative_to_cwd(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ used by a command or a check, except three: iterated_average and
 explicit_formula_residual are called only by the benchmark and the tests,
 and dirichlet_perron_check by nothing yet."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -66,21 +67,28 @@ def test_unknown_name_is_attribute_error():
         pntavg.no_such_name  # noqa: B018
 
 
+LAYERS = {"pntavg.averaging", "pntavg.zeros", "pntavg.perron", "mpmath"}
+
+
 @pytest.mark.parametrize(
     "argv, loaded, absent",
     [
-        (["-c", "import pntavg.cli"], "pntavg.sieve", {"pntavg.averaging", "dataclasses"}),
-        (["-m", "pntavg.cli", "sieve", "--n-max", "100"], "pntavg.sieve",
-         {"pntavg.averaging", "dataclasses"}),
+        (["-c", "import pntavg.cli"], {"pntavg.sieve"}, LAYERS | {"dataclasses"}),
+        (["-m", "pntavg.cli", "sieve", "--n-max", "100"], {"pntavg.sieve"},
+         LAYERS | {"dataclasses"}),
         (["-m", "pntavg.cli", "tables", "--n-max", "100", "--allow-partial"],
-         "pntavg.averaging", set()),
+         {"pntavg.averaging"}, LAYERS - {"pntavg.averaging"}),
+        (["-m", "pntavg.cli", "zerosum", "--zeros", str(ROOT / "data" / "zeros_2000.txt"),
+          "--x", "10000", "--T", "500"], {"pntavg.zeros"}, LAYERS - {"pntavg.zeros"}),
+        (["-m", "pntavg.cli", "perron", "--a", "1", "--T", "100"], {"pntavg.perron"},
+         {"pntavg.averaging", "pntavg.zeros"}),
     ],
-    ids=["import", "sieve", "tables"],
+    ids=["import", "sieve", "tables", "zerosum", "perron"],
 )
 def test_cli_loads_only_what_its_command_runs(argv, loaded, absent):
     """Importing the CLI, or running a command, imports only the modules
-    that command calls: never zeros, perron or mpmath unless it reads zeros
-    or a Perron integral, and averaging (with dataclasses) only for an
+    that command calls: zeros only to read zeros, perron (with mpmath) only
+    for a Perron integral, and averaging (with dataclasses) only for an
     average.  -X importtime names on stderr every module the child imports,
     so every module it puts in sys.modules."""
     env = dict(os.environ)
@@ -94,5 +102,41 @@ def test_cli_loads_only_what_its_command_runs(argv, loaded, absent):
         check=True,
     )
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert loaded in imported
-    assert {"pntavg.perron", "pntavg.zeros", "mpmath", *absent} & imported == set()
+    assert loaded <= imported
+    assert absent & imported == set()
+
+
+def package_imports(tree):
+    """The package modules that the imports of a module's syntax tree name:
+    m for from . import m, from .m import f, from pntavg.m import f and
+    import pntavg.m."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "pntavg":
+                    yield rest.split(".")[0] or "__init__"
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                head, _, module = module.partition(".")
+                if head != "pntavg":
+                    continue
+            if module:
+                yield module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_only_cli_composes_the_layers():
+    """Every module of the package but cli and __init__ imports from the
+    package _args and accum alone, lazily or not, so no library layer loads
+    another."""
+    found = [
+        (path.stem, module)
+        for path in sorted((ROOT / "src" / "pntavg").glob("*.py"))
+        if path.stem not in {"cli", "__init__"}
+        for module in package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if module not in {"_args", "accum"}
+    ]
+    assert found == []
