@@ -10,11 +10,13 @@ Subcommands:
     perron   kernel-integral verification rows
     check    reduced-scale invariant suites
 
-Exit codes: 0 success, 1 computation or invariant failure, 2 usage error.
-A command whose output goes to stdout exits 1 with "I/O error: stdout is
-closed" when the process has no stdout.  All numeric CSV output is
-deterministic for fixed flags.  The averaging, zeros and perron modules are
-imported only by the commands that call them.
+Exit codes: 0 success, 1 computation or invariant failure, 2 usage error,
+which main() alone reports, as one "error:" line; only --help leaves through
+SystemExit.  A bad --output or --zeros fails before any sieve.  A command
+whose output goes to stdout exits 1 with "I/O error: stdout is closed" when
+the process has no stdout.  All numeric CSV output is deterministic for
+fixed flags.  The averaging, zeros and perron modules are imported only by
+the commands that call them.
 
 run(), the entry point of ``python -m pntavg.cli`` and of the installed
 ``pntavg`` script, flushes stdout and stderr after main() and ends the
@@ -148,8 +150,8 @@ def cmd_errors(args) -> int:
     for order in orders:
         _args.check_int("order", order, 0, averaging.MAX_ORDER)
     n = args.n_max
-    r = sieve.through_cache(args.cache, n, lambda blocks: sieve.error_fold(n, blocks))
     with _out_stream(args) as out:
+        r = sieve.through_cache(args.cache, n, lambda blocks: sieve.error_fold(n, blocks))
         held = None  # the one order in memory, the chain's last
         for order in orders:
             if len(orders) > 1:
@@ -194,18 +196,14 @@ def _table_rows(r):
 def cmd_tables(args) -> int:
     if args.n_max < DEFAULT_N_MAX:
         if not args.allow_partial:
-            print(
-                f"error: --n-max {args.n_max} < {DEFAULT_N_MAX} reproduces the tables "
-                "only partially; pass --allow-partial to proceed",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            message = f"--n-max {args.n_max} < {DEFAULT_N_MAX} reproduces the tables only partially"
+            raise argparse.ArgumentError(None, f"{message}; pass --allow-partial to proceed")
         print(
             f"warning: tables computed over reduced range n <= {args.n_max}",
             file=sys.stderr,
         )
-    rows = _table_rows(sieve.error_fold(args.n_max, sieve.lambda_blocks(args.n_max)))
     with _out_stream(args) as out:
+        rows = _table_rows(sieve.error_fold(args.n_max, sieve.lambda_blocks(args.n_max)))
         if args.pretty:
             out.write(f"{'statistic':<10} {'range':<14} {'min':>14} {'max':>14}\n")
             for name, s in rows:
@@ -224,9 +222,6 @@ def cmd_tables(args) -> int:
 def cmd_zerosum(args) -> int:
     from . import zeros
 
-    if not args.zeros:
-        print("error: --zeros PATH is required", file=sys.stderr)
-        return EXIT_USAGE
     gammas = zeros.load_zeros(args.zeros)
     res = zeros.zero_sum(gammas, args.x, args.T, args.k)
     with _out_stream(args) as out:
@@ -324,6 +319,7 @@ def _check_zeros(path) -> list[str]:
 
 
 def cmd_check(args) -> int:
+    zero_sums = _check_zeros(args.zeros) if args.zeros else None  # reads --zeros before the sieve
     lam = sieve.build_lambda_table(min(args.n_max, 10_000))
     suites = [
         ("sieve-psi-oracle", lambda: _check_sieve(lam)),
@@ -331,7 +327,7 @@ def cmd_check(args) -> int:
         ("perron-envelope", _check_perron),
     ]
     if args.zeros:
-        suites.append(("zero-sums", lambda: _check_zeros(args.zeros)))
+        suites.append(("zero-sums", lambda: zero_sums))
     else:
         print("note: --zeros absent, zero-sum suite skipped")
     status = EXIT_OK
@@ -348,8 +344,13 @@ def cmd_check(args) -> int:
 # -- argument parsing -------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # each refusal, its subparsers' too, goes to main()
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="pntavg",
         description="Averaged prime-number-theorem error computations",
     )
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_tables)
 
     sp = sub.add_parser("zerosum", help="truncated zero sum")
-    sp.add_argument("--zeros", type=str, default=None)
+    sp.add_argument("--zeros", type=str, required=True)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--T", type=float, required=True)
     sp.add_argument("--k", type=int, default=1)
@@ -417,21 +418,23 @@ def _n_max_ceiling(args) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    n_max, least = getattr(args, "n_max", 1), getattr(args, "least_n_max", 1)
-    top, why = _n_max_ceiling(args)
-    if not least <= n_max <= top:
-        bound = f">= {least}" if n_max < least else f"<= {why}"
-        print(f"error: {args.command} needs --n-max {bound}, got {n_max}", file=sys.stderr)
-        return EXIT_USAGE
+    """Run argv's command and return its exit status.  Every usage error,
+    argparse's own included, is one "error:" line; only --help raises SystemExit."""
     try:
+        args = build_parser().parse_args(argv)
+        n_max, least = getattr(args, "n_max", 1), getattr(args, "least_n_max", 1)
+        top, why = _n_max_ceiling(args)
+        if not least <= n_max <= top:
+            bound = f">= {least}" if n_max < least else f"<= {why}"
+            raise argparse.ArgumentError(None, f"{args.command} needs --n-max {bound}, got {n_max}")
         if sys.stdout is None and not getattr(args, "output", None):
             raise OSError("stdout is closed")  # started with fd 1 closed
         status = args.fn(args)
         if sys.stdout is not None:
             sys.stdout.flush()  # a full stdout fails here, not at interpreter exit
         return status
+    except argparse.ArgumentError as exc:
+        message, status = f"error: {exc}", EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         message, status = f"error: {exc}", EXIT_FAILURE
     except OSError as exc:
@@ -449,8 +452,8 @@ def run() -> None:
     """Exit with main()'s status, without the interpreter's teardown: once
     stdout and stderr are flushed, os._exit skips module cleanup and the
     final garbage collection.  A flush that fails is not retried: main()
-    has reported a stdout that cannot take its bytes.  An exception out of
-    main(), SystemExit included, leaves through the interpreter as usual."""
+    has reported a stdout that cannot take its bytes.  --help's SystemExit,
+    or an exception main() does not catch, leaves through the interpreter."""
     status = main()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:

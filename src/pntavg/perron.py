@@ -69,10 +69,16 @@ def _check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
-def _finite_bound(a: float, b: float, T: float, form) -> float:
-    """form(), or ValueError naming a, b and T unless it is finite and > 0."""
+def _bound(a: float, b: float, T: float) -> float:
+    """The error bound, or ValueError naming a, b and T unless it is finite
+    and > 0.  At a = 1 it is the leading term of the alternating arctan
+    tail, (b + 1)^3 - b^3 expanded, since the difference cancels to 0 for
+    b >= 2^53."""
     try:
-        bound = form()
+        if a == 1.0:
+            bound = (3.0 * b * b + 3.0 * b + 1.0) / (3.0 * math.pi * T**3)
+        else:
+            bound = a**b * min(1.0 / T, 1.0 / (T * T * abs(math.log(a))))
     except ArithmeticError:  # a**b overflows, T**2 or T**3 underflows
         bound = math.nan
     if not 0 < bound < math.inf:
@@ -88,16 +94,7 @@ def lemma1_error_bound(a: float, b: float, T: float) -> float:
     _check_positive(a=a, b=b, T=T)
     if a == 1:
         raise ValueError("a = 1 has a T^-3 error regime; use perron_integral")
-    la = abs(math.log(a))
-    return _finite_bound(a, b, T, lambda: a**b * min(1.0 / T, 1.0 / (T * T * la)))
-
-
-def _a1_bound(b: float, T: float) -> float:
-    # leading term of the alternating arctan tail; (b + 1)^3 - b^3 expanded,
-    # since the difference cancels to 0 for b >= 2^53
-    return _finite_bound(
-        1.0, b, T, lambda: (3.0 * b * b + 3.0 * b + 1.0) / (3.0 * math.pi * T**3)
-    )
+    return _bound(a, b, T)
 
 
 def _excess(a: float, b: float, T: float, k: int, extra_bits: int):
@@ -133,7 +130,7 @@ def perron_integral(a: float, b: float, T: float, k: int = 1) -> PerronResult:
     else:
         # int(k): a numpy k would make main and numeric numpy floats
         main = ((a - 1.0) / a) ** int(k) if a > 1.0 else 0.0
-    bound = _a1_bound(b, T) if a == 1.0 else lemma1_error_bound(a, b, T)
+    bound = _bound(a, b, T)
 
     extra = 0
     excess, finer = _excess(a, b, T, k, 0), _excess(a, b, T, k, 32)

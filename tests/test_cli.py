@@ -561,14 +561,23 @@ def test_output_unwritable(capsys):
     "argv",
     [
         ["errors", "--n-max", "5", "--output"],
+        ["tables", "--n-max", "100000", "--output"],
         ["sieve", "--n-max", "5", "--cache"],
         ["errors", "--n-max", "5", "--cache"],
     ],
-    ids=["output", "sieve-cache", "errors-cache"],
+    ids=["output", "tables-output", "sieve-cache", "errors-cache"],
 )
-def test_output_into_missing_directory_names_the_path(tmp_path, capsys, argv):
+def test_output_into_missing_directory_names_the_path(tmp_path, monkeypatch, capsys, argv):
     """--cache is a plain path like --output: a missing directory is one
-    I/O error naming the path asked for, and no directory is created."""
+    I/O error naming the path asked for, and no directory is created.
+    --output is opened before the sieve runs; through_cache makes its
+    block generator before it opens --cache, so those keep the sieve."""
+    if argv[-1] == "--output":
+
+        def forbidden(n_max):
+            raise AssertionError("sieved before --output was opened")
+
+        monkeypatch.setattr(sieve, "lambda_blocks", forbidden)
     dest = tmp_path / "missing" / "f.csv"
     code, out, err = run(argv + [str(dest)], capsys)
     assert (code, out) == (cli.EXIT_FAILURE, "")
@@ -797,6 +806,24 @@ def test_order_zero_has_no_column_ceiling(monkeypatch, capsys):
     monkeypatch.setattr("pntavg.sieve.lambda_blocks", no_sieve)
     argv = ["errors", "--order", "0", "--n-max", str(2**53)]
     assert run(argv, capsys) == (cli.EXIT_FAILURE, "", f"error: sieved to {2**53}\n")
+
+
+@pytest.mark.parametrize("text", [None, "21.0\n14.1\n"], ids=["missing", "malformed"])
+def test_check_reads_zeros_before_any_suite(tmp_path, monkeypatch, capsys, text):
+    """A --zeros file that cannot be read fails check with one line and
+    no PASS line, before the sieve runs."""
+    path = tmp_path / "zeros.txt"
+    if text is not None:
+        path.write_text(text)
+
+    def forbidden(n_max):
+        raise AssertionError("sieved before --zeros was read")
+
+    monkeypatch.setattr(sieve, "build_lambda_table", forbidden)
+    code, out, err = run(["check", "--n-max", "100", "--zeros", str(path)], capsys)
+    assert (code, out) == (cli.EXIT_FAILURE, "")
+    assert err.startswith("I/O error: " if text is None else "error: ")
+    assert err.count("\n") == 1 and str(path) in err
 
 
 def test_check_with_zeros(tmp_path, monkeypatch, capsys):
@@ -1136,10 +1163,41 @@ def test_outputs_independent_of_simd_dispatch():
     assert capped_out == out
 
 
-def test_usage_error_exit_code():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "tables --bogus-flag",
+        "sieve --bogus",
+        "errors --order",
+        "tables --cache x",
+        "check --output x",
+        "sieve --n-max 1e3",
+        "",
+        "zerosum --x 100 --T 10",
+        "tables --n-max 1000",
+        "errors --n-max 0",
+    ],
+    ids=lambda argv: argv.replace(" --", "-").replace(" ", "-") or "no-arguments",
+)
+def test_usage_error_is_one_line(argv, capsys):
+    """argparse's own refusals and the command's come back from main() as
+    EXIT_USAGE with one stderr line, not as SystemExit with usage lines."""
+    code, out, err = run(argv.split(), capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_usage_error_leaves_the_child_as_one_line():
+    proc = child(["sieve", "--bogus"])
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, b"")
+    assert proc.stderr == b"error: unrecognized arguments: --bogus\n"
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["tables", "--bogus-flag"])
-    assert exc.value.code == cli.EXIT_USAGE
+        cli.main(["sieve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pntavg sieve ")
 
 
 @pytest.mark.parametrize(
@@ -1150,9 +1208,7 @@ def test_usage_error_exit_code():
 def test_output_refused_where_nothing_is_written(tmp_path, command, flag):
     # sieve and check print only to stdout, so --output is a usage error;
     # tables and check always sieve afresh, so --cache is one too
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--n-max", "100", flag, str(tmp_path / "o.txt")])
-    assert exc.value.code == cli.EXIT_USAGE
+    assert cli.main([command, "--n-max", "100", flag, str(tmp_path / "o.txt")]) == cli.EXIT_USAGE
     assert os.listdir(tmp_path) == []
 
 

@@ -147,8 +147,8 @@ def test_a1_bound_has_no_cancellation():
     for b in (1.0, 1e6, 1e12, 1e15, 3e15, 1e16):
         exact = (Fraction(b) + 1) ** 3 - Fraction(b) ** 3
         want = float(exact) / (3.0 * math.pi)
-        assert perron._a1_bound(b, 1.0) == pytest.approx(want, rel=1e-15, abs=0)
-    assert perron._a1_bound(1.0, 1.0) == 7.0 / (3.0 * math.pi)
+        assert perron._bound(1.0, b, 1.0) == pytest.approx(want, rel=1e-15, abs=0)
+    assert perron._bound(1.0, 1.0, 1.0) == 7.0 / (3.0 * math.pi)
 
 
 def test_kernel_a_equal_one_t_cubed_scaling():
