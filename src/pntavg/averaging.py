@@ -23,10 +23,10 @@ Every order up to a bound comes from one chain, one pass per order.
 The chains read the plain arrays of the sieve module, indexed by n:
 iterated_averages runs over r = sieve.error_series(lam) and yields
 rbar_0 = r, rbar_1..rbar_k, each an IteratedAverage, its order and its
-values indexed like r; weighted_psi_series runs over the psi prefix,
-Lambda's first pass, and weighted_psi_hat_series over (j-1) Lambda(j),
-both from lam = sieve.build_lambda_table(n_max), a data path disjoint
-from the prefix sums of r.
+values indexed like r.  It averages every series: psi's Lambda-weighted
+averages, psi_i(n) = sum_{j <= n} C(n+i-j, i) Lambda(j) / C(n+i-1, i), are
+iterated_averages(neumaier_prefix_sum(lam), i).  weighted_psi_hat_series
+runs over (j-1) Lambda(j), a data path disjoint from the prefix sums of r.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import factorial
 import numpy as np
 
 from ._args import MAX_ORDER, check_int
-from .accum import neumaier_fold, neumaier_prefix_sum
+from .accum import neumaier_fold
 
 _FACTOR_LIMIT = 1 << 32  # every factor n + j of a binomial column lies below it
 _BLOCK = 1 << 13  # n per binomial column block; bounds the limb work arrays
@@ -211,18 +211,6 @@ def iterated_average(r: np.ndarray, k: int) -> IteratedAverage:
 
 
 # -- weighted Lambda sums ---------------------------------------------------
-
-
-def weighted_psi_series(lam: np.ndarray, i_max: int):
-    """An iterator over psi_0..psi_i_max, psi_i(n) = sum_{j <= n} C(n+i-j, i)
-    Lambda(j) / C(n+i-1, i) for every n of lam[n] = Lambda(n) (index 0
-    unused); psi_0 is the psi prefix.  The numerator is the (i+1)-fold
-    prefix sum of Lambda, and psi is its first, formed here, so the orders
-    to i_max cost i_max passes.  Raises ValueError, before any work, unless
-    i_max is an integer in [0, MAX_ORDER]."""
-    check_int("order i", i_max, 0, MAX_ORDER)
-    psi = neumaier_prefix_sum(lam)  # lam[0] = 0
-    return chain([psi], _chain(psi[1:], int(i_max)))  # the chain never writes psi
 
 
 def weighted_psi_hat_series(lam: np.ndarray, i_max: int):

@@ -248,13 +248,12 @@ def cmd_perron(args) -> int:
 # -- check suites -----------------------------------------------------------
 
 
-def _check_sieve(lam) -> list[str]:
+def _check_sieve(psi) -> list[str]:
     import mpmath
 
     failures = []
-    psi = neumaier_prefix_sum(lam[:501])  # psi(n) for n <= 500
     lcm = 1
-    for n in range(1, len(psi)):
+    for n in range(1, min(len(psi), 501)):  # psi(n) for n <= 500
         lcm = math.lcm(lcm, n)
         with mpmath.workprec(300):
             ref = float(mpmath.log(lcm))
@@ -264,19 +263,19 @@ def _check_sieve(lam) -> list[str]:
     return failures
 
 
-def _check_averaging(lam) -> list[str]:
+def _check_averaging(lam, psi) -> list[str]:
     from . import averaging
 
     failures = []
     chains = zip(  # orders 1..3 of the three chains, side by side
         islice(averaging.iterated_averages(sieve.error_series(lam), 3), 1, None),
-        islice(averaging.weighted_psi_series(lam, 3), 1, None),
+        islice(averaging.iterated_averages(psi, 3), 1, None),
         averaging.weighted_psi_hat_series(lam, 3),
     )
     for avg, psi_k, psi_hat in chains:
         k = avg.order
         # the Lambda route: rbar_k(n) = psi_k(n) - (n + k)/(k + 1), at every n
-        dev = np.abs(psi_k[1:] - (np.arange(1, len(lam)) + k) / (k + 1) - avg.values[1:])
+        dev = np.abs(psi_k.values[1:] - (np.arange(1, len(lam)) + k) / (k + 1) - avg.values[1:])
         n = int(np.argmax(dev)) + 1  # a nan is the argmax, and fails the test below
         if not dev[n - 1] <= 1e-9:
             failures.append(f"weight-form rbar{k}({n}) mismatch")
@@ -319,20 +318,19 @@ def _check_zeros(path) -> list[str]:
 
 
 def cmd_check(args) -> int:
-    zero_sums = _check_zeros(args.zeros) if args.zeros else None  # reads --zeros before the sieve
+    zero_sums = [("zero-sums", _check_zeros(args.zeros))] if args.zeros else []  # before the sieve
     lam = sieve.build_lambda_table(min(args.n_max, 10_000))
-    suites = [
-        ("sieve-psi-oracle", lambda: _check_sieve(lam)),
-        ("averaging-identities", lambda: _check_averaging(lam)),
-        ("perron-envelope", _check_perron),
-    ]
-    if args.zeros:
-        suites.append(("zero-sums", lambda: zero_sums))
-    else:
+    if not args.zeros:
         print("note: --zeros absent, zero-sum suite skipped")
+    psi = neumaier_prefix_sum(lam)
+    suites = [
+        ("sieve-psi-oracle", _check_sieve(psi)),
+        ("averaging-identities", _check_averaging(lam, psi)),
+        ("perron-envelope", _check_perron()),
+        *zero_sums,
+    ]
     status = EXIT_OK
-    for name, fn in suites:
-        failures = fn()
+    for name, failures in suites:
         if failures:
             status = EXIT_FAILURE
             print(f"FAIL {name}: {'; '.join(failures)}")
@@ -419,7 +417,9 @@ def _n_max_ceiling(args) -> tuple[int, str]:
 
 def main(argv=None) -> int:
     """Run argv's command and return its exit status.  Every usage error,
-    argparse's own included, is one "error:" line; only --help raises SystemExit."""
+    argparse's own included, is one "error:" line; only --help raises SystemExit.
+    An --output that names the --cache or --zeros file (equal os.path.realpath)
+    is one, refused before anything is opened."""
     try:
         args = build_parser().parse_args(argv)
         n_max, least = getattr(args, "n_max", 1), getattr(args, "least_n_max", 1)
@@ -427,7 +427,12 @@ def main(argv=None) -> int:
         if not least <= n_max <= top:
             bound = f">= {least}" if n_max < least else f"<= {why}"
             raise argparse.ArgumentError(None, f"{args.command} needs --n-max {bound}, got {n_max}")
-        if sys.stdout is None and not getattr(args, "output", None):
+        output = getattr(args, "output", None)
+        for flag in ("cache", "zeros"):  # the file a command reads is never its --output
+            path = getattr(args, flag, None)
+            if output and path and os.path.realpath(output) == os.path.realpath(path):
+                raise argparse.ArgumentError(None, f"--output {output} is the --{flag} file {path}")
+        if sys.stdout is None and not output:
             raise OSError("stdout is closed")  # started with fd 1 closed
         status = args.fn(args)
         if sys.stdout is not None:

@@ -59,7 +59,8 @@ def r_small(lam_small):
 @pytest.fixture(scope="session")
 def psi_small(lam_small):
     """psi[n] = psi(n) for n <= 2000: the compensated prefix of Lambda that
-    error_series and weighted_psi_series form, and `check` reads."""
+    error_series and `check` form, whose iterated averages are psi's
+    Lambda-weighted averages."""
     return neumaier_prefix_sum(lam_small)
 
 

@@ -10,13 +10,15 @@ over that column, psi and theta at one x from one unblocked pass over
 every Lambda value, the binomial weights of the Lambda-weighted sums from
 exact Fractions, the Perron kernel integral from mpmath quadrature over
 the whole segment and from float Gauss-Legendre panels, its gap from
-mpmath's Tricomi U (a != 1) and atan (a = 1), and the truncated zero sum
-from a scalar cmath loop.
+mpmath's Tricomi U (a != 1) and atan (a = 1), the truncated zero sum
+from a scalar cmath loop, and the rows of the paper's tables from exact
+integers, Lambda(n) 2^53 and its prefix sums, one int/int division each.
 """
 
 import cmath
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -285,6 +287,55 @@ def weighted_psi_tilde_series(lam, i_max: int):
 
     j = np.arange(1, len(lam), dtype=float)
     return chain(j * (j - 1.0) / 2.0 * lam[1:])
+
+
+def exact_table_rows(lam) -> list[str]:
+    """The 19 CSV rows of `pntavg tables` over lam[n] = Lambda(n), from
+    exact integers.  Each float64 Lambda(n) is an integer times 2^-53, as
+    log 2 > 1/2, so L(n) = Lambda(n) 2^53 is exact; r 2^53 = F_1[L] - n 2^53
+    and A_k = F_k[r 2^53], F_k the k-fold prefix sum of Python ints.  With
+    D(n) = C(n+k-1, k) and E(n) = A_k(n) (n-1) - A_k(n-1) (n+k-1), each
+    statistic is one correctly rounded int/int division, the definitions
+    of the averaging module taken literally: rbar_k = A_k / (2^53 D),
+    hat_prime_r = E / (2^53 D), hat_r = (k+1) E / (2^53 D (n-1)) and
+    tilde_r = (n E(n) - (n+k-1) E(n-1)) / (2^54 D(n)).  Each row's min and
+    max are those floats', at their first attaining n."""
+    one = 1 << 53
+    lam = lam.tolist()
+    big = [int(v * one) for v in lam]
+    assert all(x / one == v for x, v in zip(big, lam))
+    n_max = len(lam) - 1
+
+    def row(name, values, lo):  # values[m] is the statistic at n = lo + m
+        imin = min(range(len(values)), key=values.__getitem__)
+        imax = max(range(len(values)), key=values.__getitem__)
+        return (
+            f"{name},{lo},{n_max},{values[imin]:.6f},{lo + imin},"
+            f"{values[imax]:.6f},{lo + imax}"
+        )
+
+    a = [p - n * one for n, p in enumerate(accumulate(big))]  # r 2^53, a[0] = 0
+    r = row("r", [x / one for x in a[1:]], 1)
+    rbar, rhat, rhatp, rtilde = [], [], [], []
+    for k in range(1, 7):
+        a = list(accumulate(a))
+        d = [0, 1]  # D(n) for n = 0, 1
+        for n in range(2, n_max + 1):
+            d.append(d[-1] * (n + k - 1) // (n - 1))
+        e = [0, 0] + [a[n] * (n - 1) - a[n - 1] * (n + k - 1) for n in range(2, n_max + 1)]
+        if k <= 3:
+            rbar.append(row(f"rbar{k}", [a[n] / (one * d[n]) for n in range(1, n_max + 1)], 1))
+        if k <= 5:
+            lo = min(100, n_max)
+            hat = [(k + 1) * e[n] / (one * d[n] * (n - 1)) for n in range(lo, n_max + 1)]
+            rhat.append(row(f"rhat{k}", hat, lo))
+            rhatp.append(row(f"rhatp{k}", [e[n] / (one * d[n]) for n in range(2, n_max + 1)], 2))
+        if k >= 2:
+            tilde = [
+                (n * e[n] - (n + k - 1) * e[n - 1]) / (2 * one * d[n]) for n in range(3, n_max + 1)
+            ]
+            rtilde.append(row(f"rtilde{k}", tilde, 3))
+    return [r, *rbar, *rhat, *rhatp, *rtilde]
 
 
 def hat_r_formula(avg) -> np.ndarray:

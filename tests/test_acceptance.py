@@ -15,7 +15,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from pntavg import averaging, perron, sieve, zeros
+from pntavg import averaging, cli, perron, sieve, zeros
 from pntavg.averaging import (
     hat_prime_r_series,
     hat_r_series,
@@ -23,10 +23,9 @@ from pntavg.averaging import (
     iterated_averages,
     range_summary,
     tilde_r_series,
-    weighted_psi_series,
 )
 
-from oracles import explicit_formula_limit, psi_lcm_all, row_sum, weight_b
+from oracles import exact_table_rows, explicit_formula_limit, psi_lcm_all, row_sum, weight_b
 
 N_FULL = 100_000
 
@@ -123,17 +122,41 @@ def test_criterion_04_table4_exact(averages_full):
     assert _mismatches(computed, TABLE_4) == []
 
 
-def test_criterion_05_oracle_equivalence(lam_small, r_small):
+# TABLE_4's first attaining n of each rtilde min and max that the
+# difference route misplaces (ROADMAP item 1)
+TABLE_4_ARGS = {4: (58194, 69435), 5: (61768, 75188), 6: (66567, 54737)}
+
+
+def _tables_rows(capsys, n_max):
+    argv = ["tables", "--n-max", str(n_max), "--allow-partial"]
+    assert cli.main(argv) == cli.EXIT_OK
+    return capsys.readouterr().out.splitlines()[1:]
+
+
+def test_tables_equal_the_exact_integer_oracle(capsys, lam_full):
+    """Every row of `tables` equals the exact-integer oracle's at 3,000, and
+    at 1e5 every row but rtilde4..6, where the oracle prints TABLE_4."""
+    assert _tables_rows(capsys, 3000) == exact_table_rows(sieve.build_lambda_table(3000))
+    got, want = _tables_rows(capsys, N_FULL), exact_table_rows(lam_full)
+    assert len(want) == 19 and got[:-3] == want[:-3]  # the last three are rtilde4..6
+    assert want[-3:] == [
+        f"rtilde{i},3,{N_FULL},{TABLE_4[i][0]:.6f},{argmin},{TABLE_4[i][1]:.6f},{argmax}"
+        for i, (argmin, argmax) in TABLE_4_ARGS.items()
+    ]
+
+
+def test_criterion_05_oracle_equivalence(psi_small, r_small):
     """Nested-sum oracle vs weight form vs prefix-sum values, n <= 300, k <= 3.
 
     The oracle runs in exact rational arithmetic over the (exactly
     representable) float error values, so its results equal the literal
     nested sums of the defining formula with zero rounding.  The weight
-    form is the Lambda route rbar_k(n) = psi_k(n) - (n + k)/(k + 1).
+    form is the Lambda route rbar_k(n) = psi_k(n) - (n + k)/(k + 1), psi_k
+    the k-fold average of the psi prefix.
     """
     r_exact = [Fraction(0)] + [Fraction(float(r_small[m])) for m in range(1, 301)]
     worst = 0.0
-    chains = zip(iterated_averages(r_small, 3), weighted_psi_series(lam_small, 3))
+    chains = zip(iterated_averages(r_small, 3), iterated_averages(psi_small, 3))
     for avg, psi_k in islice(chains, 1, None):  # orders 1..3
         k = avg.order
         layers = r_exact[1:]
@@ -147,7 +170,7 @@ def test_criterion_05_oracle_equivalence(lam_small, r_small):
         for n in range(1, 301):
             exact = layers[n - 1] / math.comb(n + k - 1, k)
             dev_prefix = abs(float(exact) - float(avg.values[n]))
-            dev_weight = abs(float(exact) - (psi_k[n] - (n + k) / (k + 1)))
+            dev_weight = abs(float(exact) - (psi_k.values[n] - (n + k) / (k + 1)))
             worst = max(worst, dev_prefix, dev_weight)
     _report("criterion-05 oracle-equivalence", worst <= 1e-9, f"worst dev {worst:.2e}")
     assert worst <= 1e-9

@@ -17,7 +17,6 @@ from pntavg.averaging import (
     range_summary,
     tilde_r_series,
     weighted_psi_hat_series,
-    weighted_psi_series,
 )
 
 from conftest import MIB, N_PEAK, traced_peak
@@ -199,15 +198,16 @@ def test_drained_chains_keep_every_order_and_their_inputs(lam_full, r_full):
     drained chain is that order drawn alone, bit for bit, and r, Lambda and
     psi_0 are unchanged."""
     r, lam = r_full.tobytes(), lam_full.tobytes()
+    psi = neumaier_prefix_sum(lam_full)
     averages = list(iterated_averages(r_full, 8))
-    psi_orders = list(weighted_psi_series(lam_full, 8))
+    psi_orders = list(iterated_averages(psi, 8))
     for k, avg in enumerate(averages):
         assert_same_bits(avg.values, iterated_average(r_full, k).values, k)
     for i, psi_i in enumerate(psi_orders):
-        assert_same_bits(psi_i, list(weighted_psi_series(lam_full, i))[-1], i)
+        assert_same_bits(psi_i.values, iterated_average(psi, i).values, i)
     assert r_full.tobytes() == r
     assert lam_full.tobytes() == lam
-    assert psi_orders[0].tobytes() == neumaier_prefix_sum(lam_full).tobytes()
+    assert psi_orders[0].values.tobytes() == neumaier_prefix_sum(lam_full).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -258,31 +258,34 @@ def test_average_invalid_args(r_small):
 # -- weighted Lambda sums ---------------------------------------------------
 
 
-def test_weighted_psi_order_zero(lam_small, psi_small):
-    psi_0 = next(weighted_psi_series(lam_small, 0))
-    assert psi_0[10] == pytest.approx(psi_lcm(10), abs=1e-9)
-    assert psi_0.tobytes() == psi_small.tobytes()
+# psi's Lambda-weighted averages psi_i are the iterated averages of the psi prefix
 
 
-def test_weighted_psi_trivial(lam_small):
-    assert list(weighted_psi_series(lam_small, 1))[1][1] == 0.0
+def test_weighted_psi_order_zero(psi_small):
+    psi_0 = iterated_average(psi_small, 0)
+    assert psi_0.values[10] == pytest.approx(psi_lcm(10), abs=1e-9)
+    assert psi_0.values.tobytes() == psi_small.tobytes()
 
 
-def test_weighted_psi_identity(lam_small, r_small):
+def test_weighted_psi_trivial(psi_small):
+    assert iterated_average(psi_small, 1).values[1] == 0.0
+
+
+def test_weighted_psi_identity(psi_small, r_small):
     # rbar_i(n) = psi_i(n) - (n + i)/(i + 1)
-    chains = zip(iterated_averages(r_small, 3), weighted_psi_series(lam_small, 3))
+    chains = zip(iterated_averages(r_small, 3), iterated_averages(psi_small, 3))
     for i, (avg, psi_i) in enumerate(chains):
         for n in (1, 2, 100, 1000, 2000):
             lhs = avg.values[n]
-            rhs = psi_i[n] - (n + i) / (i + 1)
+            rhs = psi_i.values[n] - (n + i) / (i + 1)
             assert lhs == pytest.approx(rhs, abs=1e-8), (i, n)
     assert i == 3
 
 
-def test_weighted_psi_series_matches_pointwise(lam_small):
-    for i, batch in enumerate(weighted_psi_series(lam_small, 3)):
+def test_psi_averages_match_pointwise(lam_small, psi_small):
+    for i, batch in enumerate(iterated_averages(psi_small, 3)):
         for n in (1, 2, 33, 500):
-            assert batch[n] == pytest.approx(
+            assert batch.values[n] == pytest.approx(
                 exact_weighted_sum(lam_small, weight_a, i, n), abs=1e-9
             )
     assert i == 3
@@ -303,10 +306,10 @@ def test_psi_chain_order_i_is_i_plus_1_passes_over_the_comb_column(lam_full):
     Lambda, divided by the math.comb column C(n+i-1, i), bit for bit, for
     i = 0..8."""
     sums = lam_full[1:]
-    for i, psi_i in enumerate(weighted_psi_series(lam_full, 8)):
+    for i, psi_i in enumerate(iterated_averages(neumaier_prefix_sum(lam_full), 8)):
         sums = neumaier_prefix_sum(sums)
         want = np.concatenate(([0.0], sums / binom_column_comb(len(lam_full) - 1, i)))
-        assert_same_bits(psi_i, want, i)
+        assert_same_bits(psi_i.values, want, i)
     assert i == 8
 
 
@@ -325,13 +328,11 @@ def test_psi_hat_chain_order_i_is_i_passes_over_the_comb_column(lam_full):
     assert i == 8
 
 
-@pytest.mark.parametrize(
-    "series_fn", [weighted_psi_series, weighted_psi_hat_series, weighted_psi_tilde_series]
-)
+@pytest.mark.parametrize("series_fn", [weighted_psi_hat_series, weighted_psi_tilde_series])
 def test_weighted_series_range_checked(lam_small, series_fn):
-    """Each chain checks its highest order before any work, like
+    """The psi-hat chain checks its highest order before any work, like
     iterated_averages; the psi-tilde oracle checks it too."""
-    least = {weighted_psi_series: 0, weighted_psi_hat_series: 1}.get(series_fn, 2)
+    least = {weighted_psi_hat_series: 1}.get(series_fn, 2)
     for i in (2.0, 2.5, True, least - 1, averaging.MAX_ORDER + 1):
         with pytest.raises(ValueError, match=rf"^order i must be in \[{least}, 8\], got "):
             series_fn(lam_small, i)
@@ -345,9 +346,10 @@ def _every_series(lam):
     """Each series of the Lambda array, for every order, keyed by (name, order)."""
     r = sieve.error_series(lam)
     out = {("r", None): r}
-    out.update({("rbar", k): avg.values for k, avg in enumerate(iterated_averages(r, 8))})
-    for fn, least in ((weighted_psi_series, 0), (weighted_psi_hat_series, 1)):
-        out.update({(fn.__name__, i): v for i, v in enumerate(fn(lam, 8), start=least)})
+    out.update({("rbar", avg.order): avg.values for avg in iterated_averages(r, 8)})
+    psi = neumaier_prefix_sum(lam)
+    out.update({("psi", avg.order): avg.values for avg in iterated_averages(psi, 8)})
+    out.update({("psi-hat", i): v for i, v in enumerate(weighted_psi_hat_series(lam, 8), 1)})
     return out
 
 

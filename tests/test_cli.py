@@ -1,10 +1,12 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import pathlib
+import shutil
 import signal
 import subprocess
 import sys
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pntavg import averaging, cli, perron, sieve, zeros
+from pntavg import accum, averaging, cli, perron, sieve, zeros
 
 from conftest import MIB, N_PEAK, traced_peak
 from oracles import fmt6_dragon4
@@ -489,7 +491,7 @@ ORDERS_1_TO_6 = [a for k in range(1, 7) for a in ("--order", str(k))]
         # 6 passes to order 6, then the chain restarts for 0 and runs to 3
         (["errors", "--order", "6", "--order", "0", "--order", "3", "--order", "3",
           "--n-max", "500"], 4500),
-        # three chains to order 3: rbar (3 x 500), psi from the sieve's psi
+        # three chains to order 3: rbar (3 x 500), psi from check's psi
         # prefix (3 x 500), psi-hat from j = 2 (3 x 499)
         (["check", "--n-max", "500"], 4497),
         # each pass spans 2 column blocks, the state carried across them
@@ -586,25 +588,69 @@ def test_output_into_missing_directory_names_the_path(tmp_path, monkeypatch, cap
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("spelling", ["f", "./f", "link"])
+@pytest.mark.parametrize(
+    "argv, before",
+    [
+        (["errors", "--n-max", "1000", "--cache"], None),
+        (["errors", "--n-max", "1000", "--cache"], "cache"),
+        (["zerosum", "--x", "100", "--T", "30", "--zeros"], "zeros"),
+    ],
+    ids=["errors-new-cache", "errors-cache", "zerosum-zeros"],
+)
+def test_output_naming_the_file_read_is_usage_error(
+    tmp_path, monkeypatch, capsys, argv, before, spelling
+):
+    """An --output that names the --cache or --zeros file, in any spelling
+    with the same os.path.realpath, is refused before anything is opened:
+    exit 2, one line, and that file keeps its bytes or is not created."""
+    monkeypatch.chdir(tmp_path)
+    if before == "cache":
+        assert run(["sieve", "--n-max", "1000", "--cache", "f"], capsys)[0] == cli.EXIT_OK
+    elif before == "zeros":
+        shutil.copyfile(ZEROS, "f")
+    os.symlink("f", "link")
+    files = {name: pathlib.Path(name).read_bytes() for name in os.listdir() if name != "link"}
+    code, out, err = run([*argv, "f", "--output", spelling], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: --output {spelling} is the --{argv[-1][2:]} file f\n"
+    assert sorted(os.listdir()) == sorted([*files, "link"])
+    assert {name: pathlib.Path(name).read_bytes() for name in files} == files
+
+
+CHECK_PASS = "PASS sieve-psi-oracle\nPASS averaging-identities\nPASS perron-envelope\n"
+
+
 def test_check_passes_without_zeros(capsys):
-    code, out, _ = run(["check", "--n-max", "2000"], capsys)
-    assert code == 0
-    assert "PASS sieve-psi-oracle" in out
-    assert "zero-sum suite skipped" in out
+    want = "note: --zeros absent, zero-sum suite skipped\n" + CHECK_PASS
+    assert run(["check", "--n-max", "2000"], capsys) == (cli.EXIT_OK, want, "")
+
+
+def test_check_stdout_is_its_suites_in_order(capsys):
+    want = CHECK_PASS + "PASS zero-sums\n"
+    assert run(["check", "--zeros", str(ZEROS)], capsys) == (cli.EXIT_OK, want, "")
+
+
+def test_check_forms_psi_once(monkeypatch, capsys):
+    """check forms the psi prefix of its whole table once: the sieve suite
+    reads psi(n <= 500) from it and the averaging suite averages it."""
+    real, calls = accum.neumaier_prefix_sum, []
+
+    def counting(values):
+        calls.append(len(values))
+        return real(values)
+
+    for module in (accum, averaging, cli):  # wherever pntavg may bind it
+        monkeypatch.setattr(module, "neumaier_prefix_sum", counting, raising=False)
+    assert run(["check", "--n-max", "2000"], capsys)[0] == cli.EXIT_OK
+    assert calls == [2001]
 
 
 def test_check_catches_perturbed_average(monkeypatch, capsys):
-    """The weight-form leg of the averaging suite checks the chain's averages
-    against the Lambda route, so an error of 2e-9 at n = 100 fails it."""
-    real = averaging.iterated_averages
-
-    def perturbed(r, k_max):
-        for avg in real(r, k_max):
-            values = avg.values.copy()
-            values[100] += 2e-9
-            yield averaging.IteratedAverage(avg.order, values)
-
-    monkeypatch.setattr(averaging, "iterated_averages", perturbed)
+    """The weight-form leg of the averaging suite checks the r chain's
+    averages against the Lambda route, so an error of 2e-9 at n = 100 fails
+    it."""
+    perturb_average(monkeypatch, 0, range(9), 100, 2e-9)
     code, out, _ = run(["check", "--n-max", "2000"], capsys)
     assert code == cli.EXIT_FAILURE
     fail = next(line for line in out.splitlines() if line.startswith("FAIL "))
@@ -614,19 +660,38 @@ def test_check_catches_perturbed_average(monkeypatch, capsys):
     )
 
 
-def perturb_chain(monkeypatch, name, order, n, delta):
-    """Make averaging.<name>, a chain of arrays, add delta at n to order
+def perturb_average(monkeypatch, call, orders, n, delta):
+    """Make the call-th call to averaging.iterated_averages, counted from 0,
+    add delta at n to each order in orders.  check's averaging suite makes
+    two: call 0 averages r and call 1 the psi prefix."""
+    real, calls = averaging.iterated_averages, itertools.count()
+
+    def shift(avg):
+        if avg.order not in orders:
+            return avg
+        values = avg.values.copy()
+        values[n] += delta
+        return averaging.IteratedAverage(avg.order, values)
+
+    def perturbed(x, k_max):
+        averages = real(x, k_max)
+        return map(shift, averages) if next(calls) == call else averages
+
+    monkeypatch.setattr(averaging, "iterated_averages", perturbed)
+
+
+def perturb_psi_hat(monkeypatch, order, n, delta):
+    """Make averaging.weighted_psi_hat_series add delta at n to order
     order's array."""
-    real = getattr(averaging, name)
-    least = {"weighted_psi_series": 0, "weighted_psi_hat_series": 1}[name]
+    real = averaging.weighted_psi_hat_series
 
     def perturbed(lam, i_max):
-        for i, values in enumerate(real(lam, i_max), start=least):
+        for i, values in enumerate(real(lam, i_max), start=1):
             if i == order:
                 values[n] += delta
             yield values
 
-    monkeypatch.setattr(averaging, name, perturbed)
+    monkeypatch.setattr(averaging, "weighted_psi_hat_series", perturbed)
 
 
 def test_check_catches_a_wrong_lambda(monkeypatch, capsys):
@@ -648,7 +713,7 @@ def test_check_catches_a_wrong_lambda(monkeypatch, capsys):
 def test_check_compares_the_weight_form_at_every_n(monkeypatch, capsys):
     """The weight-form leg compares every n <= 2000, so an error of 2e-9 in
     psi_1 at n = 1500 fails it."""
-    perturb_chain(monkeypatch, "weighted_psi_series", 1, 1500, 2e-9)
+    perturb_average(monkeypatch, 1, [1], 1500, 2e-9)
     code, out, _ = run(["check", "--n-max", "2000"], capsys)
     assert code == cli.EXIT_FAILURE
     assert "FAIL averaging-identities: weight-form rbar1(1500) mismatch\n" in out
@@ -657,7 +722,7 @@ def test_check_compares_the_weight_form_at_every_n(monkeypatch, capsys):
 def test_check_compares_every_sieved_n(monkeypatch, capsys):
     """check sieves min(--n-max, 10,000) and the averaging suite looks at
     every n it sieved, so an error of 2e-9 in psi_1 at n = 8000 fails it."""
-    perturb_chain(monkeypatch, "weighted_psi_series", 1, 8000, 2e-9)
+    perturb_average(monkeypatch, 1, [1], 8000, 2e-9)
     code, out, _ = run(["check", "--n-max", "10000"], capsys)
     assert code == cli.EXIT_FAILURE
     assert "FAIL averaging-identities: weight-form rbar1(8000) mismatch\n" in out
@@ -666,7 +731,7 @@ def test_check_compares_every_sieved_n(monkeypatch, capsys):
 def test_check_compares_every_sieved_n_in_the_hat_leg(monkeypatch, capsys):
     """The hat identity also looks at every sieved n, so an error of 2e-8
     in psi-hat_1 at n = 8000 fails it."""
-    perturb_chain(monkeypatch, "weighted_psi_hat_series", 1, 8000, 2e-8)
+    perturb_psi_hat(monkeypatch, 1, 8000, 2e-8)
     code, out, _ = run(["check", "--n-max", "10000"], capsys)
     assert code == cli.EXIT_FAILURE
     assert "FAIL averaging-identities: hat identity order 1 gap 2.00e-08\n" in out
@@ -675,7 +740,7 @@ def test_check_compares_every_sieved_n_in_the_hat_leg(monkeypatch, capsys):
 def test_check_fails_on_a_nan_in_the_hat_leg(monkeypatch, capsys):
     """A nan in psi-hat_1 at n = 500 fails the hat identity: the largest
     gap is taken with np.max, which a nan does not skip."""
-    perturb_chain(monkeypatch, "weighted_psi_hat_series", 1, 500, math.nan)
+    perturb_psi_hat(monkeypatch, 1, 500, math.nan)
     code, out, _ = run(["check", "--n-max", "2000"], capsys)
     assert code == cli.EXIT_FAILURE
     assert "FAIL averaging-identities: hat identity order 1 gap nan\n" in out

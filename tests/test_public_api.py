@@ -1,8 +1,10 @@
 """The names pntavg exports: each one resolves to an attribute of the
 package, on first access, from the one submodule that defines it.  Each is
-used by a command or a check, except three: iterated_average and
+used by a command or a check, except four: iterated_average and
 explicit_formula_residual are called only by the benchmark and the tests,
-and dirichlet_perron_check by nothing yet."""
+lemma1_error_bound only by the tests, since perron_integral takes the
+checked bound from perron._bound directly, and dirichlet_perron_check by
+nothing yet."""
 
 import ast
 import os

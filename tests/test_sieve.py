@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from pntavg import averaging, cli, sieve
+from pntavg import cli, sieve
+from pntavg.accum import neumaier_prefix_sum
 
 from conftest import MIB, N_PEAK, traced_peak
 from oracles import is_prime_trial, lambda_spf_loop, neumaier_whole, psi_lcm, psi_lcm_all
@@ -54,9 +55,9 @@ def test_table_bitwise_equals_spf_loop():
     # from math.log with numpy's vectorised log.
     # and each block and strike segment edge: the fold of the blocks is psi, theta and pi
     # bit for bit, at every x <= 300 and at each listed n_max
-    # the psi prefix error_series and weighted_psi_series form is the
-    # oracle's, bit for bit, and so is the r that error_fold folds from the
-    # blocks, the Neumaier state carried across each edge
+    # the psi prefix error_series and check form is the oracle's, bit for
+    # bit, and so is the r that error_fold folds from the blocks, the
+    # Neumaier state carried across each edge
     seg, strike = sieve._SEGMENT, sieve._STRIKE
     edges = [seg - 1, seg, seg + 1, 100_000, 2 * seg + 1]
     edges += [strike - 1, strike, strike + 1, strike + seg + 1, 300_000]
@@ -68,8 +69,7 @@ def test_table_bitwise_equals_spf_loop():
         r = want["psi_prefix"] - np.arange(n_max + 1)
         assert sieve.error_series(lam).tobytes() == r.tobytes(), n_max
         assert sieve.error_fold(n_max, sieve.lambda_blocks(n_max)).tobytes() == r.tobytes(), n_max
-        psi_0 = next(averaging.weighted_psi_series(lam, 0))
-        assert psi_0.tobytes() == want["psi_prefix"].tobytes(), n_max
+        assert neumaier_prefix_sum(lam).tobytes() == want["psi_prefix"].tobytes(), n_max
         assert _flags(n_max).tobytes() == want["is_prime"].tobytes(), n_max
         psi, theta, pi = sieve.chebyshev(sieve.lambda_blocks(n_max))
         assert psi.hex() == float(want["psi_prefix"][n_max]).hex(), n_max
